@@ -28,11 +28,9 @@ def gs_associate(aav_positions, gd_positions, capacity, altitude):
     """
     dist = _distances(aav_positions, gd_positions, altitude)
     n_aavs, n_gds = dist.shape
-    # candidate lists sorted nearest-first, AAV index breaking ties
-    candidates = []
-    for g in range(n_gds):
-        order = sorted(range(n_aavs), key=lambda v: (dist[v, g], v))
-        candidates.append(order)
+    # candidate lists sorted nearest-first; the stable sort breaks ties
+    # by lower AAV index
+    candidates = np.argsort(dist, axis=0, kind="stable").T.tolist()
     cursor = [0] * n_gds            # next candidate to propose to
     held = [[] for _ in range(n_aavs)]
     matched = [-1] * n_gds

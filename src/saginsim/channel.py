@@ -71,6 +71,30 @@ def channel_gain(aav_pos, gd_pos, radio):
     return 10.0 ** (-path_loss_db(aav_pos, gd_pos, radio) / 10.0)
 
 
+def channel_gain_matrix(aav3, gd3, radio):
+    """(n_aavs, n_gds) linear gains of every AAV-GD pair in one pass.
+
+    Same formula as `channel_gain`, which stays the per-pair reference.
+    aav3: (n_aavs, 3) and gd3: (n_gds, 3) positions.
+    """
+    aav3 = np.asarray(aav3, dtype=float)
+    gd3 = np.asarray(gd3, dtype=float)
+    diff = aav3[:, None, :] - gd3[None, :, :]
+    d = np.linalg.norm(diff, axis=2)
+    height = diff[:, :, 2]
+    if np.any(d <= 0.0):
+        raise DegenerateGeometry("coincident AAV and GD")
+    if np.any(height <= 0.0):
+        raise DegenerateGeometry("AAV must fly above the GD")
+    angle_deg = np.degrees(np.arctan(height / d))
+    p_los = 1.0 / (1.0 + radio.los_n1
+                   * np.exp(-radio.los_n2 * (angle_deg - radio.los_n1)))
+    base = (20.0 * np.log10(d) + 20.0 * math.log10(radio.carrier_freq)
+            + 20.0 * math.log10(4.0 * math.pi / LIGHT_SPEED))
+    loss_db = base + p_los * radio.excess_los + (1.0 - p_los) * radio.excess_nlos
+    return 10.0 ** (-loss_db / 10.0)
+
+
 def shannon_rate(power, gain, bandwidth, interference, noise_psd_w):
     """B log2(1 + p h / (I + n0 B)), bit/s."""
     if bandwidth <= 0.0:
@@ -136,18 +160,13 @@ class InterferenceField:
     """
 
     def __init__(self, aav_positions, gd_positions, association, radio):
-        aav_positions = np.asarray(aav_positions, dtype=float)
-        gd_positions = np.asarray(gd_positions, dtype=float)
         assoc = np.asarray(association)
-        n_aavs, n_gds = assoc.shape
+        n_aavs, _ = assoc.shape
         if assoc.min() < 0 or assoc.max() > 1:
             raise InvalidAllocation("association entries must be 0/1")
         if np.any(assoc.sum(axis=0) > 1):
             raise InvalidAllocation("a GD is associated to several AAVs")
-        gains = np.empty((n_aavs, n_gds))
-        for v in range(n_aavs):
-            for g in range(n_gds):
-                gains[v, g] = channel_gain(aav_positions[v], gd_positions[g], radio)
+        gains = channel_gain_matrix(aav_positions, gd_positions, radio)
         served_any = assoc.sum(axis=0).astype(bool)
         power = np.zeros(n_aavs)
         for v in range(n_aavs):

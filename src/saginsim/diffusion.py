@@ -63,7 +63,7 @@ def forward_diffuse(actions, steps, noise, schedule):
     actions = np.asarray(actions, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     steps = np.asarray(steps)
-    abar = np.array([schedule.alpha_bar(int(n)) for n in np.atleast_1d(steps)])
+    abar = np.append(1.0, schedule.alpha_bars)[np.atleast_1d(steps)]
     if actions.ndim == 1:
         abar = abar[0]
     else:
@@ -99,12 +99,24 @@ class DiffusionPolicy:
         return self.denoiser.forward_tape(self._inputs(noisy, states, steps))
 
     def sample_batch(self, states, rng, squash=True):
-        """Reverse diffusion for a batch of states; (batch, action_dim)."""
+        """Reverse diffusion for a batch of states; (batch, action_dim).
+
+        The denoiser's first layer is split by input block,
+        [noisy | state | n / N] @ W + b = x W_x + (s W_s + b) + (n / N) w_n,
+        and the state term, the same at every step, is computed once.
+        """
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         batch = len(states)
-        x = rng.standard_normal((batch, self.action_dim))
+        w = self.denoiser.params[0].value
+        a, s = self.action_dim, self.state_dim
+        w_x, w_n = w[:a], w[a + s]
+        state_proj = states @ w[a:a + s] + self.denoiser.params[1].value
+        x = rng.standard_normal((batch, a))
         for n in range(self.schedule.n_steps, 0, -1):
-            eps = self.predict_noise(x, states, n)
+            pre = x @ w_x
+            pre += state_proj
+            pre += (n / self.schedule.n_steps) * w_n
+            eps = self.denoiser.forward_from(pre)
             beta = self.schedule.beta(n)
             abar = self.schedule.alpha_bar(n)
             mean = (x - beta / np.sqrt(1.0 - abar) * eps) \

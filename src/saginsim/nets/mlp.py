@@ -36,12 +36,20 @@ class Mlp:
 
     def forward(self, x):
         """Fast numpy pass, no gradient graph.  x: (batch, in) or (in,)."""
-        h = np.asarray(x, dtype=np.float64)
-        n_layers = len(self.widths) - 1
-        for i, (w, b) in enumerate(self._layers()):
-            h = h @ w.value + b.value
-            if i < n_layers - 1:
-                h = np.maximum(h, 0.0)
+        h = np.asarray(x, dtype=np.float64) @ self.params[0].value
+        h += self.params[1].value
+        return self.forward_from(h)
+
+    def forward_from(self, pre):
+        """Layers 2..L from the first layer's pre-activation `pre`.
+
+        `pre` is overwritten: bias and ReLU are applied in place.
+        """
+        h = pre
+        for w, b in list(self._layers())[1:]:
+            np.maximum(h, 0.0, out=h)
+            h = h @ w.value
+            h += b.value
         return h
 
     def forward_tape(self, x):

@@ -57,6 +57,11 @@ def test_equidistant_tie_goes_to_lower_aav_index():
     gd = np.array([[0.0, 0.0]])
     assoc = gs_associate(aav, gd, capacity=1, altitude=ALT)
     assert assoc[0, 0] == 1 and assoc[1, 0] == 0
+    # three GDs tied over four AAVs fill the three lowest-indexed AAVs
+    aav = np.array([[100.0, 0.0], [0.0, 100.0], [-100.0, 0.0], [0.0, -100.0]])
+    gd = np.zeros((3, 2))
+    assoc = gs_associate(aav, gd, capacity=1, altitude=ALT)
+    assert assoc.sum(axis=1).tolist() == [1, 1, 1, 0]
 
 
 def test_overflow_leaves_farthest_gds_idle():

@@ -137,6 +137,30 @@ def test_rain_extra_db_reduces_rate():
     assert wet < base
 
 
+def test_gain_matrix_matches_scalar_oracle():
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        aav = np.column_stack([rng.uniform(-1500, 1500, (4, 2)),
+                               np.full(4, 100.0)])
+        gd = np.column_stack([rng.uniform(-1500, 1500, (30, 2)),
+                              np.zeros(30)])
+        gd[:2, :2] = aav[:2, :2]   # GDs directly under an AAV
+        got = channel.channel_gain_matrix(aav, gd, RADIO)
+        expect = np.array([[channel.channel_gain(a, g, RADIO) for g in gd]
+                           for a in aav])
+        assert got.shape == (4, 30)
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
+
+
+def test_gain_matrix_degenerate_geometry():
+    aav = np.array([[0.0, 0.0, 100.0], [500.0, 0.0, 100.0]])
+    coincident = np.array([[300.0, 0.0, 0.0], [500.0, 0.0, 100.0]])
+    above = np.array([[300.0, 0.0, 0.0], [0.0, 50.0, 150.0]])
+    for gd in (coincident, above):
+        with pytest.raises(DegenerateGeometry):
+            channel.channel_gain_matrix(aav, gd, RADIO)
+
+
 def test_interference_field_excludes_own_cell():
     aav = np.array([[0.0, 0.0, 100.0], [500.0, 0.0, 100.0]])
     gd = np.array([[0.0, 10.0, 0.0], [500.0, 10.0, 0.0]])

@@ -123,10 +123,47 @@ def test_denoiser_input_layout():
 
 def test_sampler_diverged_guard():
     policy = make_policy(rng=None)
-    policy.predict_noise = lambda noisy, states, steps: np.full(
-        (len(np.atleast_2d(noisy)), ACTION_DIM), np.inf)
+    arrays = policy.denoiser.get_arrays()
+    arrays[-1] = np.full(ACTION_DIM, np.inf)   # output bias: eps is inf
+    policy.denoiser.set_arrays(arrays)
     with pytest.raises(SamplerDiverged):
         policy.sample_batch(np.zeros((2, STATE_DIM)), np.random.default_rng(0))
+
+
+def reference_sample(policy, states, rng):
+    """The reverse chain with the full denoiser input built every step."""
+    sched = policy.schedule
+    x = rng.standard_normal((len(states), policy.action_dim))
+    for n in range(sched.n_steps, 0, -1):
+        eps = policy.denoiser.forward(policy._inputs(x, states, n))
+        mean = (x - sched.beta(n) / np.sqrt(1.0 - sched.alpha_bar(n)) * eps) \
+            / np.sqrt(sched.alpha(n))
+        if n > 1:
+            x = mean + np.sqrt(sched.beta(n)) * rng.standard_normal(x.shape)
+        else:
+            x = mean
+    return x
+
+
+@pytest.mark.parametrize("state_dim, action_dim, hidden", [
+    (STATE_DIM, ACTION_DIM, ()),
+    (STATE_DIM, ACTION_DIM, (8, 8)),
+    (129, 40, (256, 256)),        # default-scale actor
+])
+@pytest.mark.parametrize("rows", ["one", "distinct", "repeated"])
+def test_sampler_matches_reference_loop(state_dim, action_dim, hidden, rows):
+    policy = DiffusionPolicy(state_dim, action_dim, hidden,
+                             VarianceSchedule.linear(10),
+                             np.random.default_rng(40))
+    states = np.random.default_rng(41).standard_normal((6, state_dim))
+    states = {"one": states[:1], "distinct": states,
+              "repeated": np.repeat(states[:2], 3, axis=0)}[rows]
+    fast_rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
+    fast = policy.sample_batch(states, fast_rng, squash=False)
+    ref = reference_sample(policy, states, ref_rng)
+    assert fast.shape == ref.shape == (len(states), action_dim)
+    assert np.max(np.abs(fast - ref)) <= 1e-12
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_weighted_loss_zero_weights_zero_gradient():
