@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .environment import SaginEnv
+from .environment import SaginEnv, rollout
 from .runio import episode_metrics
 
 
@@ -45,17 +45,12 @@ def run_baseline(scenario, algo, seed=None, episodes=1, log_records=None):
     """Run a baseline policy; returns per-episode metric rows."""
     if algo not in _POLICIES:
         raise ValueError("unknown baseline %r" % algo)
-    act = _POLICIES[algo]
+    policy = _POLICIES[algo]
     env = SaginEnv(scenario, seed)
     rng = env.rng.stream("policy-noise")
     rows = []
     for episode in range(episodes):
-        env.reset()
-        done = False
-        ep_reward = 0.0
-        while not done:
-            _, reward, done, _ = env.step(act(env, rng))
-            ep_reward += reward
+        ep_reward = rollout(env, lambda _state: policy(env, rng))
         rows.append(episode_metrics(env, episode, ep_reward))
         if log_records is not None:
             log_records.append((episode, env.records))

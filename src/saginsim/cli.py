@@ -21,11 +21,10 @@ import traceback
 
 from . import runio
 from .baselines import run_baseline
-from .environment import SaginEnv
+from .environment import SaginEnv, rollout
 from .errors import SaginError
 from .nets.mlp import load_checkpoint
-from .scenario import (_parse_value, load_scenario, scenario_from_doc,
-                       scenario_to_text)
+from .scenario import load_scenario, scenario_to_text
 from .trainer import Hyper, QagobTrainer, train
 
 DENOISE_GRID = (1, 5, 10, 15, 25)
@@ -59,16 +58,16 @@ def _build_hyper(hyper_ov, episodes=None):
         if key not in fields:
             raise SaginError("unknown hyper field %r" % key)
         default = fields[key].default
-        if isinstance(default, bool):
-            kwargs[key] = raw.lower() == "true"
-        elif isinstance(default, int):
-            kwargs[key] = int(raw)
-        elif isinstance(default, float):
-            kwargs[key] = float(raw)
-        elif isinstance(default, tuple) or key in ("critic_widths", "actor_widths"):
-            kwargs[key] = tuple(int(x) for x in raw.strip("[]()").split(",") if x)
-        else:
-            kwargs[key] = raw
+        try:
+            if isinstance(default, tuple):
+                parts = raw.strip("[]()").split(",")
+                kwargs[key] = tuple(int(x) for x in parts if x)
+            elif isinstance(default, (int, float)):
+                kwargs[key] = type(default)(raw)
+            else:
+                kwargs[key] = raw
+        except ValueError:
+            raise SaginError("hyper.%s: cannot parse %r" % (key, raw)) from None
     if episodes is not None:
         kwargs["episodes"] = episodes
     return Hyper(**kwargs)
@@ -79,18 +78,11 @@ def _load(args, seed):
     scenario_ov, hyper_ov = _split_hyper(overrides)
     if args.mode:
         scenario_ov["reward.mode"] = '"%s"' % args.mode
-    if args.config:
-        scenario = load_scenario(args.config, scenario_ov, seed=seed)
-    else:
-        doc = {"": {"seed": int(seed) if seed is not None else 0}}
-        for dotted, raw in scenario_ov.items():
-            sec, _, key = dotted.rpartition(".")
-            doc.setdefault(sec, {})[key] = _parse_value(str(raw), 0)
-        scenario = scenario_from_doc(doc)
+    scenario = load_scenario(args.config, scenario_ov, seed=seed)
     return scenario, overrides, hyper_ov
 
 
-def _manifest(args, command, seeds, overrides):
+def _manifest(args, command, seeds, overrides, out):
     return {
         "command": command,
         "scenario_path": os.path.abspath(args.config) if args.config else None,
@@ -99,128 +91,101 @@ def _manifest(args, command, seeds, overrides):
         "mode": args.mode or "joint",
         "episodes": getattr(args, "episodes", None),
         "overrides": overrides,
-        "out": os.path.abspath(args.out),
+        "out": os.path.abspath(out),
     }
 
 
 def _write_run_outputs(seed_dir, rows, episode_records):
     runio.write_metrics_csv(os.path.join(seed_dir, "metrics.csv"), rows)
-    flat = []
-    for episode, records in episode_records:
-        for rec in records:
-            out = dict(rec)
-            out["episode"] = episode
-            flat.append(out)
     runio.write_events_jsonl(os.path.join(seed_dir, "events.jsonl"),
                              {"episodes": len(episode_records)},
                              episode_records)
-    if flat:
-        runio.export_trajectories(flat, os.path.join(seed_dir, "trajectories.csv"))
-        runio.export_energy_breakdown(flat, os.path.join(seed_dir, "energy.csv"))
+    if episode_records:
+        runio.export_trajectories(episode_records[-1][1],
+                                  os.path.join(seed_dir, "trajectories.csv"))
+        runio.export_energy_breakdown(
+            [rec for _, records in episode_records for rec in records],
+            os.path.join(seed_dir, "energy.csv"))
 
 
 def _seed_list(arg):
     return [int(s) for s in str(arg).split(",") if s != ""]
 
 
-def cmd_train(args):
+def _run_seeds(args, command, run, out=None):
+    """Run one verb for every seed in args.seed; returns the failure count.
+
+    run(scenario, hyper, seed, seed_dir, rows, records) appends a metric
+    row and an (episode, slot records) pair as each episode finishes.  The
+    first seed writes manifest.json and config.resolved.toml; every seed
+    writes the episodes that finished, also when run raises.  out names a
+    subdirectory of args.out to write into.
+    """
+    out = os.path.join(args.out, out) if out else args.out
     seeds = _seed_list(args.seed)
     failures = 0
     for seed in seeds:
         scenario, overrides, hyper_ov = _load(args, seed)
         hyper = _build_hyper(hyper_ov, args.episodes)
-        seed_dir = runio.ensure_dir(os.path.join(args.out, "seed%d" % seed))
+        seed_dir = runio.ensure_dir(os.path.join(out, "seed%d" % seed))
         if seed == seeds[0]:
-            runio.write_manifest(os.path.join(args.out, "manifest.json"),
-                                 _manifest(args, "train", seeds, overrides))
-            with open(os.path.join(args.out, "config.resolved.toml"), "w",
+            runio.write_manifest(
+                os.path.join(out, "manifest.json"),
+                _manifest(args, command, seeds, overrides, out))
+            with open(os.path.join(out, "config.resolved.toml"), "w",
                       encoding="utf-8") as fh:
                 fh.write(scenario_to_text(scenario))
-        ckpt_dir = runio.ensure_dir(os.path.join(seed_dir, "checkpoints"))
-        records = []
-        rows = []      # filled via callback so a crash still leaves a report
+        rows, records = [], []
         try:
-            train(scenario, hyper, seed, on_episode=rows.append,
-                  ckpt_dir=ckpt_dir, log_records=records,
-                  progress=not args.quiet)
+            run(scenario, hyper, seed, seed_dir, rows, records)
         except Exception:
             traceback.print_exc()
             failures += 1
         finally:
             if rows:
                 _write_run_outputs(seed_dir, rows, records)
-    return 1 if failures else 0
+    return failures
+
+
+def cmd_train(args):
+    def run(scenario, hyper, seed, seed_dir, rows, records):
+        ckpt_dir = runio.ensure_dir(os.path.join(seed_dir, "checkpoints"))
+        train(scenario, hyper, seed, on_episode=rows.append,
+              ckpt_dir=ckpt_dir, log_records=records, progress=not args.quiet)
+    return 1 if _run_seeds(args, "train", run) else 0
 
 
 def cmd_eval(args):
-    seeds = _seed_list(args.seed)
-    failures = 0
-    for seed in seeds:
-        scenario, overrides, hyper_ov = _load(args, seed)
-        hyper = _build_hyper(hyper_ov)
-        seed_dir = runio.ensure_dir(os.path.join(args.out, "seed%d" % seed))
-        if seed == seeds[0]:
-            runio.write_manifest(os.path.join(args.out, "manifest.json"),
-                                 _manifest(args, "eval", seeds, overrides))
-            with open(os.path.join(args.out, "config.resolved.toml"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(scenario_to_text(scenario))
-        try:
-            env = SaginEnv(scenario, seed)
-            nets, meta = load_checkpoint(args.checkpoint)
-            arch = meta.get("arch")
-            if arch:
-                # nets must be rebuilt exactly as trained, whatever the
-                # current defaults are
-                hyper = dataclasses.replace(
-                    hyper,
-                    actor_widths=tuple(arch["actor_widths"]),
-                    critic_widths=tuple(arch["critic_widths"]),
-                    n_denoise=int(arch["n_denoise"]),
-                    beta_start=float(arch["beta_start"]),
-                    beta_end=float(arch["beta_end"]))
-            agent = QagobTrainer(env, hyper, seed)
-            agent.policy.denoiser.set_arrays(nets["actor"].get_arrays())
-            agent.critics.q1.set_arrays(nets["q1"].get_arrays())
-            agent.critics.q2.set_arrays(nets["q2"].get_arrays())
-            rows, records = [], []
-            for episode in range(args.episodes):
-                state = env.reset()
-                done, ep_reward = False, 0.0
-                while not done:
-                    action = agent.select_action(state)
-                    state, reward, done, _ = env.step(action)
-                    ep_reward += reward
-                rows.append(runio.episode_metrics(env, episode, ep_reward))
-                records.append((episode, env.records))
-            _write_run_outputs(seed_dir, rows, records)
-        except Exception:
-            traceback.print_exc()
-            failures += 1
-    return 1 if failures else 0
+    def run(scenario, hyper, seed, seed_dir, rows, records):
+        env = SaginEnv(scenario, seed)
+        nets, meta = load_checkpoint(args.checkpoint)
+        arch = meta.get("arch")
+        if arch:
+            # nets must be rebuilt exactly as trained, whatever the
+            # current defaults are
+            hyper = dataclasses.replace(
+                hyper,
+                actor_widths=tuple(arch["actor_widths"]),
+                critic_widths=tuple(arch["critic_widths"]),
+                n_denoise=int(arch["n_denoise"]),
+                beta_start=float(arch["beta_start"]),
+                beta_end=float(arch["beta_end"]))
+        agent = QagobTrainer(env, hyper, seed)
+        agent.policy.denoiser.set_arrays(nets["actor"].get_arrays())
+        agent.critics.q1.set_arrays(nets["q1"].get_arrays())
+        agent.critics.q2.set_arrays(nets["q2"].get_arrays())
+        for episode in range(args.episodes):
+            ep_reward = rollout(env, agent.select_action)
+            rows.append(runio.episode_metrics(env, episode, ep_reward))
+            records.append((episode, env.records))
+    return 1 if _run_seeds(args, "eval", run) else 0
 
 
 def cmd_baseline(args):
-    seeds = _seed_list(args.seed)
-    failures = 0
-    for seed in seeds:
-        scenario, overrides, _ = _load(args, seed)
-        seed_dir = runio.ensure_dir(os.path.join(args.out, "seed%d" % seed))
-        if seed == seeds[0]:
-            runio.write_manifest(os.path.join(args.out, "manifest.json"),
-                                 _manifest(args, "baseline", seeds, overrides))
-            with open(os.path.join(args.out, "config.resolved.toml"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(scenario_to_text(scenario))
-        try:
-            records = []
-            rows = run_baseline(scenario, args.algo, seed, args.episodes,
-                                log_records=records)
-            _write_run_outputs(seed_dir, rows, records)
-        except Exception:
-            traceback.print_exc()
-            failures += 1
-    return 1 if failures else 0
+    def run(scenario, hyper, seed, seed_dir, rows, records):
+        rows.extend(run_baseline(scenario, args.algo, seed, args.episodes,
+                                 log_records=records))
+    return 1 if _run_seeds(args, "baseline", run) else 0
 
 
 def cmd_export(args):
@@ -232,42 +197,31 @@ def cmd_export(args):
 
 
 def cmd_sweep(args):
-    seeds = _seed_list(args.seed)
-    grid = DENOISE_GRID if args.kind == "denoise" else CAPACITY_GRID
-    summary = []
-    failures = 0
-    base_overrides = _parse_overrides(args.override)
+    if args.kind == "denoise":
+        grid, key = DENOISE_GRID, "hyper.n_denoise"
+    else:
+        grid, key = CAPACITY_GRID, "max_served"
     runio.ensure_dir(args.out)
     runio.write_manifest(os.path.join(args.out, "manifest.json"),
-                         _manifest(args, "sweep", seeds, base_overrides))
+                         _manifest(args, "sweep", _seed_list(args.seed),
+                                   _parse_overrides(args.override), args.out))
+    summary = []
+    failures = 0
     for value in grid:
-        for seed in seeds:
-            label = "%s%d" % (args.kind, value)
-            sub = argparse.Namespace(**vars(args))
-            sub.override = list(args.override or [])
-            if args.kind == "denoise":
-                sub.override.append("hyper.n_denoise=%d" % value)
-            else:
-                sub.override.append("max_served=%d" % value)
-            scenario, _, hyper_ov = _load(sub, seed)
-            hyper = _build_hyper(hyper_ov, args.episodes)
-            seed_dir = runio.ensure_dir(
-                os.path.join(args.out, label, "seed%d" % seed))
-            records, rows = [], []
-            try:
-                rows, _ = train(scenario, hyper, seed, ckpt_dir=None,
-                                log_records=records, progress=not args.quiet)
-                _write_run_outputs(seed_dir, rows, records)
-                tail = rows[-min(10, len(rows)):]
-                summary.append({
-                    "sweep": args.kind, "value": value, "seed": seed,
-                    "reward_tail10": sum(r["reward"] for r in tail) / len(tail),
-                    "f1": rows[-1]["f1"], "f2": rows[-1]["f2"],
-                    "f3": rows[-1]["f3"],
-                })
-            except Exception:
-                traceback.print_exc()
-                failures += 1
+        def run(scenario, hyper, seed, seed_dir, rows, records):
+            train(scenario, hyper, seed, on_episode=rows.append,
+                  log_records=records, progress=not args.quiet)
+            tail = rows[-min(10, len(rows)):]
+            summary.append({
+                "sweep": args.kind, "value": value, "seed": seed,
+                "reward_tail10": sum(r["reward"] for r in tail) / len(tail),
+                "f1": rows[-1]["f1"], "f2": rows[-1]["f2"],
+                "f3": rows[-1]["f3"],
+            })
+        point = argparse.Namespace(**vars(args))
+        point.override = list(args.override) + ["%s=%d" % (key, value)]
+        failures += _run_seeds(point, "sweep", run,
+                               out="%s%d" % (args.kind, value))
     if summary:
         runio.write_metrics_csv(os.path.join(args.out, "summary.csv"), summary)
     return 1 if failures else 0

@@ -157,11 +157,6 @@ def weighted_denoise_loss(policy, states, actions, weights, rng):
     return ad.mean(ad.mul(weights, per_row))
 
 
-def vlb_loss(policy, states, actions, weights, rng):
-    """Advantage-weighted denoising loss over replayed actions."""
-    return weighted_denoise_loss(policy, states, actions, weights, rng)
-
-
 def entropy_loss(policy, states, uniform_actions, ent_coeff, eq_stats, rng):
     """Exploration term: denoising loss toward uniform random actions.
 

@@ -53,6 +53,25 @@ def objectives(records):
     return f1, delivered, joules
 
 
+def rollout(env, act, on_step=None):
+    """Play one episode; returns the summed reward.
+
+    act(state) -> raw action.  on_step(state, action, reward, next_state,
+    done), when given, fires after every step.
+    """
+    state = env.reset()
+    total = 0.0
+    done = False
+    while not done:
+        action = act(state)
+        next_state, reward, done, _ = env.step(action)
+        if on_step is not None:
+            on_step(state, action, reward, next_state, done)
+        state = next_state
+        total += reward
+    return total
+
+
 class SaginEnv:
     """Deterministic, seedable environment over one scenario."""
 

@@ -1,27 +1,19 @@
-"""Scenario parameters, config file grammar, and seeded RNG streams.
+"""Scenario parameters, config files, and seeded RNG streams.
 
 A scenario bundles every physical and algorithmic constant of one network
 instance: area geometry, fleet sizes, radio/compute/workload/energy
 parameters, and reward weights.  Scenarios are plain frozen dataclasses so
 they can be compared and serialized losslessly.
 
-Config grammar (a small TOML subset, one value per line):
-
-    # comment
-    key = value              top-level scenario field
-    [section]                radio / compute / workload / energy / reward
-    key = value              field of the open section
-
-Values: integers (``300``), floats (``1.5``, ``3e-4``), booleans
-(``true``/``false``), double-quoted strings, flat lists (``[1.0, 2.0]``)
-and one-level nested lists of numbers (``[[0.0, 1.0], [2.0, 3.0]]``).
-A value must fit on its own line.  Unknown keys are rejected.
+Configs are TOML.  Top-level keys set scenario fields; the tables
+[radio], [compute], [workload], [energy] and [reward] set the fields of
+the matching parameter group.  Every key has a default, and unknown keys
+are rejected.
 """
 
 import dataclasses
 import math
-import os
-import re
+import tomllib
 
 import numpy as np
 
@@ -127,106 +119,36 @@ _TOP_FIELDS = {f.name: f for f in dataclasses.fields(Scenario)
                if f.name not in _SECTIONS}
 
 
-def _strip_comment(line):
-    out = []
-    in_str = False
-    for ch in line:
-        if ch == '"':
-            in_str = not in_str
-        if ch == "#" and not in_str:
-            break
-        out.append(ch)
-    return "".join(out).strip()
-
-
-_NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-
-
-def _parse_scalar(token, line_no):
-    token = token.strip()
-    if token == "":
-        raise ConfigSyntax("empty value", line_no)
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    if token.startswith('"'):
-        if not token.endswith('"') or len(token) < 2:
-            raise ConfigSyntax("unterminated string", line_no)
-        return token[1:-1]
-    if _NUM_RE.match(token):
-        if re.match(r"^[+-]?\d+$", token):
-            return int(token)
-        return float(token)
-    raise ConfigSyntax("cannot parse value %r" % token, line_no)
-
-
-def _split_top_level(body, line_no):
-    """Split a bracketed body on commas not nested in inner brackets."""
-    parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "[":
-            depth += 1
-            cur.append(ch)
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ConfigSyntax("unbalanced brackets", line_no)
-            cur.append(ch)
-        elif ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ConfigSyntax("unbalanced brackets", line_no)
-    last = "".join(cur).strip()
-    if last:
-        parts.append(last)
-    return [p.strip() for p in parts if p.strip()]
-
-
-def _parse_value(token, line_no):
-    token = token.strip()
-    if token.startswith("["):
-        if not token.endswith("]"):
-            raise ConfigSyntax("list value must close on the same line", line_no)
-        items = _split_top_level(token[1:-1], line_no)
-        return [_parse_value(it, line_no) for it in items]
-    return _parse_scalar(token, line_no)
-
-
 def parse_config_text(text):
-    """Parse a config document into {section: {key: value}}.
+    """Parse a TOML config document into {section: {key: value}}.
 
-    Top-level keys land under the "" section.  Raises ConfigSyntax on
-    malformed lines and on keys repeated within a section.
+    Top-level scalars land under the "" section and tables become
+    sections.  Raises ConfigSyntax on malformed TOML, repeated keys
+    included.
     """
+    try:
+        parsed = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigSyntax(str(exc)) from None
     doc = {"": {}}
-    section = ""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigSyntax("malformed section header", line_no)
-            name = line[1:-1].strip()
-            if not name:
-                raise ConfigSyntax("empty section name", line_no)
-            section = name
-            doc.setdefault(section, {})
-            continue
-        if "=" not in line:
-            raise ConfigSyntax("expected key = value", line_no)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigSyntax("empty key", line_no)
-        if key in doc[section]:
-            raise ConfigSyntax("duplicate key %r" % key, line_no)
-        doc[section][key] = _parse_value(value, line_no)
+    for key, value in parsed.items():
+        if isinstance(value, dict):
+            doc[key] = value
+        else:
+            doc[""][key] = value
     return doc
+
+
+def _parse_override(dotted, raw):
+    """The TOML value of one --override; it may not span lines, so it
+    cannot smuggle in a second key."""
+    raw = str(raw)
+    if "\n" in raw or "\r" in raw:
+        raise ConfigSyntax("override %s: value must fit on one line" % dotted)
+    try:
+        return tomllib.loads("v = " + raw)["v"]
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigSyntax("override %s=%s: %s" % (dotted, raw, exc)) from None
 
 
 def _format_value(value):
@@ -244,7 +166,7 @@ def _format_value(value):
 
 
 def scenario_to_text(scenario):
-    """Serialize a scenario to the config grammar.  parse round-trips."""
+    """Serialize a scenario as a TOML config.  parse round-trips."""
     lines = ["# scenario"]
     for name in _TOP_FIELDS:
         value = getattr(scenario, name)
@@ -417,35 +339,26 @@ def validate_scenario(sc):
         raise ConfigInvalid("reward.mode", "expected joint, mec_only or dc_only")
 
 
-def load_scenario(path, overrides=None, seed=None):
-    """Load and validate a scenario file.
+def load_scenario(path=None, overrides=None, seed=None):
+    """Load and validate a scenario; the defaults when path is None.
 
-    overrides: optional {dotted.key: raw string} applied on top of the file
-    before validation.  seed: explicit seed taking precedence over the file;
-    the SAGIN_SEED environment variable takes precedence over both.
+    overrides: optional {dotted.key: raw TOML value} applied on top of the
+    file before validation.  seed: explicit seed taking precedence over
+    the file.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigSyntax("cannot read %s: %s" % (path, exc))
-    doc = parse_config_text(text)
-    if overrides:
-        for dotted, raw in overrides.items():
-            value = _parse_value(str(raw), 0)
-            if "." in dotted:
-                sec, _, key = dotted.partition(".")
-            else:
-                sec, key = "", dotted
-            doc.setdefault(sec, {})[key] = value
+    doc = {"": {}}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigSyntax("cannot read %s: %s" % (path, exc))
+        doc = parse_config_text(text)
+    for dotted, raw in (overrides or {}).items():
+        sec, _, key = dotted.rpartition(".")
+        doc.setdefault(sec, {})[key] = _parse_override(dotted, raw)
     if seed is not None:
         doc[""]["seed"] = int(seed)
-    env_seed = os.environ.get("SAGIN_SEED")
-    if env_seed is not None:
-        try:
-            doc[""]["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigInvalid("seed", "SAGIN_SEED must be an integer")
     return scenario_from_doc(doc)
 
 

@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from . import channel
+from .energy import compute_energy
 from .errors import LinkDown
 
 
@@ -159,11 +160,13 @@ def run_slot(world, decisions, association, scenario, counters,
             gd_tx_energy += radio.power_gd * comps["t_up_g2a"]
             if offloaded:
                 sat_tx_energy += radio.power_sat * comps["t_down_s2a"]
-                sat_compute_energy += scenario.energy.sat_energy_per_cycle \
-                    * compute.cycles_per_bit * task.size_bits
+                sat_compute_energy += compute_energy(
+                    task.size_bits, compute.cycles_per_bit,
+                    scenario.energy.sat_energy_per_cycle)
             else:
-                aav_compute_energy[v] += compute.energy_per_cycle \
-                    * compute.cycles_per_bit * task.size_bits
+                aav_compute_energy[v] += compute_energy(
+                    task.size_bits, compute.cycles_per_bit,
+                    compute.energy_per_cycle)
             tasks.append(TaskRecord(
                 aav=v, gd=g, task_id=task.task_id, size_bits=task.size_bits,
                 result_ratio=task.result_ratio, max_delay=task.max_delay,

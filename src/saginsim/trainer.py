@@ -20,11 +20,12 @@ import time
 import numpy as np
 
 from . import diffusion
-from .environment import SaginEnv
-from .errors import NonFiniteGradient
+from .environment import SaginEnv, rollout
+from .errors import ConfigInvalid, NonFiniteGradient
 from .nets.mlp import Mlp, save_checkpoint
 from .nets.optim import Adam
 from .nets import autodiff as ad
+from .runio import episode_metrics
 from .scenario import SeededRng
 
 
@@ -54,6 +55,10 @@ class Hyper:
     beta_start: float = 1.0e-4
     beta_end: float = 0.02
     checkpoint_every: int = 0         # episodes; 0 keeps only the final file
+
+    def __post_init__(self):
+        if self.ent_variant not in ("mean", "max"):
+            raise ConfigInvalid("hyper.ent_variant", "expected mean or max")
 
 
 class RingBuffer:
@@ -162,7 +167,7 @@ def actor_update(policy, critics, diff_batch, hyper, rng, opt):
     # mean-form entropy weight
     sample_adv = np.maximum(q_samples - v_est[:, None], 0.0).mean(axis=1)
 
-    loss = diffusion.vlb_loss(policy, states, acts, weights, rng)
+    loss = diffusion.weighted_denoise_loss(policy, states, acts, weights, rng)
     if hyper.n_uniform_samples > 0 and hyper.ent_coeff > 0.0:
         idx = rng.integers(0, n, size=hyper.n_uniform_samples)
         u_states = states[idx]
@@ -252,15 +257,11 @@ class QagobTrainer:
     def run_episode(self):
         """One environment episode with per-step updates after warmup."""
         h = self.hyper
-        env = self.env
-        state = env.reset()
-        ep_reward = 0.0
         closs_sum, closs_n = 0.0, 0
         aloss_sum, aloss_n = 0.0, 0
-        done = False
-        while not done:
-            action = self.select_action(state)
-            next_state, reward, done, _ = env.step(action)
+
+        def learn(state, action, reward, next_state, done):
+            nonlocal closs_sum, closs_n, aloss_sum, aloss_n
             self.replay.push((state, action, reward, next_state, done))
             self.diff_buffer.push((state, action))
             self.total_steps += 1
@@ -273,8 +274,8 @@ class QagobTrainer:
                 if aloss is not None:
                     aloss_sum += aloss
                     aloss_n += 1
-            state = next_state
-            ep_reward += reward
+
+        ep_reward = rollout(self.env, self.select_action, learn)
         critic_loss = closs_sum / closs_n if closs_n else float("nan")
         actor_loss = aloss_sum / aloss_n if aloss_n else float("nan")
         return ep_reward, critic_loss, actor_loss
@@ -307,8 +308,6 @@ def train(scenario, hyper=None, seed=None, on_episode=None, ckpt_dir=None,
     report; rows written so far survive a mid-run crash.  log_records, when
     a list, receives (episode, records) tuples for event export.
     """
-    from .runio import episode_metrics  # local import to avoid a cycle
-
     hyper = hyper or Hyper()
     env = SaginEnv(scenario, seed)
     trainer = QagobTrainer(env, hyper, seed)

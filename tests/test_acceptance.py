@@ -251,14 +251,14 @@ def _grad_loss(kind, policy, critic, data):
         return ad.mean(ad.square(ad.sub(pred, data["targets"])))
     rng = np.random.default_rng(data["seed"])
     if kind == "vlb":
-        return diffusion.vlb_loss(policy, data["states"], data["acts"],
-                                  data["weights"], rng)
+        return diffusion.weighted_denoise_loss(
+            policy, data["states"], data["acts"], data["weights"], rng)
     if kind == "entropy":
         return diffusion.entropy_loss(policy, data["states"],
                                       data["u_actions"], 0.05, data["stats"],
                                       rng)
-    loss = diffusion.vlb_loss(policy, data["states"], data["acts"],
-                              data["weights"], rng)
+    loss = diffusion.weighted_denoise_loss(policy, data["states"], data["acts"],
+                                           data["weights"], rng)
     return ad.add(loss, diffusion.entropy_loss(
         policy, data["states"], data["u_actions"], 0.05, data["stats"], rng))
 

@@ -5,6 +5,8 @@ import os
 import pytest
 
 from saginsim import cli, runio
+from saginsim.environment import rollout
+from saginsim.scenario import parse_config_text
 
 TINY_CONFIG = """\
 # small scenario for command-line tests
@@ -161,6 +163,32 @@ def test_bad_override_returns_config_error(tmp_path, config_path):
                     "--seed", "0", "--episodes", "1", "--out", out, "--quiet",
                     "--override", "not-a-pair"])
     assert code == 2
+    # one override is one value: a newline cannot slip in a second key
+    code = run_cli(["baseline", "--algo", "random", "--config", config_path,
+                    "--seed", "0", "--episodes", "1", "--out", out, "--quiet",
+                    "--override", "horizon=4\nseed = 9"])
+    assert code == 2
+
+
+@pytest.mark.parametrize("override", ["hyper.ent_variant=maen",
+                                      "hyper.batch_size=many"])
+def test_bad_hyper_returns_config_error(tmp_path, config_path, override):
+    code = run_cli(["train", "--config", config_path, "--seed", "0",
+                    "--episodes", "1", "--out", str(tmp_path / "hyper"),
+                    "--quiet"] + TINY_HYPER + ["--override", override])
+    assert code == 2
+
+
+def test_resolved_config_records_the_seed_that_ran(tmp_path, config_path,
+                                                   monkeypatch):
+    monkeypatch.setenv("SAGIN_SEED", "5")
+    out = str(tmp_path / "seeded")
+    code = run_cli(["baseline", "--algo", "random", "--config", config_path,
+                    "--seed", "1", "--episodes", "1", "--out", out, "--quiet"])
+    assert code == 0
+    resolved = open(os.path.join(out, "config.resolved.toml"),
+                    encoding="utf-8").read()
+    assert parse_config_text(resolved)[""]["seed"] == 1
 
 
 def test_missing_checkpoint_returns_failure(tmp_path, config_path):
@@ -198,3 +226,35 @@ def test_capacity_sweep_overrides_scenario(tmp_path, config_path, monkeypatch):
     assert json.loads(resolved)["command"] == "sweep"
     assert os.path.exists(os.path.join(out, "capacity1", "seed0",
                                        "metrics.csv"))
+    # each grid point records the scenario it ran
+    resolved = open(os.path.join(out, "capacity1", "config.resolved.toml"),
+                    encoding="utf-8").read()
+    assert parse_config_text(resolved)[""]["max_served"] == 1
+    grid_manifest = json.loads(open(os.path.join(out, "capacity1",
+                                                 "manifest.json"),
+                                    encoding="utf-8").read())
+    assert grid_manifest["overrides"]["max_served"] == "1"
+
+
+def test_failed_eval_keeps_finished_episodes(tmp_path, config_path,
+                                             monkeypatch):
+    train_out = str(tmp_path / "train")
+    assert run_cli(["train", "--config", config_path, "--seed", "0",
+                    "--episodes", "1", "--out", train_out, "--quiet"]
+                   + TINY_HYPER) == 0
+    ckpt = os.path.join(train_out, "seed0", "checkpoints", "final.npz")
+    played = []
+
+    def rollout_then_fail(env, act, on_step=None):
+        if played:
+            raise RuntimeError("second episode fails")
+        played.append(1)
+        return rollout(env, act, on_step)
+
+    monkeypatch.setattr(cli, "rollout", rollout_then_fail)
+    out = str(tmp_path / "eval")
+    code = run_cli(["eval", "--config", config_path, "--seed", "0",
+                    "--episodes", "3", "--checkpoint", ckpt, "--out", out,
+                    "--quiet"])
+    assert code == 1
+    check_run_outputs(out, [0], 1)

@@ -5,7 +5,7 @@ import pytest
 
 from saginsim.diffusion import (DiffusionPolicy, VarianceSchedule,
                                 behavior_select, entropy_loss, forward_diffuse,
-                                q_weights, vlb_loss, weighted_denoise_loss)
+                                q_weights, weighted_denoise_loss)
 from saginsim.errors import InvalidWeight, SamplerDiverged
 from saginsim.nets import autodiff as ad
 
@@ -220,17 +220,6 @@ def test_invalid_weights_rejected():
         weighted_denoise_loss(policy, states, actions, np.array([1.0, np.nan, 0.0]), rng)
     with pytest.raises(InvalidWeight):
         weighted_denoise_loss(policy, states, actions, np.ones(4), rng)
-
-
-def test_vlb_loss_is_weighted_denoise_loss():
-    policy = make_policy(rng=np.random.default_rng(19))
-    states = np.random.default_rng(20).standard_normal((4, STATE_DIM))
-    actions = np.random.default_rng(21).uniform(-1, 1, (4, ACTION_DIM))
-    w = np.array([0.5, 0.0, 2.0, 1.0])
-    a = vlb_loss(policy, states, actions, w, np.random.default_rng(22))
-    b = weighted_denoise_loss(policy, states, actions, w,
-                              np.random.default_rng(22))
-    assert float(a.value) == pytest.approx(float(b.value), rel=1e-15)
 
 
 def test_entropy_loss_weight_pairing():

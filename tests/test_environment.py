@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from saginsim.environment import SaginEnv, objectives, state_dim
+from saginsim.environment import SaginEnv, objectives, rollout, state_dim
 from saginsim.errors import EpisodeFinished
 from saginsim.scenario import RewardWeights, Scenario, load_scenario
 
@@ -92,6 +92,28 @@ def test_reset_with_seed_replays_identically():
     r2, s2 = rollout()
     assert np.array_equal(r1, r2)
     assert np.array_equal(s1, s2)
+
+
+def test_rollout_sums_rewards_and_reports_every_step():
+    sc = toy_scenario()
+    acts = np.random.default_rng(4).uniform(
+        -1, 1, size=(sc.horizon, SaginEnv(sc).action_dim))
+    env = SaginEnv(sc)
+    steps = []
+    total = rollout(env, lambda state: acts[len(steps)],
+                    lambda *transition: steps.append(transition))
+
+    replay = SaginEnv(sc)
+    state = replay.reset()
+    expected = 0.0
+    for t, (s, a, r, s_next, done) in enumerate(steps):
+        assert np.array_equal(s, state) and np.array_equal(a, acts[t])
+        state, reward, replay_done, _ = replay.step(acts[t])
+        assert r == reward and done == replay_done
+        assert np.array_equal(s_next, state)
+        expected += reward
+    assert len(steps) == sc.horizon and steps[-1][4]
+    assert total == expected
 
 
 def test_different_seeds_diverge():

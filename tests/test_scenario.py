@@ -3,8 +3,8 @@ import pytest
 
 from saginsim.errors import ConfigInvalid, ConfigSyntax
 from saginsim.scenario import (
-    Scenario, SeededRng, load_scenario, parse_config_text, sample_gd_positions,
-    scenario_from_doc, scenario_to_text, validate_scenario)
+    RadioParams, Scenario, SeededRng, load_scenario, parse_config_text,
+    sample_gd_positions, scenario_from_doc, scenario_to_text, validate_scenario)
 
 
 def test_defaults_validate():
@@ -116,8 +116,24 @@ def test_load_scenario_seed_precedence(tmp_path, monkeypatch):
     path.write_text(scenario_to_text(Scenario(seed=3)))
     assert load_scenario(path).seed == 3
     assert load_scenario(path, seed=9).seed == 9
+    # SAGIN_SEED is not read: the explicit seed, else the file, wins
     monkeypatch.setenv("SAGIN_SEED", "21")
-    assert load_scenario(path, seed=9).seed == 21
+    assert load_scenario(path).seed == 3
+    assert load_scenario(path, seed=9).seed == 9
+
+
+def test_load_scenario_without_file_starts_from_defaults():
+    assert load_scenario() == Scenario()
+    sc = load_scenario(overrides={"horizon": "12", "radio.rain_model": '"weibull"'},
+                       seed=4)
+    assert sc == Scenario(seed=4, horizon=12,
+                          radio=RadioParams(rain_model="weibull"))
+
+
+@pytest.mark.parametrize("raw", ["1.", ".5", "01", "twelve", "12\nseed = 9"])
+def test_override_must_be_one_toml_value(raw):
+    with pytest.raises(ConfigSyntax):
+        load_scenario(overrides={"horizon": raw})
 
 
 def test_load_scenario_missing_file(tmp_path):
