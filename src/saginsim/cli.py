@@ -82,13 +82,13 @@ def _load(args, seed):
     return scenario, overrides, hyper_ov
 
 
-def _manifest(args, command, seeds, overrides, out):
+def _manifest(args, command, seeds, scenario, overrides, out):
     return {
         "command": command,
         "scenario_path": os.path.abspath(args.config) if args.config else None,
         "algo": getattr(args, "algo", None) or command,
         "seeds": seeds,
-        "mode": args.mode or "joint",
+        "mode": scenario.reward.mode,
         "episodes": getattr(args, "episodes", None),
         "overrides": overrides,
         "out": os.path.abspath(out),
@@ -109,7 +109,17 @@ def _write_run_outputs(seed_dir, rows, episode_records):
 
 
 def _seed_list(arg):
-    return [int(s) for s in str(arg).split(",") if s != ""]
+    """The distinct integer seeds of a --seed comma list."""
+    try:
+        seeds = [int(s) for s in str(arg).split(",") if s.strip()]
+    except ValueError:
+        raise SaginError("--seed %r is not a comma list of integers"
+                         % arg) from None
+    if not seeds:
+        raise SaginError("--seed %r names no seed" % arg)
+    if len(set(seeds)) < len(seeds):
+        raise SaginError("--seed %r repeats a seed" % arg)
+    return seeds
 
 
 def _run_seeds(args, command, run, out=None):
@@ -131,7 +141,7 @@ def _run_seeds(args, command, run, out=None):
         if seed == seeds[0]:
             runio.write_manifest(
                 os.path.join(out, "manifest.json"),
-                _manifest(args, command, seeds, overrides, out))
+                _manifest(args, command, seeds, scenario, overrides, out))
             with open(os.path.join(out, "config.resolved.toml"), "w",
                       encoding="utf-8") as fh:
                 fh.write(scenario_to_text(scenario))
@@ -183,8 +193,8 @@ def cmd_eval(args):
 
 def cmd_baseline(args):
     def run(scenario, hyper, seed, seed_dir, rows, records):
-        rows.extend(run_baseline(scenario, args.algo, seed, args.episodes,
-                                 log_records=records))
+        run_baseline(scenario, args.algo, seed, args.episodes,
+                     log_records=records, on_episode=rows.append)
     return 1 if _run_seeds(args, "baseline", run) else 0
 
 
@@ -201,10 +211,12 @@ def cmd_sweep(args):
         grid, key = DENOISE_GRID, "hyper.n_denoise"
     else:
         grid, key = CAPACITY_GRID, "max_served"
+    seeds = _seed_list(args.seed)
+    scenario, overrides, _ = _load(args, seeds[0])
     runio.ensure_dir(args.out)
     runio.write_manifest(os.path.join(args.out, "manifest.json"),
-                         _manifest(args, "sweep", _seed_list(args.seed),
-                                   _parse_overrides(args.override), args.out))
+                         _manifest(args, "sweep", seeds, scenario, overrides,
+                                   args.out))
     summary = []
     failures = 0
     for value in grid:

@@ -14,7 +14,6 @@ seconds followed by hovering for the rest of the slot.  Computation energy
 is energy_per_cycle * cycles_per_bit * task_bits.
 """
 
-import dataclasses
 import math
 
 from .errors import InvalidAction
@@ -56,49 +55,3 @@ def compute_energy(task_bits, cycles_per_bit, energy_per_cycle):
     if task_bits < 0.0:
         raise InvalidAction("negative task size")
     return energy_per_cycle * cycles_per_bit * task_bits
-
-
-@dataclasses.dataclass
-class SlotEnergy:
-    """Energy spent during one slot, joules, split by source."""
-    aav_move: list            # per AAV
-    aav_compute: list         # per AAV
-    gd_tx: float = 0.0        # all GD uplink transmissions
-    sat_tx: float = 0.0       # satellite result downlinks
-    sat_compute: float = 0.0  # satellite-side task processing
-
-    def aav_total(self):
-        return sum(self.aav_move) + sum(self.aav_compute)
-
-
-class EnergyLedger:
-    """Cumulative per-episode energy accounting."""
-
-    def __init__(self, n_aavs):
-        self.n_aavs = n_aavs
-        self.aav_move = [0.0] * n_aavs
-        self.aav_compute = [0.0] * n_aavs
-        self.gd_tx = 0.0
-        self.sat_tx = 0.0
-        self.sat_compute = 0.0
-
-    def add(self, slot_energy):
-        for v in range(self.n_aavs):
-            self.aav_move[v] += slot_energy.aav_move[v]
-            self.aav_compute[v] += slot_energy.aav_compute[v]
-        self.gd_tx += slot_energy.gd_tx
-        self.sat_tx += slot_energy.sat_tx
-        self.sat_compute += slot_energy.sat_compute
-
-    def aav_total(self):
-        """Total energy drawn from AAV batteries, joules."""
-        return sum(self.aav_move) + sum(self.aav_compute)
-
-    def breakdown(self):
-        return {
-            "gd_tx": self.gd_tx,
-            "aav_move": sum(self.aav_move),
-            "aav_compute": sum(self.aav_compute),
-            "sat_tx": self.sat_tx,
-            "sat_compute": self.sat_compute,
-        }

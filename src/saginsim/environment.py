@@ -24,33 +24,66 @@ import numpy as np
 from . import actions, association, energy, service, workload
 from .errors import EpisodeFinished
 from .scenario import SeededRng, sample_gd_positions
-from .workload import Counters
 
 
 def state_dim(scenario):
     return 2 * scenario.n_aavs + 4 * scenario.n_gds + 1
 
 
-def objectives(records):
-    """(f1, f2, f3) recounted from an episode's slot records.
+def episode_totals(records):
+    """Every episode figure of the report, summed from the slot records.
 
-    f1: mean task delay over generated tasks, seconds (served tasks
-    contribute their delay; expired and still-pending tasks only enlarge
-    the denominator).  f2: bits delivered to the satellite.  f3: joules
-    drawn from AAV batteries.
+    Each quantity is summed within a slot, then across slots in record
+    order, so the report, energy.csv and a recount from events.jsonl agree
+    to the last bit.  f1: mean task delay over generated tasks, seconds
+    (served tasks contribute their delay; expired and still-pending tasks
+    only enlarge the denominator).  f2: bits delivered to the satellite.
+    f3: joules drawn from AAV batteries.  mec_rate and dc_rate are the
+    completed shares of generated tasks and bits, offload_ratio the
+    offloaded share of served tasks, all percent and NaN when nothing was
+    generated or served.  gd_tx, aav_move, aav_compute, sat_tx and
+    sat_compute are joules by source.
     """
-    delay_sum = 0.0
-    generated = 0
-    delivered = 0.0
-    joules = 0.0
+    generated = completed = served = offloaded = 0
+    delay_sum = delivered = dc_generated = joules = 0.0
+    gd_tx = aav_move = aav_compute = sat_tx = sat_compute = 0.0
     for rec in records:
         generated += rec["generated"]
         for task in rec["tasks"]:
             delay_sum += task["delay"]
+            completed += bool(task["success"])
+            offloaded += bool(task["offloaded"])
+        served += len(rec["tasks"])
         delivered += sum(rec["dc"]["delivered"])
-        joules += sum(rec["energy"]["aav_move"]) + sum(rec["energy"]["aav_compute"])
-    f1 = delay_sum / generated if generated else float("nan")
-    return f1, delivered, joules
+        dc_generated += rec["dc"]["generated"]
+        e = rec["energy"]
+        move, compute = sum(e["aav_move"]), sum(e["aav_compute"])
+        joules += move + compute
+        gd_tx += e["gd_tx"]
+        aav_move += move
+        aav_compute += compute
+        sat_tx += e["sat_tx"]
+        sat_compute += e["sat_compute"]
+    nan = float("nan")
+    return {
+        "f1": delay_sum / generated if generated else nan,
+        "f2": delivered,
+        "f3": joules,
+        "mec_rate": 100.0 * completed / generated if generated else nan,
+        "dc_rate": 100.0 * delivered / dc_generated if dc_generated else nan,
+        "offload_ratio": 100.0 * offloaded / served if served else nan,
+        "gd_tx": gd_tx,
+        "aav_move": aav_move,
+        "aav_compute": aav_compute,
+        "sat_tx": sat_tx,
+        "sat_compute": sat_compute,
+    }
+
+
+def objectives(records):
+    """(f1, f2, f3) of an episode's slot records; see episode_totals."""
+    totals = episode_totals(records)
+    return totals["f1"], totals["f2"], totals["f3"]
 
 
 def rollout(env, act, on_step=None):
@@ -88,8 +121,6 @@ class SaginEnv:
         self.world = None
         self.done = True
         self.records = []
-        self.counters = Counters()
-        self.ledger = energy.EnergyLedger(scenario.n_aavs)
         self._episode_rain_extra = 0.0
 
     def reset(self, seed=None):
@@ -108,8 +139,6 @@ class SaginEnv:
         )
         self.done = False
         self.records = []
-        self.counters = Counters()
-        self.ledger = energy.EnergyLedger(sc.n_aavs)
         if sc.radio.rain_model == "weibull":
             draw = self.rng.stream("channel").weibull(2.0) * sc.radio.rain_atten
             self._episode_rain_extra = draw - sc.radio.rain_atten
@@ -135,9 +164,6 @@ class SaginEnv:
                                             sc.slot_length, wl_rng):
                 generated += 1
             dc_generated += workload.accrue_dc_data(gd, sc.workload, wl_rng)
-        self.counters.dc_bits_generated += dc_generated
-        self.counters.tasks_failed += expired
-        self.counters.tasks_generated += generated
 
         assoc = association.gs_associate(world.aav_pos, self.gd_pos,
                                          sc.max_served, sc.aav_altitude)
@@ -150,21 +176,12 @@ class SaginEnv:
                        for d in moved]
         world.aav_pos = clamped
 
-        outcome = service.run_slot(world, decoded, assoc, sc, self.counters,
+        outcome = service.run_slot(world, decoded, assoc, sc,
                                    self._episode_rain_extra)
-
-        slot_energy = energy.SlotEnergy(
-            aav_move=move_energy,
-            aav_compute=list(outcome.aav_compute_energy),
-            gd_tx=outcome.gd_tx_energy,
-            sat_tx=outcome.sat_tx_energy,
-            sat_compute=outcome.sat_compute_energy,
-        )
-        self.ledger.add(slot_energy)
 
         r_task = sum(task.max_delay - task.delay for task in outcome.tasks)
         delivered = outcome.satellite_received()
-        aav_joules = slot_energy.aav_total()
+        aav_joules = sum(move_energy) + sum(outcome.aav_compute_energy)
         rw = sc.reward
         value = -rw.energy_weight * aav_joules - rw.penalty * events.total()
         if rw.mode != "dc_only":
@@ -180,7 +197,7 @@ class SaginEnv:
         }
 
         record = self._record(t, generated, expired, dc_generated, assoc,
-                              outcome, slot_energy, events, reward_parts)
+                              outcome, move_energy, events, reward_parts)
         self.records.append(record)
 
         world.slot = t + 1
@@ -197,7 +214,7 @@ class SaginEnv:
         return objectives(self.records)
 
     def _record(self, t, generated, expired, dc_generated, assoc, outcome,
-                slot_energy, events, reward_parts):
+                move_energy, events, reward_parts):
         task_rows = []
         for task in outcome.tasks:
             task_rows.append({
@@ -226,11 +243,11 @@ class SaginEnv:
                 "buffers": [float(x) for x in self.world.dc_buffers],
             },
             "energy": {
-                "aav_move": [float(x) for x in slot_energy.aav_move],
-                "aav_compute": [float(x) for x in slot_energy.aav_compute],
-                "gd_tx": float(slot_energy.gd_tx),
-                "sat_tx": float(slot_energy.sat_tx),
-                "sat_compute": float(slot_energy.sat_compute),
+                "aav_move": [float(x) for x in move_energy],
+                "aav_compute": [float(x) for x in outcome.aav_compute_energy],
+                "gd_tx": float(outcome.gd_tx_energy),
+                "sat_tx": float(outcome.sat_tx_energy),
+                "sat_compute": float(outcome.sat_compute_energy),
             },
             "events": {"boundary": int(events.boundary),
                        "collision": int(events.collision)},

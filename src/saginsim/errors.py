@@ -8,12 +8,6 @@ class SaginError(Exception):
 class ConfigSyntax(SaginError):
     """Raised when a config document cannot be parsed."""
 
-    def __init__(self, message, line_no=None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = "line %d: %s" % (line_no, message)
-        super().__init__(message)
-
 
 class ConfigInvalid(SaginError):
     """Raised when a parsed config violates a validation rule.

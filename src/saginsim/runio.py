@@ -9,7 +9,7 @@ import csv
 import json
 import os
 
-from .service import completion_rates
+from .environment import episode_totals
 
 EVENTS_SCHEMA = 1
 
@@ -20,32 +20,10 @@ METRIC_FIELDS = [
 ]
 
 
-def offload_ratio(records):
-    """Offloaded share of served tasks, percent; NaN with nothing served."""
-    served = 0
-    offloaded = 0
-    for rec in records:
-        for task in rec["tasks"]:
-            served += 1
-            offloaded += bool(task["offloaded"])
-    return 100.0 * offloaded / served if served else float("nan")
-
-
 def episode_metrics(env, episode, reward):
     """One report row for the episode the environment just finished."""
-    f1, f2, f3 = env.objectives()
-    mec_rate, dc_rate = completion_rates(env.counters)
-    row = {
-        "episode": int(episode),
-        "reward": float(reward),
-        "f1": float(f1),
-        "f2": float(f2),
-        "f3": float(f3),
-        "mec_rate": float(mec_rate),
-        "dc_rate": float(dc_rate),
-        "offload_ratio": float(offload_ratio(env.records)),
-    }
-    row.update({k: float(v) for k, v in env.ledger.breakdown().items()})
+    row = {"episode": int(episode), "reward": float(reward)}
+    row.update(episode_totals(env.records))
     return row
 
 
@@ -135,23 +113,13 @@ def export_trajectories(records, out_path):
 
 def export_energy_breakdown(records, out_path):
     """Cumulative energy by source plus the satellite offload ratio."""
-    totals = {"gd_tx": 0.0, "aav_move": 0.0, "aav_compute": 0.0,
-              "sat_tx": 0.0, "sat_compute": 0.0}
-    for rec in records:
-        e = rec["energy"]
-        totals["gd_tx"] += e["gd_tx"]
-        totals["aav_move"] += sum(e["aav_move"])
-        totals["aav_compute"] += sum(e["aav_compute"])
-        totals["sat_tx"] += e["sat_tx"]
-        totals["sat_compute"] += e["sat_compute"]
-    ratio = offload_ratio(records)
+    totals = episode_totals(records)
+    fields = ["gd_tx", "aav_move", "aav_compute", "sat_tx", "sat_compute",
+              "offload_ratio"]
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        fields = ["gd_tx", "aav_move", "aav_compute", "sat_tx", "sat_compute",
-                  "offload_ratio"]
         writer.writerow(fields)
-        writer.writerow([repr(totals[k]) for k in fields[:-1]]
-                        + [repr(float(ratio))])
+        writer.writerow([repr(totals[k]) for k in fields])
 
 
 def write_manifest(path, manifest):

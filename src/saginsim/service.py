@@ -103,10 +103,11 @@ def task_delay(size_bits, result_ratio, offloaded, rates, sat_dist, compute):
     return comps
 
 
-def run_slot(world, decisions, association, scenario, counters,
-             rain_extra_db=0.0):
-    """Serve tasks and collect data for one slot; mutates GD stores,
-    AAV buffers and the counters.  Positions are taken as already moved."""
+def run_slot(world, decisions, association, scenario, rain_extra_db=0.0):
+    """Serve tasks and collect data for one slot; mutates GD queues, GD
+    stores and AAV buffers.  Positions are taken as already moved.  The
+    returned SlotOutcome is the slot's whole account: served tasks with
+    their success, bits collected and delivered, and energy by source."""
     n_aavs, n_gds = scenario.n_aavs, scenario.n_gds
     radio = scenario.radio
     compute = scenario.compute
@@ -152,10 +153,6 @@ def run_slot(world, decisions, association, scenario, counters,
             delay = sum(comps.values())
             success = delay <= task.max_delay
             gd.pending.pop(0)
-            if success:
-                counters.tasks_completed += 1
-            else:
-                counters.tasks_failed += 1
             busy_tx[v] += comps["t_up_g2a"] + comps["t_down_a2g"]
             gd_tx_energy += radio.power_gd * comps["t_up_g2a"]
             if offloaded:
@@ -190,7 +187,6 @@ def run_slot(world, decisions, association, scenario, counters,
             gd.stored_bits -= take
             collected[v] += take
             collected_from_gds[g] += take
-            counters.dc_bits_collected += take
             gd_tx_energy += radio.power_gd * (take / r_up)
         world.dc_buffers[v] += collected[v]
         r_a2s = channel.sat_link_rate(sat_dists[v], "up", n_connected, radio,
@@ -198,7 +194,6 @@ def run_slot(world, decisions, association, scenario, counters,
         sent = min(world.dc_buffers[v], dc_time[v] * r_a2s)
         world.dc_buffers[v] -= sent
         delivered[v] = sent
-        counters.dc_bits_delivered += sent
 
     return SlotOutcome(
         tasks=tasks, busy_tx=busy_tx, dc_time=dc_time, collected=collected,
@@ -206,16 +201,3 @@ def run_slot(world, decisions, association, scenario, counters,
         skipped_low_rate=skipped, aav_compute_energy=aav_compute_energy,
         gd_tx_energy=gd_tx_energy, sat_tx_energy=sat_tx_energy,
         sat_compute_energy=sat_compute_energy)
-
-
-def completion_rates(counters):
-    """(MEC %, DC %) completion percentages; NaN when nothing was generated."""
-    if counters.tasks_generated > 0:
-        mec = 100.0 * counters.tasks_completed / counters.tasks_generated
-    else:
-        mec = float("nan")
-    if counters.dc_bits_generated > 0:
-        dc = 100.0 * counters.dc_bits_delivered / counters.dc_bits_generated
-    else:
-        dc = float("nan")
-    return mec, dc

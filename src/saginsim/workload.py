@@ -25,16 +25,6 @@ class MecTask:
     created_slot: int
 
 
-@dataclasses.dataclass
-class Counters:
-    tasks_generated: int = 0
-    tasks_completed: int = 0
-    tasks_failed: int = 0        # deadline expiry plus over-tolerance service
-    dc_bits_generated: float = 0.0
-    dc_bits_collected: float = 0.0
-    dc_bits_delivered: float = 0.0
-
-
 class GdState:
     """Mutable per-episode state of one ground device."""
 

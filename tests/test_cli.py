@@ -1,11 +1,13 @@
+import csv
 import json
 import math
 import os
+import pathlib
 
 import pytest
 
-from saginsim import cli, runio
-from saginsim.environment import rollout
+from saginsim import baselines, cli, runio
+from saginsim.environment import episode_totals, rollout
 from saginsim.scenario import parse_config_text
 
 TINY_CONFIG = """\
@@ -18,6 +20,8 @@ horizon = 6
 area_bounds = [-500.0, -500.0, 500.0, 500.0]
 initial_aav_positions = [[-250.0, -250.0], [250.0, 250.0]]
 """
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 TINY_HYPER = [
     "--override", "hyper.batch_size=4",
@@ -78,17 +82,57 @@ def test_baseline_command(tmp_path, config_path):
 
 
 def test_baseline_greedy_and_mode_override(tmp_path, config_path):
-    out = str(tmp_path / "greedy")
-    code = run_cli(["baseline", "--algo", "greedy", "--config", config_path,
-                    "--seed", "3", "--episodes", "1", "--mode", "dc_only",
-                    "--out", out, "--quiet"])
+    # the manifest records the mode that ran, however it was set
+    for name, mode_args in (("flag", ["--mode", "dc_only"]),
+                            ("override",
+                             ["--override", 'reward.mode="dc_only"'])):
+        out = str(tmp_path / name)
+        code = run_cli(["baseline", "--algo", "greedy", "--config",
+                        config_path, "--seed", "3", "--episodes", "1",
+                        "--out", out, "--quiet"] + mode_args)
+        assert code == 0
+        resolved = open(os.path.join(out, "config.resolved.toml"),
+                        encoding="utf-8").read()
+        assert 'mode = "dc_only"' in resolved
+        manifest = json.loads(
+            open(os.path.join(out, "manifest.json"), encoding="utf-8").read())
+        assert manifest["mode"] == "dc_only"
+
+
+@pytest.mark.parametrize("seeds", [",", "1,1", "x"])
+def test_bad_seed_list_returns_config_error(tmp_path, config_path, seeds):
+    out = str(tmp_path / "seeds")
+    code = run_cli(["baseline", "--algo", "random", "--config", config_path,
+                    "--seed", seeds, "--episodes", "1", "--out", out,
+                    "--quiet"])
+    assert code == 2
+    assert not os.path.exists(out)
+
+
+def test_metrics_are_a_function_of_the_event_log(tmp_path):
+    out = str(tmp_path / "base")
+    code = run_cli(["baseline", "--algo", "random",
+                    "--config", str(CONFIGS / "default.toml"),
+                    "--seed", "1", "--episodes", "1", "--out", out,
+                    "--quiet"])
     assert code == 0
-    resolved = open(os.path.join(out, "config.resolved.toml"),
-                    encoding="utf-8").read()
-    assert 'mode = "dc_only"' in resolved
-    manifest = json.loads(
-        open(os.path.join(out, "manifest.json"), encoding="utf-8").read())
-    assert manifest["mode"] == "dc_only"
+    seed_dir = os.path.join(out, "seed1")
+
+    def csv_rows(name):
+        with open(os.path.join(seed_dir, name), newline="",
+                  encoding="utf-8") as fh:
+            return list(csv.DictReader(fh))
+
+    [metrics] = csv_rows("metrics.csv")
+    [energy] = csv_rows("energy.csv")
+    for key in ("gd_tx", "aav_move", "aav_compute", "sat_tx", "sat_compute"):
+        assert energy[key] == metrics[key], key
+    _, records = runio.read_events_jsonl(os.path.join(seed_dir,
+                                                      "events.jsonl"))
+    totals = episode_totals(records)
+    assert set(totals) == set(metrics) - {"episode", "reward"}
+    for key, value in totals.items():
+        assert metrics[key] == repr(value), key
 
 
 def test_train_eval_export_pipeline(tmp_path, config_path):
@@ -255,6 +299,25 @@ def test_failed_eval_keeps_finished_episodes(tmp_path, config_path,
     out = str(tmp_path / "eval")
     code = run_cli(["eval", "--config", config_path, "--seed", "0",
                     "--episodes", "3", "--checkpoint", ckpt, "--out", out,
+                    "--quiet"])
+    assert code == 1
+    check_run_outputs(out, [0], 1)
+
+
+def test_failed_baseline_keeps_finished_episodes(tmp_path, config_path,
+                                                 monkeypatch):
+    calls = []
+
+    def fail_in_second_episode(env, rng):
+        calls.append(1)
+        if len(calls) > env.scenario.horizon:
+            raise RuntimeError("second episode fails")
+        return baselines.random_action(env, rng)
+
+    monkeypatch.setitem(baselines._POLICIES, "random", fail_in_second_episode)
+    out = str(tmp_path / "base")
+    code = run_cli(["baseline", "--algo", "random", "--config", config_path,
+                    "--seed", "0", "--episodes", "3", "--out", out,
                     "--quiet"])
     assert code == 1
     check_run_outputs(out, [0], 1)

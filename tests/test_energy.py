@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from saginsim.energy import (EnergyLedger, SlotEnergy, compute_energy,
-                             propulsion_energy, propulsion_power)
+from saginsim.energy import (compute_energy, propulsion_energy,
+                             propulsion_power)
 from saginsim.errors import InvalidAction
 from saginsim.scenario import EnergyParams
 
@@ -90,24 +90,3 @@ def test_compute_energy_linearity():
     assert compute_energy(0.0, 1000, 8.2e-9) == 0.0
     with pytest.raises(InvalidAction):
         compute_energy(-1.0, 1000, 8.2e-9)
-
-
-def test_ledger_accumulates_and_matches_breakdown():
-    led = EnergyLedger(2)
-    led.add(SlotEnergy(aav_move=[1.0, 2.0], aav_compute=[0.5, 0.0],
-                       gd_tx=0.1, sat_tx=0.2, sat_compute=0.3))
-    led.add(SlotEnergy(aav_move=[0.0, 1.0], aav_compute=[0.0, 0.25],
-                       gd_tx=0.4, sat_tx=0.0, sat_compute=0.0))
-    assert math.isclose(led.aav_total(), 1.0 + 2.0 + 0.5 + 1.0 + 0.25)
-    b = led.breakdown()
-    assert math.isclose(b["gd_tx"], 0.5)
-    assert math.isclose(b["aav_move"], 4.0)
-    assert math.isclose(b["aav_compute"], 0.75)
-    assert math.isclose(b["sat_tx"], 0.2)
-    assert math.isclose(b["sat_compute"], 0.3)
-    assert math.isclose(b["aav_move"] + b["aav_compute"], led.aav_total())
-
-
-def test_slot_energy_aav_total():
-    s = SlotEnergy(aav_move=[1.0, 1.5], aav_compute=[2.0, 0.0], gd_tx=9.0)
-    assert math.isclose(s.aav_total(), 4.5)

@@ -6,7 +6,7 @@ import pytest
 
 from saginsim import runio
 from saginsim.baselines import run_baseline
-from saginsim.environment import SaginEnv
+from saginsim.environment import SaginEnv, episode_totals
 from saginsim.scenario import Scenario
 
 
@@ -30,14 +30,27 @@ def finished_env(seed=5):
     return env, total
 
 
+def energy_sums(records):
+    """Episode energy by source, summed straight from the slot records."""
+    sums = {key: sum(rec["energy"][key] for rec in records)
+            for key in ("gd_tx", "sat_tx", "sat_compute")}
+    for key in ("aav_move", "aav_compute"):
+        sums[key] = sum(sum(rec["energy"][key]) for rec in records)
+    return sums
+
+
 def test_offload_ratio_counts_served_tasks():
-    records = [
-        {"tasks": [{"offloaded": True}, {"offloaded": False}]},
-        {"tasks": [{"offloaded": True}]},
-        {"tasks": []},
-    ]
-    assert runio.offload_ratio(records) == pytest.approx(100.0 * 2 / 3)
-    assert math.isnan(runio.offload_ratio([{"tasks": []}]))
+    env, _ = finished_env()
+
+    def served(*offloaded):
+        tasks = [{"delay": 0.5, "success": True, "offloaded": o}
+                 for o in offloaded]
+        return dict(env.records[0], tasks=tasks)
+
+    records = [served(True, False), served(True), served()]
+    assert episode_totals(records)["offload_ratio"] == \
+        pytest.approx(100.0 * 2 / 3)
+    assert math.isnan(episode_totals([served()])["offload_ratio"])
 
 
 def test_episode_metrics_fields_and_consistency():
@@ -49,9 +62,8 @@ def test_episode_metrics_fields_and_consistency():
     assert row["f2"] == pytest.approx(f2)
     assert row["f3"] == pytest.approx(f3)
     assert set(runio.METRIC_FIELDS) <= set(row)
-    b = env.ledger.breakdown()
-    for key in ("gd_tx", "aav_move", "aav_compute", "sat_tx", "sat_compute"):
-        assert row[key] == pytest.approx(b[key])
+    for key, total in energy_sums(env.records).items():
+        assert row[key] == pytest.approx(total)
 
 
 def test_metrics_csv_round_trip(tmp_path):
@@ -140,9 +152,8 @@ def test_export_energy_breakdown_totals(tmp_path):
     lines = path.read_text().splitlines()
     fields = lines[0].split(",")
     values = dict(zip(fields, (float(x) for x in lines[1].split(","))))
-    b = env.ledger.breakdown()
-    for key in ("gd_tx", "aav_move", "aav_compute", "sat_tx", "sat_compute"):
-        assert values[key] == pytest.approx(b[key], rel=1e-12)
+    for key, total in energy_sums(env.records).items():
+        assert values[key] == pytest.approx(total, rel=1e-12)
 
 
 def test_manifest_written_sorted(tmp_path):

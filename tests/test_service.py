@@ -7,9 +7,10 @@ from saginsim import channel
 from saginsim.actions import DecodedAction
 from saginsim.errors import LinkDown
 from saginsim.scenario import RadioParams, Scenario
-from saginsim.service import (SlotOutcome, WorldState, completion_rates,
-                              run_slot, sat_distance, task_delay)
-from saginsim.workload import Counters, GdState, MecTask
+from saginsim.environment import episode_totals
+from saginsim.service import (SlotOutcome, WorldState, run_slot, sat_distance,
+                              task_delay)
+from saginsim.workload import GdState, MecTask
 
 
 def make_scenario(n_aavs=1, n_gds=1, **radio_kw):
@@ -116,13 +117,12 @@ def test_run_slot_local_task_bookkeeping():
     sc = make_scenario()
     task = make_task(size=2e5, max_delay=5.0)
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task])
-    counters = Counters(tasks_generated=1)
     out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
-                   sc, counters)
+                   sc)
     assert len(out.tasks) == 1
     rec = out.tasks[0]
     assert rec.success and not rec.offloaded
-    assert counters.tasks_completed == 1 and counters.tasks_failed == 0
+    assert [t.success for t in out.tasks] == [True]
     assert world.gd_states[0].pending == []
     comps = rec.components
     assert math.isclose(out.busy_tx[0],
@@ -141,9 +141,8 @@ def test_run_slot_offloaded_task_bookkeeping():
     sc = make_scenario()
     task = make_task(size=2e5, max_delay=5.0)
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task])
-    counters = Counters(tasks_generated=1)
     out = run_slot(world, full_service_decision(sc, offload=True),
-                   everyone_assoc(sc), sc, counters)
+                   everyone_assoc(sc), sc)
     rec = out.tasks[0]
     assert rec.offloaded
     comps = rec.components
@@ -166,13 +165,11 @@ def test_rate_floor_skips_task_but_not_collection():
     task = make_task()
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task],
                        stored=5e3)
-    counters = Counters(tasks_generated=1)
     out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
-                   sc, counters)
+                   sc)
     assert out.skipped_low_rate == 1
     assert out.tasks == []
     assert len(world.gd_states[0].pending) == 1
-    assert counters.tasks_completed == 0 and counters.tasks_failed == 0
     # the radio stayed free, so the whole slot went to data collection
     assert out.dc_time[0] == sc.slot_length
     assert out.collected[0] == pytest.approx(5e3)
@@ -183,11 +180,9 @@ def test_over_tolerance_task_fails_but_leaves_queue():
     sc = make_scenario()
     task = make_task(size=2e5, max_delay=1e-9)
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task])
-    counters = Counters(tasks_generated=1)
     out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
-                   sc, counters)
-    assert counters.tasks_failed == 1 and counters.tasks_completed == 0
-    assert not out.tasks[0].success
+                   sc)
+    assert [t.success for t in out.tasks] == [False]
     assert world.gd_states[0].pending == []
 
 
@@ -197,9 +192,8 @@ def test_dc_conservation_with_busy_radio():
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]],
                        tasks=[make_task(size=2e5, max_delay=5.0)],
                        stored=stored)
-    counters = Counters(tasks_generated=1)
     out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
-                   sc, counters)
+                   sc)
     gd = world.gd_states[0]
     assert math.isclose(stored - gd.stored_bits, out.collected[0],
                         rel_tol=1e-12)
@@ -207,8 +201,7 @@ def test_dc_conservation_with_busy_radio():
     assert math.isclose(world.dc_buffers[0],
                         out.collected[0] - out.delivered[0], rel_tol=1e-9)
     assert out.delivered[0] <= out.collected[0] + 1e-9
-    assert counters.dc_bits_collected == pytest.approx(out.collected[0])
-    assert counters.dc_bits_delivered == pytest.approx(out.delivered[0])
+    assert out.collected_from_gds[0] == pytest.approx(out.collected[0])
     assert out.satellite_received() == pytest.approx(out.delivered.sum())
 
 
@@ -218,9 +211,8 @@ def test_no_collection_when_radio_saturated():
     task = make_task(size=1e12, max_delay=1e9)
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task],
                        stored=1e6)
-    counters = Counters(tasks_generated=1)
     out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
-                   sc, counters)
+                   sc)
     assert out.busy_tx[0] > sc.slot_length
     assert out.dc_time[0] == 0.0
     assert out.collected[0] == 0.0
@@ -231,9 +223,8 @@ def test_buffer_drains_without_new_collection():
     sc = make_scenario()
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]])
     world.dc_buffers[0] = 3e3
-    counters = Counters()
     out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
-                   sc, counters)
+                   sc)
     assert out.collected[0] == 0.0
     assert out.delivered[0] == pytest.approx(3e3)
     assert world.dc_buffers[0] == pytest.approx(0.0)
@@ -245,8 +236,7 @@ def test_unserved_gd_keeps_its_data():
                        stored=1e3)
     assoc = np.zeros((1, 2), dtype=np.int8)
     assoc[0, 0] = 1
-    counters = Counters()
-    out = run_slot(world, full_service_decision(sc), assoc, sc, counters)
+    out = run_slot(world, full_service_decision(sc), assoc, sc)
     assert out.collected_from_gds[0] == pytest.approx(1e3)
     assert out.collected_from_gds[1] == 0.0
     assert world.gd_states[1].stored_bits == pytest.approx(1e3)
@@ -262,15 +252,13 @@ def test_cross_cell_interference_slows_service():
     assoc2 = np.zeros((2, 2), dtype=np.int8)
     assoc2[0, 0] = 1
     assoc2[1, 1] = 1
-    out2 = run_slot(world2, full_service_decision(sc2), assoc2, sc2,
-                    Counters(tasks_generated=2))
+    out2 = run_slot(world2, full_service_decision(sc2), assoc2, sc2)
 
     sc1 = make_scenario(n_aavs=1, n_gds=1)
     world1 = make_world(sc1, [pos_a[0]], [pos_g[0]],
                         tasks=[make_task(gd=0, size=6e5, max_delay=50.0)])
     assoc1 = np.ones((1, 1), dtype=np.int8)
-    out1 = run_slot(world1, full_service_decision(sc1), assoc1, sc1,
-                    Counters(tasks_generated=1))
+    out1 = run_slot(world1, full_service_decision(sc1), assoc1, sc1)
     assert out2.tasks[0].delay > out1.tasks[0].delay
 
 
@@ -279,19 +267,33 @@ def test_rain_extra_db_slows_satellite_path():
     kw = dict(tasks=[make_task(size=2e5, max_delay=50.0)])
     world_dry = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], **kw)
     out_dry = run_slot(world_dry, full_service_decision(sc, offload=True),
-                       everyone_assoc(sc), sc, Counters(tasks_generated=1))
+                       everyone_assoc(sc), sc)
     world_wet = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], **kw)
     out_wet = run_slot(world_wet, full_service_decision(sc, offload=True),
-                       everyone_assoc(sc), sc, Counters(tasks_generated=1),
-                       rain_extra_db=10.0)
+                       everyone_assoc(sc), sc, rain_extra_db=10.0)
     assert out_wet.tasks[0].delay > out_dry.tasks[0].delay
 
 
+def slot_record(generated=0, tasks=(), dc_generated=0.0, delivered=(0.0,)):
+    return {
+        "generated": generated,
+        "tasks": [{"delay": 1.0, "success": ok, "offloaded": False}
+                  for ok in tasks],
+        "dc": {"generated": dc_generated, "delivered": list(delivered)},
+        "energy": {"aav_move": [0.0], "aav_compute": [0.0], "gd_tx": 0.0,
+                   "sat_tx": 0.0, "sat_compute": 0.0},
+    }
+
+
 def test_completion_rates():
-    c = Counters(tasks_generated=4, tasks_completed=3,
-                 dc_bits_generated=200.0, dc_bits_delivered=50.0)
-    mec, dc = completion_rates(c)
-    assert math.isclose(mec, 75.0)
-    assert math.isclose(dc, 25.0)
-    mec0, dc0 = completion_rates(Counters())
-    assert math.isnan(mec0) and math.isnan(dc0)
+    records = [slot_record(generated=3, tasks=(True, False), dc_generated=150.0,
+                           delivered=(10.0, 20.0)),
+               slot_record(generated=1, tasks=(True, True), dc_generated=50.0,
+                           delivered=(20.0, 0.0))]
+    totals = episode_totals(records)
+    assert math.isclose(totals["mec_rate"], 75.0)
+    assert math.isclose(totals["dc_rate"], 25.0)
+    # nothing generated: both rates are NaN, not a division error
+    empty = episode_totals([slot_record(delivered=(5.0,))])
+    assert math.isnan(empty["mec_rate"]) and math.isnan(empty["dc_rate"])
+    assert math.isnan(episode_totals([])["mec_rate"])
