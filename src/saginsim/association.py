@@ -10,6 +10,8 @@ Determinism: candidate ties broken by lower AAV index, eviction ties by
 lower GD index, and unmatched GDs propose in ascending index order.
 """
 
+import heapq
+
 import numpy as np
 
 
@@ -33,27 +35,21 @@ def gs_associate(aav_positions, gd_positions, capacity, altitude):
     candidates = np.argsort(dist, axis=0, kind="stable").T.tolist()
     cursor = [0] * n_gds            # next candidate to propose to
     held = [[] for _ in range(n_aavs)]
-    matched = [-1] * n_gds
+    free = list(range(n_gds))       # heap of unmatched GDs with candidates left
     proposals = 0
     budget = n_gds * n_aavs
-    while True:
-        g = -1
-        for i in range(n_gds):
-            if matched[i] < 0 and cursor[i] < n_aavs:
-                g = i
-                break
-        if g < 0:
-            break
+    while free:
+        g = heapq.heappop(free)
         v = candidates[g][cursor[g]]
         cursor[g] += 1
         proposals += 1
         assert proposals <= budget, "deferred acceptance failed to terminate"
         held[v].append(g)
-        matched[g] = v
         if len(held[v]) > capacity:
             far = max(held[v], key=lambda x: (dist[v, x], -x))
             held[v].remove(far)
-            matched[far] = -1
+            if cursor[far] < n_aavs:
+                heapq.heappush(free, far)
     assoc = np.zeros((n_aavs, n_gds), dtype=np.int8)
     for v in range(n_aavs):
         for g in held[v]:

@@ -41,13 +41,12 @@ def greedy_action(env, rng):
 _POLICIES = {"random": random_action, "greedy": greedy_action}
 
 
-def run_baseline(scenario, algo, seed=None, episodes=1, log_records=None,
-                 on_episode=None):
+def run_baseline(scenario, algo, seed=None, episodes=1, on_episode=None):
     """Run a baseline policy; returns per-episode metric rows.
 
-    log_records, when a list, receives (episode, records) tuples;
-    on_episode(row) fires after each episode, so the rows of finished
-    episodes reach the caller also when a later one fails.
+    on_episode(row, records) fires after each episode with its report row
+    and slot records, so finished episodes reach the caller also when a
+    later one fails.
     """
     if algo not in _POLICIES:
         raise ValueError("unknown baseline %r" % algo)
@@ -59,8 +58,6 @@ def run_baseline(scenario, algo, seed=None, episodes=1, log_records=None,
         ep_reward = rollout(env, lambda _state: policy(env, rng))
         row = episode_metrics(env, episode, ep_reward)
         rows.append(row)
-        if log_records is not None:
-            log_records.append((episode, env.records))
         if on_episode is not None:
-            on_episode(row)
+            on_episode(row, env.records)
     return rows

@@ -19,14 +19,6 @@ from .errors import DegenerateGeometry, InvalidAllocation
 LIGHT_SPEED = 3.0e8  # m/s
 
 
-def db_to_linear(db):
-    return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
-
-
-def linear_to_db(x):
-    return 10.0 * np.log10(x)
-
-
 def noise_psd_watts(noise_psd_dbm):
     """dBm/Hz -> W/Hz."""
     return 10.0 ** ((noise_psd_dbm - 30.0) / 10.0)

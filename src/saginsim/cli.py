@@ -11,6 +11,8 @@ Every run writes manifest.json and the resolved scenario next to its
 outputs, so a run can be reproduced from the output directory alone.
 Overrides use dotted config keys (e.g. --override workload.task_rate=0.2);
 keys under hyper. steer the trainer (e.g. --override hyper.batch_size=64).
+A key that a flag sets (seed, hyper.episodes, and reward.mode with --mode)
+cannot also be overridden.
 """
 
 import argparse
@@ -75,6 +77,12 @@ def _build_hyper(hyper_ov, episodes=None):
 
 def _load(args, seed):
     overrides = _parse_overrides(args.override)
+    shadowed = {"seed": "--seed", "hyper.episodes": "--episodes"}
+    if args.mode:
+        shadowed["reward.mode"] = "--mode"
+    for key, flag in shadowed.items():
+        if key in overrides:
+            raise SaginError("--override %s: %s sets it" % (key, flag))
     scenario_ov, hyper_ov = _split_hyper(overrides)
     if args.mode:
         scenario_ov["reward.mode"] = '"%s"' % args.mode
@@ -95,21 +103,22 @@ def _manifest(args, command, seeds, scenario, overrides, out):
     }
 
 
-def _write_run_outputs(seed_dir, rows, episode_records):
-    runio.write_metrics_csv(os.path.join(seed_dir, "metrics.csv"), rows)
-    runio.write_events_jsonl(os.path.join(seed_dir, "events.jsonl"),
-                             {"episodes": len(episode_records)},
-                             episode_records)
-    if episode_records:
-        runio.export_trajectories(episode_records[-1][1],
-                                  os.path.join(seed_dir, "trajectories.csv"))
-        runio.export_energy_breakdown(
-            [rec for _, records in episode_records for rec in records],
-            os.path.join(seed_dir, "energy.csv"))
+def _write_run_outputs(seed_dir, finished):
+    """finished: a non-empty list of (report row, slot records) pairs."""
+    runio.write_metrics_csv(os.path.join(seed_dir, "metrics.csv"),
+                            [row for row, _ in finished])
+    runio.write_events_jsonl(
+        os.path.join(seed_dir, "events.jsonl"), {"episodes": len(finished)},
+        [(row["episode"], records) for row, records in finished])
+    runio.export_trajectories(finished[-1][1],
+                              os.path.join(seed_dir, "trajectories.csv"))
+    runio.export_energy_breakdown(
+        [rec for _, records in finished for rec in records],
+        os.path.join(seed_dir, "energy.csv"))
 
 
 def _seed_list(arg):
-    """The distinct integer seeds of a --seed comma list."""
+    """The distinct non-negative integer seeds of a --seed comma list."""
     try:
         seeds = [int(s) for s in str(arg).split(",") if s.strip()]
     except ValueError:
@@ -117,6 +126,8 @@ def _seed_list(arg):
                          % arg) from None
     if not seeds:
         raise SaginError("--seed %r names no seed" % arg)
+    if min(seeds) < 0:
+        raise SaginError("--seed %r has a negative seed" % arg)
     if len(set(seeds)) < len(seeds):
         raise SaginError("--seed %r repeats a seed" % arg)
     return seeds
@@ -125,11 +136,12 @@ def _seed_list(arg):
 def _run_seeds(args, command, run, out=None):
     """Run one verb for every seed in args.seed; returns the failure count.
 
-    run(scenario, hyper, seed, seed_dir, rows, records) appends a metric
-    row and an (episode, slot records) pair as each episode finishes.  The
-    first seed writes manifest.json and config.resolved.toml; every seed
-    writes the episodes that finished, also when run raises.  out names a
-    subdirectory of args.out to write into.
+    run(scenario, hyper, seed, seed_dir, on_episode) calls
+    on_episode(row, records) with the report row and slot records of each
+    episode as it finishes.  The first seed writes manifest.json and
+    config.resolved.toml; every seed writes the episodes that finished,
+    also when run raises.  out names a subdirectory of args.out to write
+    into.
     """
     out = os.path.join(args.out, out) if out else args.out
     seeds = _seed_list(args.seed)
@@ -145,56 +157,54 @@ def _run_seeds(args, command, run, out=None):
             with open(os.path.join(out, "config.resolved.toml"), "w",
                       encoding="utf-8") as fh:
                 fh.write(scenario_to_text(scenario))
-        rows, records = [], []
+        finished = []
         try:
-            run(scenario, hyper, seed, seed_dir, rows, records)
+            run(scenario, hyper, seed, seed_dir,
+                lambda row, records: finished.append((row, records)))
         except Exception:
             traceback.print_exc()
             failures += 1
         finally:
-            if rows:
-                _write_run_outputs(seed_dir, rows, records)
+            if finished:
+                _write_run_outputs(seed_dir, finished)
     return failures
 
 
 def cmd_train(args):
-    def run(scenario, hyper, seed, seed_dir, rows, records):
+    def run(scenario, hyper, seed, seed_dir, on_episode):
         ckpt_dir = runio.ensure_dir(os.path.join(seed_dir, "checkpoints"))
-        train(scenario, hyper, seed, on_episode=rows.append,
-              ckpt_dir=ckpt_dir, log_records=records, progress=not args.quiet)
+        train(scenario, hyper, seed, on_episode=on_episode,
+              ckpt_dir=ckpt_dir, progress=not args.quiet)
     return 1 if _run_seeds(args, "train", run) else 0
 
 
 def cmd_eval(args):
-    def run(scenario, hyper, seed, seed_dir, rows, records):
+    def run(scenario, hyper, seed, seed_dir, on_episode):
         env = SaginEnv(scenario, seed)
         nets, meta = load_checkpoint(args.checkpoint)
-        arch = meta.get("arch")
-        if arch:
-            # nets must be rebuilt exactly as trained, whatever the
-            # current defaults are
-            hyper = dataclasses.replace(
-                hyper,
-                actor_widths=tuple(arch["actor_widths"]),
-                critic_widths=tuple(arch["critic_widths"]),
-                n_denoise=int(arch["n_denoise"]),
-                beta_start=float(arch["beta_start"]),
-                beta_end=float(arch["beta_end"]))
+        # nets must be rebuilt exactly as trained, whatever the current
+        # defaults are; the linear schedule is fixed by its length and ends
+        betas = meta["betas"]
+        hyper = dataclasses.replace(
+            hyper,
+            actor_widths=tuple(nets["actor"].widths[1:-1]),
+            critic_widths=tuple(nets["q1"].widths[1:-1]),
+            n_denoise=len(betas), beta_start=betas[0], beta_end=betas[-1])
         agent = QagobTrainer(env, hyper, seed)
         agent.policy.denoiser.set_arrays(nets["actor"].get_arrays())
         agent.critics.q1.set_arrays(nets["q1"].get_arrays())
         agent.critics.q2.set_arrays(nets["q2"].get_arrays())
         for episode in range(args.episodes):
             ep_reward = rollout(env, agent.select_action)
-            rows.append(runio.episode_metrics(env, episode, ep_reward))
-            records.append((episode, env.records))
+            on_episode(runio.episode_metrics(env, episode, ep_reward),
+                       env.records)
     return 1 if _run_seeds(args, "eval", run) else 0
 
 
 def cmd_baseline(args):
-    def run(scenario, hyper, seed, seed_dir, rows, records):
+    def run(scenario, hyper, seed, seed_dir, on_episode):
         run_baseline(scenario, args.algo, seed, args.episodes,
-                     log_records=records, on_episode=rows.append)
+                     on_episode=on_episode)
     return 1 if _run_seeds(args, "baseline", run) else 0
 
 
@@ -220,9 +230,9 @@ def cmd_sweep(args):
     summary = []
     failures = 0
     for value in grid:
-        def run(scenario, hyper, seed, seed_dir, rows, records):
-            train(scenario, hyper, seed, on_episode=rows.append,
-                  log_records=records, progress=not args.quiet)
+        def run(scenario, hyper, seed, seed_dir, on_episode):
+            rows, _ = train(scenario, hyper, seed, on_episode=on_episode,
+                            progress=not args.quiet)
             tail = rows[-min(10, len(rows)):]
             summary.append({
                 "sweep": args.kind, "value": value, "seed": seed,
@@ -247,7 +257,8 @@ def build_parser():
 
     def common(p, episodes_default):
         p.add_argument("--config", default=None, help="scenario config path")
-        p.add_argument("--seed", default="0", help="seed or comma list")
+        p.add_argument("--seed", default="0",
+                       help="non-negative seed or comma list")
         p.add_argument("--mode", default=None,
                        choices=["joint", "mec_only", "dc_only"])
         p.add_argument("--episodes", type=int, default=episodes_default)

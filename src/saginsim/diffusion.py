@@ -129,9 +129,6 @@ class DiffusionPolicy:
                 raise SamplerDiverged("non-finite sample at step %d" % n)
         return np.tanh(x) if squash else x
 
-    def sample(self, state, rng, squash=True):
-        return self.sample_batch(np.asarray(state)[None, :], rng, squash)[0]
-
 
 def _check_weights(weights, batch):
     weights = np.asarray(weights, dtype=np.float64)

@@ -147,7 +147,8 @@ class SaginEnv:
         return self._state()
 
     def step(self, raw_action):
-        """Advance one slot.  Returns (state, reward, done, info)."""
+        """Advance one slot.  Returns (state, reward, done, record), with
+        record the slot record also appended to self.records."""
         if self.done:
             raise EpisodeFinished("call reset() before stepping again")
         sc = self.scenario
@@ -180,7 +181,7 @@ class SaginEnv:
                                    self._episode_rain_extra)
 
         r_task = sum(task.max_delay - task.delay for task in outcome.tasks)
-        delivered = outcome.satellite_received()
+        delivered = float(outcome.delivered.sum())
         aav_joules = sum(move_energy) + sum(outcome.aav_compute_energy)
         rw = sc.reward
         value = -rw.energy_weight * aav_joules - rw.penalty * events.total()
@@ -202,16 +203,7 @@ class SaginEnv:
 
         world.slot = t + 1
         self.done = world.slot >= sc.horizon
-        info = {
-            "outcome": outcome,
-            "events": events,
-            "reward": reward_parts,
-            "record": record,
-        }
-        return self._state(), value, self.done, info
-
-    def objectives(self):
-        return objectives(self.records)
+        return self._state(), value, self.done, record
 
     def _record(self, t, generated, expired, dc_generated, assoc, outcome,
                 move_energy, events, reward_parts):

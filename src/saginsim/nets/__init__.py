@@ -1,8 +1,1 @@
-from .autodiff import Var, add, backward, matmul, mean, mul, relu, square, sub, sum_, tanh
-from .mlp import Mlp, load_checkpoint, save_checkpoint
-from .optim import Adam
-
-__all__ = [
-    "Var", "add", "backward", "matmul", "mean", "mul", "relu", "square",
-    "sub", "sum_", "tanh", "Mlp", "save_checkpoint", "load_checkpoint", "Adam",
-]
+"""Numpy networks: reverse-mode autodiff, MLPs with npz checkpoints, Adam."""

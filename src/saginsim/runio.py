@@ -13,12 +13,6 @@ from .environment import episode_totals
 
 EVENTS_SCHEMA = 1
 
-METRIC_FIELDS = [
-    "episode", "reward", "f1", "f2", "f3", "mec_rate", "dc_rate",
-    "offload_ratio", "gd_tx", "aav_move", "aav_compute", "sat_tx",
-    "sat_compute",
-]
-
 
 def episode_metrics(env, episode, reward):
     """One report row for the episode the environment just finished."""
@@ -28,11 +22,8 @@ def episode_metrics(env, episode, reward):
 
 
 def write_metrics_csv(path, rows):
-    fields = list(METRIC_FIELDS)
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
+    """One column per key of the rows, in first-seen order."""
+    fields = list(dict.fromkeys(key for row in rows for key in row))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)

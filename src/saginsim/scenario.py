@@ -256,6 +256,8 @@ def validate_scenario(sc):
         if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
             raise ConfigInvalid(name, "must be positive and finite")
 
+    if sc.seed < 0:
+        raise ConfigInvalid("seed", "must be non-negative")
     if sc.n_aavs < 1:
         raise ConfigInvalid("n_aavs", "need at least one AAV")
     if sc.n_gds < 1:

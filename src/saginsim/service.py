@@ -62,9 +62,6 @@ class SlotOutcome:
     sat_tx_energy: float           # J spent by the satellite returning results
     sat_compute_energy: float      # J spent by the satellite processing tasks
 
-    def satellite_received(self):
-        return float(self.delivered.sum())
-
 
 def sat_distance(aav_xy, scenario):
     """AAV to satellite slant distance, m."""

@@ -1,10 +1,10 @@
 """Online diffusion-policy training (the qagob algorithm).
 
 Per environment step: act with the sample-and-argmax behavior policy,
-store the transition in the replay buffer and the chosen pair in the
-diffusion buffer, then (after warmup) run one critic update on a replay
-batch and one actor update on a diffusion-buffer batch, followed by soft
-target blending.  Critics are twins; TD targets bootstrap through the
+store the transition in the replay buffer, then (after warmup) run one
+critic update on a replay batch and one actor update on the (state,
+action) pairs of a second replay batch, followed by soft target
+blending.  Critics are twins; TD targets bootstrap through the
 minimum of the two target critics evaluated at the target policy's
 sample-and-argmax action.
 
@@ -37,12 +37,11 @@ class Hyper:
     lr_actor: float = 3.0e-4
     lr_critic: float = 3.0e-2
     replay_capacity: int = 1_000_000
-    diffusion_capacity: int = 1_000_000
     batch_size: int = 256
     warmup_steps: int = 1000          # env steps before updates begin
     update_every: int = 1             # env steps per critic update
     actor_every: int = 1              # critic updates per actor update
-    n_policy_samples: int = 64        # diffusion-buffer rows per actor update
+    n_policy_samples: int = 64        # replay rows per actor update
     n_uniform_samples: int = 16       # uniform rows per actor update
     n_value_samples: int = 8          # policy samples behind the V estimate
     behavior_samples: int = 4         # candidates when acting
@@ -151,10 +150,8 @@ def critic_update(batch, targets, critics, opt1, opt2):
     return losses
 
 
-def actor_update(policy, critics, diff_batch, hyper, rng, opt):
+def actor_update(policy, critics, states, acts, hyper, rng, opt):
     """Q-weighted denoising update plus the entropy term; returns the loss."""
-    states = np.stack([s for s, _ in diff_batch])
-    acts = np.stack([a for _, a in diff_batch])
     n = len(states)
 
     q_vals = critics.min_q(states, acts)
@@ -210,19 +207,13 @@ class QagobTrainer:
         self.opt_q1 = Adam(self.critics.q1.params, self.hyper.lr_critic)
         self.opt_q2 = Adam(self.critics.q2.params, self.hyper.lr_critic)
         self.replay = RingBuffer(self.hyper.replay_capacity)
-        self.diff_buffer = RingBuffer(self.hyper.diffusion_capacity)
         self.total_steps = 0
         self.critic_updates = 0
 
-    def select_action(self, state, policy=None, critics_fn=None, rng=None):
-        policy = policy or self.policy
-        rng = rng or self.rng.stream("policy-noise")
-
-        def q_fn(states, acts):
-            return self.critics.min_q(states, acts) if critics_fn is None \
-                else critics_fn(states, acts)
-        return diffusion.behavior_select(policy, state, q_fn,
-                                         self.hyper.behavior_samples, rng)
+    def select_action(self, state):
+        return diffusion.behavior_select(
+            self.policy, state, self.critics.min_q,
+            self.hyper.behavior_samples, self.rng.stream("policy-noise"))
 
     def _batch_arrays(self, rows):
         states = np.stack([r[0] for r in rows])
@@ -244,9 +235,10 @@ class QagobTrainer:
         self.critic_updates += 1
         aloss = None
         if (self.critic_updates % h.actor_every == 0
-                and len(self.diff_buffer) >= h.n_policy_samples):
-            diff_batch = self.diff_buffer.sample(h.n_policy_samples, t_rng)
-            aloss = actor_update(self.policy, self.critics, diff_batch,
+                and len(self.replay) >= h.n_policy_samples):
+            states, acts, _, _, _ = self._batch_arrays(
+                self.replay.sample(h.n_policy_samples, t_rng))
+            aloss = actor_update(self.policy, self.critics, states, acts,
                                  h, t_rng, self.opt_actor)
             soft_update(self.policy.denoiser, self.policy_target.denoiser,
                         h.soft_rate)
@@ -263,7 +255,6 @@ class QagobTrainer:
         def learn(state, action, reward, next_state, done):
             nonlocal closs_sum, closs_n, aloss_sum, aloss_n
             self.replay.push((state, action, reward, next_state, done))
-            self.diff_buffer.push((state, action))
             self.total_steps += 1
             if (self.total_steps > h.warmup_steps
                     and self.total_steps % h.update_every == 0
@@ -290,23 +281,18 @@ class QagobTrainer:
             "q2_target": self.critics.q2_target,
         }
         base = {"seed": self.seed, "total_steps": self.total_steps,
-                "betas": list(self.policy.schedule.betas),
-                "arch": {"actor_widths": list(self.hyper.actor_widths),
-                         "critic_widths": list(self.hyper.critic_widths),
-                         "n_denoise": int(self.hyper.n_denoise),
-                         "beta_start": float(self.hyper.beta_start),
-                         "beta_end": float(self.hyper.beta_end)}}
+                "betas": list(self.policy.schedule.betas)}
         base.update(meta or {})
         save_checkpoint(path, nets, base)
 
 
 def train(scenario, hyper=None, seed=None, on_episode=None, ckpt_dir=None,
-          log_records=None, progress=True):
-    """Run the full training loop; returns the per-episode report rows.
+          progress=True):
+    """Run the full training loop; returns (report rows, trainer).
 
-    on_episode(row) fires after each episode so callers can stream the
-    report; rows written so far survive a mid-run crash.  log_records, when
-    a list, receives (episode, records) tuples for event export.
+    on_episode(row, records) fires after each episode with its report row
+    and slot records, so episodes finished before a mid-run crash reach
+    the caller.
     """
     hyper = hyper or Hyper()
     env = SaginEnv(scenario, seed)
@@ -319,10 +305,8 @@ def train(scenario, hyper=None, seed=None, on_episode=None, ckpt_dir=None,
         row["critic_loss"] = closs
         row["actor_loss"] = aloss
         rows.append(row)
-        if log_records is not None:
-            log_records.append((episode, env.records))
         if on_episode is not None:
-            on_episode(row)
+            on_episode(row, env.records)
         if progress:
             print("episode %d/%d reward %.3f (%.1fs)" % (
                 episode + 1, hyper.episodes, ep_reward, time.time() - start),

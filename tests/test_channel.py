@@ -187,8 +187,3 @@ def test_interference_field_rejects_double_assignment():
     assoc = np.array([[1], [1]])
     with pytest.raises(InvalidAllocation):
         channel.InterferenceField(aav, gd, assoc, RADIO)
-
-
-def test_db_round_trip():
-    for db in (-30.0, 0.0, 3.0, 21.0):
-        assert abs(channel.linear_to_db(channel.db_to_linear(db)) - db) < 1e-12

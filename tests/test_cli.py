@@ -8,6 +8,7 @@ import pytest
 
 from saginsim import baselines, cli, runio
 from saginsim.environment import episode_totals, rollout
+from saginsim.nets.mlp import load_checkpoint
 from saginsim.scenario import parse_config_text
 
 TINY_CONFIG = """\
@@ -99,13 +100,29 @@ def test_baseline_greedy_and_mode_override(tmp_path, config_path):
         assert manifest["mode"] == "dc_only"
 
 
-@pytest.mark.parametrize("seeds", [",", "1,1", "x"])
+@pytest.mark.parametrize("seeds", [",", "1,1", "x", "-1", "1,-2"])
 def test_bad_seed_list_returns_config_error(tmp_path, config_path, seeds):
     out = str(tmp_path / "seeds")
     code = run_cli(["baseline", "--algo", "random", "--config", config_path,
                     "--seed", seeds, "--episodes", "1", "--out", out,
                     "--quiet"])
     assert code == 2
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("override,flag_args,flag", [
+    ("seed=5", [], "--seed"),
+    ("hyper.episodes=7", [], "--episodes"),
+    ('reward.mode="dc_only"', ["--mode", "joint"], "--mode"),
+])
+def test_override_shadowed_by_a_flag_is_a_config_error(
+        tmp_path, config_path, capsys, override, flag_args, flag):
+    out = str(tmp_path / "shadowed")
+    code = run_cli(["baseline", "--algo", "random", "--config", config_path,
+                    "--seed", "1", "--episodes", "1", "--out", out, "--quiet",
+                    "--override", override] + flag_args)
+    assert code == 2
+    assert flag in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -135,7 +152,7 @@ def test_metrics_are_a_function_of_the_event_log(tmp_path):
         assert metrics[key] == repr(value), key
 
 
-def test_train_eval_export_pipeline(tmp_path, config_path):
+def test_train_eval_export_pipeline(tmp_path, config_path, monkeypatch):
     train_out = str(tmp_path / "train")
     code = run_cli(["train", "--config", config_path, "--seed", "0",
                     "--episodes", "1", "--out", train_out, "--quiet"]
@@ -149,13 +166,28 @@ def test_train_eval_export_pipeline(tmp_path, config_path):
     assert "critic_loss" in rows[0] and "actor_loss" in rows[0]
 
     eval_out = str(tmp_path / "eval")
-    # no hyper overrides on purpose: eval must rebuild the nets from the
-    # architecture recorded inside the checkpoint, not from defaults
+    agents = []
+    build_agent = cli.QagobTrainer
+
+    def keep_agent(*args):
+        agents.append(build_agent(*args))
+        return agents[-1]
+
+    monkeypatch.setattr(cli, "QagobTrainer", keep_agent)
+    # no hyper overrides on purpose: eval must rebuild the nets and the
+    # schedule from the checkpoint, not from defaults
     code = run_cli(["eval", "--config", config_path, "--seed", "0",
                     "--episodes", "1", "--checkpoint", ckpt,
                     "--out", eval_out, "--quiet"])
     assert code == 0
     check_run_outputs(eval_out, [0], 1)
+    nets, meta = load_checkpoint(ckpt)
+    [agent] = agents
+    assert len(meta["betas"]) == 2           # TINY_HYPER's n_denoise
+    assert agent.policy.schedule.betas.tolist() == meta["betas"]
+    for name, net in (("actor", agent.policy.denoiser),
+                      ("q1", agent.critics.q1), ("q2", agent.critics.q2)):
+        assert net.widths == nets[name].widths
 
     export_out = str(tmp_path / "export")
     events = os.path.join(train_out, "seed0", "events.jsonl")

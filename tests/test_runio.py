@@ -6,7 +6,7 @@ import pytest
 
 from saginsim import runio
 from saginsim.baselines import run_baseline
-from saginsim.environment import SaginEnv, episode_totals
+from saginsim.environment import SaginEnv, episode_totals, objectives
 from saginsim.scenario import Scenario
 
 
@@ -58,10 +58,10 @@ def test_episode_metrics_fields_and_consistency():
     row = runio.episode_metrics(env, 3, total)
     assert row["episode"] == 3
     assert row["reward"] == pytest.approx(total)
-    f1, f2, f3 = env.objectives()
+    f1, f2, f3 = objectives(env.records)
     assert row["f2"] == pytest.approx(f2)
     assert row["f3"] == pytest.approx(f3)
-    assert set(runio.METRIC_FIELDS) <= set(row)
+    assert list(row)[:5] == ["episode", "reward", "f1", "f2", "f3"]
     for key, total in energy_sums(env.records).items():
         assert row[key] == pytest.approx(total)
 
@@ -69,14 +69,16 @@ def test_episode_metrics_fields_and_consistency():
 def test_metrics_csv_round_trip(tmp_path):
     env, total = finished_env()
     rows = [runio.episode_metrics(env, 0, total)]
-    rows[0]["critic_loss"] = 1.25    # extra fields land after the fixed ones
+    rows[0]["critic_loss"] = 1.25
+    # columns are the rows' keys in first-seen order; a missing value is empty
+    rows.append(dict(rows[0], actor_loss=0.5))
     path = tmp_path / "metrics.csv"
     runio.write_metrics_csv(path, rows)
-    header = path.read_text().splitlines()[0].split(",")
-    assert header[:len(runio.METRIC_FIELDS)] == runio.METRIC_FIELDS
-    assert header[-1] == "critic_loss"
+    lines = path.read_text().splitlines()
+    assert lines[0].split(",") == list(rows[1])
+    assert lines[1].endswith(",1.25,")
     back = runio.read_metrics_csv(path)
-    assert len(back) == 1
+    assert len(back) == 2
     for key, val in rows[0].items():
         got = back[0][key]
         if isinstance(val, float) and math.isnan(val):
@@ -166,12 +168,14 @@ def test_manifest_written_sorted(tmp_path):
 
 def test_run_baseline_random_and_greedy():
     sc = toy_scenario()
-    logged = []
-    rows = run_baseline(sc, "random", seed=3, episodes=2, log_records=logged)
+    seen = []
+    rows = run_baseline(sc, "random", seed=3, episodes=2,
+                        on_episode=lambda row, recs: seen.append((row, recs)))
     assert len(rows) == 2
     assert [r["episode"] for r in rows] == [0, 1]
     assert all(math.isfinite(r["reward"]) for r in rows)
-    assert [ep for ep, _ in logged] == [0, 1]
+    assert [row for row, _ in seen] == rows
+    assert all(len(recs) == sc.horizon for _, recs in seen)
     rows_g = run_baseline(sc, "greedy", seed=3, episodes=1)
     assert len(rows_g) == 1
     with pytest.raises(ValueError):

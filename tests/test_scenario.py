@@ -75,6 +75,7 @@ def test_unknown_section_key_rejected():
     ("area_bounds", dict(area_bounds=(10.0, -10.0, -10.0, 10.0))),
     ("initial_aav_positions", dict(n_aavs=1, initial_aav_positions=((0.0, 0.0),
                                                                     (5.0, 5.0)))),
+    ("seed", dict(seed=-1)),
 ])
 def test_validation_names_field(field, kwargs):
     with pytest.raises(ConfigInvalid) as err:

@@ -202,7 +202,6 @@ def test_dc_conservation_with_busy_radio():
                         out.collected[0] - out.delivered[0], rel_tol=1e-9)
     assert out.delivered[0] <= out.collected[0] + 1e-9
     assert out.collected_from_gds[0] == pytest.approx(out.collected[0])
-    assert out.satellite_received() == pytest.approx(out.delivered.sum())
 
 
 def test_no_collection_when_radio_saturated():

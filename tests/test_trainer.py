@@ -203,17 +203,19 @@ def make_actor_setup(seed=9):
     sched = VarianceSchedule.linear(3)
     policy = DiffusionPolicy(S_DIM, A_DIM, (8,), sched, rng)
     critics = TwinCritics(S_DIM, A_DIM, (8,), rng)
-    diff_batch = [(rng.standard_normal(S_DIM), rng.uniform(-1, 1, A_DIM))
-                  for _ in range(6)]
-    return policy, critics, diff_batch
+    pairs = [(rng.standard_normal(S_DIM), rng.uniform(-1, 1, A_DIM))
+             for _ in range(6)]
+    states = np.stack([s for s, _ in pairs])
+    acts = np.stack([a for _, a in pairs])
+    return policy, critics, states, acts
 
 
 def test_actor_update_runs_and_moves_params():
-    policy, critics, diff_batch = make_actor_setup()
+    policy, critics, states, acts = make_actor_setup()
     hyper = tiny_hyper()
     opt = Adam(policy.params, 1e-3)
     before = [p.value.copy() for p in policy.params]
-    loss = actor_update(policy, critics, diff_batch, hyper,
+    loss = actor_update(policy, critics, states, acts, hyper,
                         np.random.default_rng(10), opt)
     assert math.isfinite(loss)
     assert any(not np.array_equal(b, p.value)
@@ -224,7 +226,7 @@ def test_actor_update_all_negative_advantage_max_variant():
     """A flat critic makes Q == V, so the advantage weights are exactly
     zero; the max-variant entropy weight inherits the zero and the whole
     update is a no-op."""
-    policy, _, diff_batch = make_actor_setup(seed=11)
+    policy, _, states, acts = make_actor_setup(seed=11)
 
     class FlatCritics:
         def min_q(self, states, actions):
@@ -233,7 +235,7 @@ def test_actor_update_all_negative_advantage_max_variant():
     hyper = tiny_hyper(ent_variant="max")
     opt = Adam(policy.params, 1e-3)
     before = [p.value.copy() for p in policy.params]
-    loss = actor_update(policy, FlatCritics(), diff_batch, hyper,
+    loss = actor_update(policy, FlatCritics(), states, acts, hyper,
                         np.random.default_rng(12), opt)
     assert loss == 0.0
     for b, p in zip(before, policy.params):
@@ -241,7 +243,7 @@ def test_actor_update_all_negative_advantage_max_variant():
 
 
 def test_actor_update_mean_variant_flat_critic_is_noop():
-    policy, _, diff_batch = make_actor_setup(seed=13)
+    policy, _, states, acts = make_actor_setup(seed=13)
 
     class FlatCritics:
         def min_q(self, states, actions):
@@ -250,7 +252,7 @@ def test_actor_update_mean_variant_flat_critic_is_noop():
     hyper = tiny_hyper(ent_variant="mean")
     opt = Adam(policy.params, 1e-3)
     before = [p.value.copy() for p in policy.params]
-    loss = actor_update(policy, FlatCritics(), diff_batch, hyper,
+    loss = actor_update(policy, FlatCritics(), states, acts, hyper,
                         np.random.default_rng(14), opt)
     assert loss == 0.0
     for b, p in zip(before, policy.params):
@@ -265,7 +267,6 @@ def test_trainer_smoke_episode():
     assert math.isfinite(reward)
     assert trainer.total_steps == sc.horizon
     assert len(trainer.replay) == sc.horizon
-    assert len(trainer.diff_buffer) == sc.horizon
     # batch_size 4 <= 5 steps, so updates ran and losses are numbers
     assert math.isfinite(closs)
     assert trainer.critic_updates > 0
@@ -317,9 +318,9 @@ def test_trainer_checkpoint_round_trip(tmp_path):
     assert meta["note"] == "test"
     np.testing.assert_allclose(meta["betas"],
                                trainer.policy.schedule.betas)
-    assert meta["arch"]["actor_widths"] == list(trainer.hyper.actor_widths)
-    assert meta["arch"]["critic_widths"] == list(trainer.hyper.critic_widths)
-    assert meta["arch"]["n_denoise"] == trainer.hyper.n_denoise
+    # the header's widths are the architecture eval rebuilds from
+    assert nets["actor"].widths[1:-1] == list(trainer.hyper.actor_widths)
+    assert nets["q1"].widths[1:-1] == list(trainer.hyper.critic_widths)
     for name, net in nets.items():
         assert net.num_params() > 0
     x = np.zeros((1, env.state_dim + env.action_dim))
@@ -358,13 +359,12 @@ def test_train_on_episode_callback_and_records(tmp_path):
     sc = toy_scenario()
     hyper = tiny_hyper(episodes=2, checkpoint_every=1)
     seen = []
-    logged = []
-    rows, _ = train(sc, hyper, seed=9, on_episode=seen.append,
-                    ckpt_dir=str(tmp_path), log_records=logged,
-                    progress=False)
-    assert len(seen) == 2 and seen == rows
-    assert [ep for ep, _ in logged] == [0, 1]
-    assert all(len(recs) == sc.horizon for _, recs in logged)
+    rows, _ = train(sc, hyper, seed=9,
+                    on_episode=lambda row, recs: seen.append((row, recs)),
+                    ckpt_dir=str(tmp_path), progress=False)
+    assert [row for row, _ in seen] == rows
+    assert [row["episode"] for row in rows] == [0, 1]
+    assert all(len(recs) == sc.horizon for _, recs in seen)
     assert (tmp_path / "ep00001.npz").exists()
     assert (tmp_path / "ep00002.npz").exists()
     assert (tmp_path / "final.npz").exists()
