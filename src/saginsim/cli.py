@@ -12,7 +12,9 @@ outputs, so a run can be reproduced from the output directory alone.
 Overrides use dotted config keys (e.g. --override workload.task_rate=0.2);
 keys under hyper. steer the trainer (e.g. --override hyper.batch_size=64).
 A key that a flag sets (seed, hyper.episodes, and reward.mode with --mode)
-cannot also be overridden.
+cannot also be overridden, nor can eval's network and schedule keys, which
+its --checkpoint sets, or a sweep's swept key (max_served for --kind
+capacity, hyper.n_denoise for --kind denoise).
 """
 
 import argparse
@@ -31,6 +33,9 @@ from .trainer import Hyper, QagobTrainer, train
 
 DENOISE_GRID = (1, 5, 10, 15, 25)
 CAPACITY_GRID = (2, 3, 4, 5, 6)
+# the hyper keys that eval rebuilds from its checkpoint
+CHECKPOINT_KEYS = ("hyper.actor_widths", "hyper.critic_widths",
+                   "hyper.n_denoise", "hyper.beta_start", "hyper.beta_end")
 
 
 def _parse_overrides(pairs):
@@ -75,14 +80,19 @@ def _build_hyper(hyper_ov, episodes=None):
     return Hyper(**kwargs)
 
 
+def _reject_shadowed(overrides, shadowed):
+    """shadowed: {config key: the flag that sets it}."""
+    for key, flag in shadowed.items():
+        if key in overrides:
+            raise SaginError("--override %s: %s sets it" % (key, flag))
+
+
 def _load(args, seed):
     overrides = _parse_overrides(args.override)
     shadowed = {"seed": "--seed", "hyper.episodes": "--episodes"}
     if args.mode:
         shadowed["reward.mode"] = "--mode"
-    for key, flag in shadowed.items():
-        if key in overrides:
-            raise SaginError("--override %s: %s sets it" % (key, flag))
+    _reject_shadowed(overrides, shadowed)
     scenario_ov, hyper_ov = _split_hyper(overrides)
     if args.mode:
         scenario_ov["reward.mode"] = '"%s"' % args.mode
@@ -101,20 +111,6 @@ def _manifest(args, command, seeds, scenario, overrides, out):
         "overrides": overrides,
         "out": os.path.abspath(out),
     }
-
-
-def _write_run_outputs(seed_dir, finished):
-    """finished: a non-empty list of (report row, slot records) pairs."""
-    runio.write_metrics_csv(os.path.join(seed_dir, "metrics.csv"),
-                            [row for row, _ in finished])
-    runio.write_events_jsonl(
-        os.path.join(seed_dir, "events.jsonl"), {"episodes": len(finished)},
-        [(row["episode"], records) for row, records in finished])
-    runio.export_trajectories(finished[-1][1],
-                              os.path.join(seed_dir, "trajectories.csv"))
-    runio.export_energy_breakdown(
-        [rec for _, records in finished for rec in records],
-        os.path.join(seed_dir, "energy.csv"))
 
 
 def _seed_list(arg):
@@ -139,9 +135,9 @@ def _run_seeds(args, command, run, out=None):
     run(scenario, hyper, seed, seed_dir, on_episode) calls
     on_episode(row, records) with the report row and slot records of each
     episode as it finishes.  The first seed writes manifest.json and
-    config.resolved.toml; every seed writes the episodes that finished,
-    also when run raises.  out names a subdirectory of args.out to write
-    into.
+    config.resolved.toml; every seed streams its episodes through a
+    runio.RunWriter, so the episodes that finished are kept also when run
+    raises.  out names a subdirectory of args.out to write into.
     """
     out = os.path.join(args.out, out) if out else args.out
     seeds = _seed_list(args.seed)
@@ -157,16 +153,12 @@ def _run_seeds(args, command, run, out=None):
             with open(os.path.join(out, "config.resolved.toml"), "w",
                       encoding="utf-8") as fh:
                 fh.write(scenario_to_text(scenario))
-        finished = []
-        try:
-            run(scenario, hyper, seed, seed_dir,
-                lambda row, records: finished.append((row, records)))
-        except Exception:
-            traceback.print_exc()
-            failures += 1
-        finally:
-            if finished:
-                _write_run_outputs(seed_dir, finished)
+        with runio.RunWriter(seed_dir, args.episodes) as writer:
+            try:
+                run(scenario, hyper, seed, seed_dir, writer.on_episode)
+            except Exception:
+                traceback.print_exc()
+                failures += 1
     return failures
 
 
@@ -179,6 +171,9 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    _reject_shadowed(_parse_overrides(args.override),
+                     dict.fromkeys(CHECKPOINT_KEYS, "--checkpoint"))
+
     def run(scenario, hyper, seed, seed_dir, on_episode):
         env = SaginEnv(scenario, seed)
         nets, meta = load_checkpoint(args.checkpoint)
@@ -209,10 +204,12 @@ def cmd_baseline(args):
 
 
 def cmd_export(args):
-    _, records = runio.read_events_jsonl(args.events)
-    out = runio.ensure_dir(args.out)
-    runio.export_trajectories(records, os.path.join(out, "trajectories.csv"))
-    runio.export_energy_breakdown(records, os.path.join(out, "energy.csv"))
+    events = runio.iter_events_jsonl(args.events)
+    next(events)  # the meta header
+    tail = runio.RunTail()
+    for rec in events:
+        tail.add(rec.get("episode", 0), rec)
+    tail.write(runio.ensure_dir(args.out))
     return 0
 
 
@@ -221,6 +218,8 @@ def cmd_sweep(args):
         grid, key = DENOISE_GRID, "hyper.n_denoise"
     else:
         grid, key = CAPACITY_GRID, "max_served"
+    _reject_shadowed(_parse_overrides(args.override),
+                     {key: "--kind %s" % args.kind})
     seeds = _seed_list(args.seed)
     scenario, overrides, _ = _load(args, seeds[0])
     runio.ensure_dir(args.out)

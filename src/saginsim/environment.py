@@ -30,54 +30,75 @@ def state_dim(scenario):
     return 2 * scenario.n_aavs + 4 * scenario.n_gds + 1
 
 
-def episode_totals(records):
-    """Every episode figure of the report, summed from the slot records.
+class Totals:
+    """Running sums of slot records, in the order they are added.
 
-    Each quantity is summed within a slot, then across slots in record
-    order, so the report, energy.csv and a recount from events.jsonl agree
-    to the last bit.  f1: mean task delay over generated tasks, seconds
-    (served tasks contribute their delay; expired and still-pending tasks
-    only enlarge the denominator).  f2: bits delivered to the satellite.
-    f3: joules drawn from AAV batteries.  mec_rate and dc_rate are the
-    completed shares of generated tasks and bits, offload_ratio the
-    offloaded share of served tasks, all percent and NaN when nothing was
-    generated or served.  gd_tx, aav_move, aav_compute, sat_tx and
-    sat_compute are joules by source.
+    add(rec) sums one slot's figures, then adds them to the running sums,
+    so the sums of a run depend only on the sequence of its records: an
+    episode's report, energy.csv and a recount from events.jsonl agree to
+    the last bit.  report() gives the figures of every slot added so far.
     """
-    generated = completed = served = offloaded = 0
-    delay_sum = delivered = dc_generated = joules = 0.0
-    gd_tx = aav_move = aav_compute = sat_tx = sat_compute = 0.0
-    for rec in records:
-        generated += rec["generated"]
+
+    def __init__(self):
+        self.generated = self.completed = self.served = self.offloaded = 0
+        self.delay_sum = self.delivered = self.dc_generated = 0.0
+        self.joules = self.gd_tx = self.aav_move = self.aav_compute = 0.0
+        self.sat_tx = self.sat_compute = 0.0
+
+    def add(self, rec):
+        self.generated += rec["generated"]
         for task in rec["tasks"]:
-            delay_sum += task["delay"]
-            completed += bool(task["success"])
-            offloaded += bool(task["offloaded"])
-        served += len(rec["tasks"])
-        delivered += sum(rec["dc"]["delivered"])
-        dc_generated += rec["dc"]["generated"]
+            self.delay_sum += task["delay"]
+            self.completed += bool(task["success"])
+            self.offloaded += bool(task["offloaded"])
+        self.served += len(rec["tasks"])
+        self.delivered += sum(rec["dc"]["delivered"])
+        self.dc_generated += rec["dc"]["generated"]
         e = rec["energy"]
         move, compute = sum(e["aav_move"]), sum(e["aav_compute"])
-        joules += move + compute
-        gd_tx += e["gd_tx"]
-        aav_move += move
-        aav_compute += compute
-        sat_tx += e["sat_tx"]
-        sat_compute += e["sat_compute"]
-    nan = float("nan")
-    return {
-        "f1": delay_sum / generated if generated else nan,
-        "f2": delivered,
-        "f3": joules,
-        "mec_rate": 100.0 * completed / generated if generated else nan,
-        "dc_rate": 100.0 * delivered / dc_generated if dc_generated else nan,
-        "offload_ratio": 100.0 * offloaded / served if served else nan,
-        "gd_tx": gd_tx,
-        "aav_move": aav_move,
-        "aav_compute": aav_compute,
-        "sat_tx": sat_tx,
-        "sat_compute": sat_compute,
-    }
+        self.joules += move + compute
+        self.gd_tx += e["gd_tx"]
+        self.aav_move += move
+        self.aav_compute += compute
+        self.sat_tx += e["sat_tx"]
+        self.sat_compute += e["sat_compute"]
+
+    def report(self):
+        """f1: mean task delay over generated tasks, seconds (served tasks
+        contribute their delay; expired and still-pending tasks only
+        enlarge the denominator).  f2: bits delivered to the satellite.
+        f3: joules drawn from AAV batteries.  mec_rate and dc_rate are the
+        completed shares of generated tasks and bits, offload_ratio the
+        offloaded share of served tasks, all percent and NaN when nothing
+        was generated or served.  gd_tx, aav_move, aav_compute, sat_tx and
+        sat_compute are joules by source.
+        """
+        nan = float("nan")
+        generated, served = self.generated, self.served
+        return {
+            "f1": self.delay_sum / generated if generated else nan,
+            "f2": self.delivered,
+            "f3": self.joules,
+            "mec_rate": 100.0 * self.completed / generated
+            if generated else nan,
+            "dc_rate": 100.0 * self.delivered / self.dc_generated
+            if self.dc_generated else nan,
+            "offload_ratio": 100.0 * self.offloaded / served
+            if served else nan,
+            "gd_tx": self.gd_tx,
+            "aav_move": self.aav_move,
+            "aav_compute": self.aav_compute,
+            "sat_tx": self.sat_tx,
+            "sat_compute": self.sat_compute,
+        }
+
+
+def episode_totals(records):
+    """Every episode figure of the report; see Totals.report."""
+    totals = Totals()
+    for rec in records:
+        totals.add(rec)
+    return totals.report()
 
 
 def objectives(records):

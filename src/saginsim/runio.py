@@ -1,15 +1,15 @@
 """Run artifacts: metrics CSV, event logs, and plot-ready exports.
 
-Events are written as JSON Lines with a meta header line (schema, seed,
-scenario text hash inputs) followed by one record per slot.  All floats
-are serialized via repr/json so identical runs produce identical bytes.
+Events are written as JSON Lines with a meta header line (schema and the
+requested episode count) followed by one record per slot.  All floats are
+serialized via repr/json so identical runs produce identical bytes.
 """
 
 import csv
 import json
 import os
 
-from .environment import episode_totals
+from .environment import Totals, episode_totals
 
 EVENTS_SCHEMA = 1
 
@@ -21,6 +21,12 @@ def episode_metrics(env, episode, reward):
     return row
 
 
+def _csv_values(row, fields):
+    """The row's values in field order: floats by repr, missing ones empty."""
+    return [repr(value) if isinstance(value, float) else str(value)
+            for value in (row.get(key, "") for key in fields)]
+
+
 def write_metrics_csv(path, rows):
     """One column per key of the rows, in first-seen order."""
     fields = list(dict.fromkeys(key for row in rows for key in row))
@@ -28,14 +34,7 @@ def write_metrics_csv(path, rows):
         writer = csv.writer(fh)
         writer.writerow(fields)
         for row in rows:
-            out = []
-            for key in fields:
-                value = row.get(key, "")
-                if isinstance(value, float):
-                    out.append(repr(value))
-                else:
-                    out.append(str(value))
-            writer.writerow(out)
+            writer.writerow(_csv_values(row, fields))
 
 
 def read_metrics_csv(path):
@@ -60,28 +59,46 @@ def _dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_events_jsonl(path, meta, episode_records):
-    """episode_records: iterable of (episode, [slot records])."""
+def _write_episode(fh, episode, records):
+    for rec in records:
+        out = dict(rec)
+        out["episode"] = int(episode)
+        fh.write(_dumps(out) + "\n")
+
+
+def _events_header(meta):
     header = {"schema": EVENTS_SCHEMA}
     header.update(meta)
+    return _dumps(header) + "\n"
+
+
+def write_events_jsonl(path, meta, episode_records):
+    """episode_records: iterable of (episode, [slot records])."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(header) + "\n")
+        fh.write(_events_header(meta))
         for episode, records in episode_records:
-            for rec in records:
-                out = dict(rec)
-                out["episode"] = int(episode)
-                fh.write(_dumps(out) + "\n")
+            _write_episode(fh, episode, records)
+
+
+def iter_events_jsonl(path):
+    """Yield an event log's meta header, then its slot records one by one."""
+    with open(path, encoding="utf-8") as fh:
+        lines = (json.loads(line) for line in fh if line.strip())
+        meta = next(lines, None)
+        if meta is None:
+            raise ValueError("empty event log %s" % path)
+        if meta.get("schema") != EVENTS_SCHEMA:
+            raise ValueError("unsupported event schema %r"
+                             % meta.get("schema"))
+        yield meta
+        yield from lines
 
 
 def read_events_jsonl(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines:
-        raise ValueError("empty event log %s" % path)
-    meta, records = lines[0], lines[1:]
-    if meta.get("schema") != EVENTS_SCHEMA:
-        raise ValueError("unsupported event schema %r" % meta.get("schema"))
-    return meta, records
+    """(meta header, list of every slot record) of an event log."""
+    events = iter_events_jsonl(path)
+    meta = next(events)
+    return meta, list(events)
 
 
 def export_trajectories(records, out_path):
@@ -102,15 +119,94 @@ def export_trajectories(records, out_path):
                                  int(rec["slot"] == slots[-1])])
 
 
-def export_energy_breakdown(records, out_path):
-    """Cumulative energy by source plus the satellite offload ratio."""
-    totals = episode_totals(records)
+def export_energy_breakdown(totals, out_path):
+    """Energy by source plus the satellite offload ratio, from the figures
+    of environment.Totals.report."""
     fields = ["gd_tx", "aav_move", "aav_compute", "sat_tx", "sat_compute",
               "offload_ratio"]
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
         writer.writerow([repr(totals[k]) for k in fields])
+
+
+class RunTail:
+    """What energy.csv and trajectories.csv need of a run's slot records:
+    running totals over all of them, and the slot and AAV positions of
+    the last episode's."""
+
+    def __init__(self):
+        self.totals = Totals()
+        self.episode = None
+        self.track = []
+
+    def add(self, episode, rec):
+        if episode != self.episode:
+            self.episode, self.track = episode, []
+        self.totals.add(rec)
+        self.track.append({"slot": rec["slot"], "aav_pos": rec["aav_pos"]})
+
+    def write(self, out_dir):
+        export_trajectories(self.track,
+                            os.path.join(out_dir, "trajectories.csv"))
+        export_energy_breakdown(self.totals.report(),
+                                os.path.join(out_dir, "energy.csv"))
+
+
+class RunWriter:
+    """One seed directory's outputs, written as the episodes finish.
+
+    Use it as a context manager around a run, with on_episode as the run's
+    episode callback.  Nothing is opened before the first episode.  Each
+    episode appends its metrics.csv row and its events.jsonl lines and
+    flushes both, so they survive a crash, and its records are dropped
+    once folded into the RunTail.  energy.csv and trajectories.csv are
+    written on exit, also when the run raised, if any episode finished.
+    The events.jsonl header records the requested episode count; the lines
+    show how many episodes finished.
+    """
+
+    def __init__(self, seed_dir, episodes):
+        self.seed_dir = seed_dir
+        self.episodes = int(episodes)
+        self.tail = RunTail()
+        self.fields = None
+        self._metrics = self._events = self._csv = None
+
+    def __enter__(self):
+        return self
+
+    def _open(self, fields):
+        self._metrics = open(os.path.join(self.seed_dir, "metrics.csv"), "w",
+                             newline="", encoding="utf-8")
+        self._csv = csv.writer(self._metrics)
+        self._csv.writerow(fields)
+        self._events = open(os.path.join(self.seed_dir, "events.jsonl"), "w",
+                            encoding="utf-8")
+        self._events.write(_events_header({"episodes": self.episodes}))
+        self.fields = fields
+
+    def on_episode(self, row, records):
+        if self.fields is None:
+            self._open(list(row))
+        extra = [key for key in row if key not in self.fields]
+        if extra:
+            raise ValueError("metrics row has keys %s that the header %s "
+                             "lacks" % (extra, self.fields))
+        self._csv.writerow(_csv_values(row, self.fields))
+        self._metrics.flush()
+        _write_episode(self._events, row["episode"], records)
+        self._events.flush()
+        for rec in records:
+            self.tail.add(row["episode"], rec)
+
+    def __exit__(self, *exc):
+        for fh in (self._metrics, self._events):
+            if fh is not None:
+                fh.close()
+        if self.tail.track:
+            self.tail.write(self.seed_dir)
+        return False
 
 
 def write_manifest(path, manifest):

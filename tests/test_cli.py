@@ -1,13 +1,16 @@
 import csv
+import gc
 import json
 import math
 import os
 import pathlib
+import weakref
 
+import numpy as np
 import pytest
 
 from saginsim import baselines, cli, runio
-from saginsim.environment import episode_totals, rollout
+from saginsim.environment import SaginEnv, episode_totals, rollout
 from saginsim.nets.mlp import load_checkpoint
 from saginsim.scenario import parse_config_text
 
@@ -38,6 +41,13 @@ TINY_HYPER = [
 ]
 
 
+def tiny_hyper_without(key):
+    """TINY_HYPER less the override of key."""
+    pairs = zip(TINY_HYPER[::2], TINY_HYPER[1::2])
+    return [arg for flag, pair in pairs if not pair.startswith(key + "=")
+            for arg in (flag, pair)]
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "tiny.toml"
@@ -66,6 +76,18 @@ def check_run_outputs(out_dir, seeds, episodes):
         assert len(records) == episodes * 6  # horizon is 6 in the tiny config
         assert os.path.exists(os.path.join(seed_dir, "trajectories.csv"))
         assert os.path.exists(os.path.join(seed_dir, "energy.csv"))
+
+
+def assert_requested_episodes(out_dir, episodes):
+    """The events.jsonl header records the requested episode count."""
+    meta, _ = runio.read_events_jsonl(
+        os.path.join(out_dir, "seed0", "events.jsonl"))
+    assert meta["episodes"] == episodes
+
+
+def csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_baseline_command(tmp_path, config_path):
@@ -134,14 +156,8 @@ def test_metrics_are_a_function_of_the_event_log(tmp_path):
                     "--quiet"])
     assert code == 0
     seed_dir = os.path.join(out, "seed1")
-
-    def csv_rows(name):
-        with open(os.path.join(seed_dir, name), newline="",
-                  encoding="utf-8") as fh:
-            return list(csv.DictReader(fh))
-
-    [metrics] = csv_rows("metrics.csv")
-    [energy] = csv_rows("energy.csv")
+    [metrics] = csv_rows(os.path.join(seed_dir, "metrics.csv"))
+    [energy] = csv_rows(os.path.join(seed_dir, "energy.csv"))
     for key in ("gd_tx", "aav_move", "aav_compute", "sat_tx", "sat_compute"):
         assert energy[key] == metrics[key], key
     _, records = runio.read_events_jsonl(os.path.join(seed_dir,
@@ -271,8 +287,7 @@ def test_missing_checkpoint_returns_failure(tmp_path, config_path):
     out = str(tmp_path / "evalbad")
     code = run_cli(["eval", "--config", config_path, "--seed", "0",
                     "--episodes", "1", "--checkpoint",
-                    str(tmp_path / "nope.npz"), "--out", out, "--quiet"]
-                   + TINY_HYPER)
+                    str(tmp_path / "nope.npz"), "--out", out, "--quiet"])
     assert code == 1
 
 
@@ -281,7 +296,7 @@ def test_sweep_writes_summary(tmp_path, config_path, monkeypatch):
     out = str(tmp_path / "sweep")
     code = run_cli(["sweep", "--kind", "denoise", "--config", config_path,
                     "--seed", "0", "--episodes", "1", "--out", out, "--quiet"]
-                   + TINY_HYPER)
+                   + tiny_hyper_without("hyper.n_denoise"))
     assert code == 0
     summary = runio.read_metrics_csv(os.path.join(out, "summary.csv"))
     assert len(summary) == 1
@@ -334,6 +349,7 @@ def test_failed_eval_keeps_finished_episodes(tmp_path, config_path,
                     "--quiet"])
     assert code == 1
     check_run_outputs(out, [0], 1)
+    assert_requested_episodes(out, 3)
 
 
 def test_failed_baseline_keeps_finished_episodes(tmp_path, config_path,
@@ -353,3 +369,114 @@ def test_failed_baseline_keeps_finished_episodes(tmp_path, config_path,
                     "--quiet"])
     assert code == 1
     check_run_outputs(out, [0], 1)
+    assert_requested_episodes(out, 3)
+
+
+def train_tiny_checkpoint(tmp_path, config_path):
+    out = str(tmp_path / "train")
+    assert run_cli(["train", "--config", config_path, "--seed", "0",
+                    "--episodes", "1", "--out", out, "--quiet"]
+                   + TINY_HYPER) == 0
+    return os.path.join(out, "seed0", "checkpoints", "final.npz")
+
+
+@pytest.mark.parametrize("override", [
+    "hyper.actor_widths=4", "hyper.critic_widths=4,4", "hyper.n_denoise=25",
+    "hyper.beta_start=0.001", "hyper.beta_end=0.2"])
+def test_eval_rejects_overrides_its_checkpoint_fixes(
+        tmp_path, config_path, capsys, override):
+    ckpt = train_tiny_checkpoint(tmp_path, config_path)
+    out = str(tmp_path / "eval")
+    code = run_cli(["eval", "--config", config_path, "--seed", "0",
+                    "--episodes", "1", "--checkpoint", ckpt, "--out", out,
+                    "--quiet", "--override", override])
+    assert code == 2
+    assert override.partition("=")[0] in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("kind,override", [
+    ("capacity", "max_served=3"), ("denoise", "hyper.n_denoise=3")])
+def test_sweep_rejects_override_of_its_swept_key(
+        tmp_path, config_path, capsys, kind, override):
+    out = str(tmp_path / "sweep")
+    code = run_cli(["sweep", "--kind", kind, "--config", config_path,
+                    "--seed", "0", "--episodes", "1", "--out", out, "--quiet",
+                    "--override", override]
+                   + tiny_hyper_without("hyper.n_denoise"))
+    assert code == 2
+    assert override.partition("=")[0] in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_export_streams_the_log_of_a_run(tmp_path, monkeypatch):
+    out = str(tmp_path / "base")
+    assert run_cli(["baseline", "--algo", "random",
+                    "--config", str(CONFIGS / "toy.toml"), "--seed", "2",
+                    "--episodes", "3", "--out", out, "--quiet"]) == 0
+    seed_dir = os.path.join(out, "seed2")
+
+    def read_all(path):
+        raise AssertionError("export read the whole log")
+
+    monkeypatch.setattr(runio, "read_events_jsonl", read_all)
+    export_out = str(tmp_path / "export")
+    assert run_cli(["export", "--events",
+                    os.path.join(seed_dir, "events.jsonl"),
+                    "--out", export_out]) == 0
+    for name in ("trajectories.csv", "energy.csv"):
+        original = open(os.path.join(seed_dir, name), "rb").read()
+        regenerated = open(os.path.join(export_out, name), "rb").read()
+        assert regenerated == original, name
+
+
+def test_run_outputs_are_folds_of_the_event_log(tmp_path):
+    out = str(tmp_path / "base")
+    assert run_cli(["baseline", "--algo", "random",
+                    "--config", str(CONFIGS / "toy.toml"), "--seed", "1",
+                    "--episodes", "3", "--out", out, "--quiet"]) == 0
+    seed_dir = os.path.join(out, "seed1")
+    _, records = runio.read_events_jsonl(os.path.join(seed_dir,
+                                                      "events.jsonl"))
+    [energy] = csv_rows(os.path.join(seed_dir, "energy.csv"))
+    totals = episode_totals(records)
+    for key, value in energy.items():
+        assert value == repr(totals[key]), key
+    metrics = csv_rows(os.path.join(seed_dir, "metrics.csv"))
+    assert [row["episode"] for row in metrics] == ["0", "1", "2"]
+    for row in metrics:
+        episode = int(row["episode"])
+        ep_totals = episode_totals(
+            [rec for rec in records if rec["episode"] == episode])
+        for key, value in ep_totals.items():
+            assert row[key] == repr(value), (episode, key)
+
+
+class Records(list):
+    """Slot records that can be weakly referenced."""
+
+
+def test_finished_episodes_are_released(tmp_path, config_path):
+    args = cli.build_parser().parse_args(
+        ["baseline", "--algo", "random", "--config", config_path, "--seed",
+         "0", "--episodes", "3", "--out", str(tmp_path / "base"), "--quiet"])
+    refs, alive = [], []
+
+    def run(scenario, hyper, seed, seed_dir, on_episode):
+        env = SaginEnv(scenario, seed)
+        rng = np.random.default_rng(seed)
+        for episode in range(args.episodes):
+            reward = rollout(env,
+                             lambda _s: rng.uniform(-1, 1, env.action_dim))
+            records = Records(env.records)
+            refs.append(weakref.ref(records))
+            on_episode(runio.episode_metrics(env, episode, reward), records)
+        gc.collect()
+        alive.extend(ref() is not None for ref in refs)
+
+    assert cli._run_seeds(args, "baseline", run) == 0
+    # while the seed runs, only the latest episode's records may be held
+    assert alive[:-1] == [False, False]
+    gc.collect()
+    assert [ref() is not None for ref in refs[:-1]] == [False, False]
+    check_run_outputs(str(tmp_path / "base"), [0], 3)

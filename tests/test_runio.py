@@ -150,7 +150,7 @@ def test_export_energy_breakdown_totals(tmp_path):
     env, _ = finished_env()
     flat = [dict(rec, episode=0) for rec in env.records]
     path = tmp_path / "energy.csv"
-    runio.export_energy_breakdown(flat, path)
+    runio.export_energy_breakdown(episode_totals(flat), path)
     lines = path.read_text().splitlines()
     fields = lines[0].split(",")
     values = dict(zip(fields, (float(x) for x in lines[1].split(","))))
