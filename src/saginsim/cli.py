@@ -26,7 +26,7 @@ import traceback
 from . import runio
 from .baselines import run_baseline
 from .environment import SaginEnv, rollout
-from .errors import SaginError
+from .errors import EventLogInvalid, SaginError
 from .nets.mlp import load_checkpoint
 from .scenario import load_scenario, scenario_to_text
 from .trainer import Hyper, QagobTrainer, train
@@ -209,11 +209,16 @@ def cmd_export(args):
     tail = runio.RunTail()
     for rec in events:
         tail.add(rec.get("episode", 0), rec)
+    if not tail.track:
+        raise EventLogInvalid(args.events, "no slot records to export")
     tail.write(runio.ensure_dir(args.out))
     return 0
 
 
 def cmd_sweep(args):
+    if args.episodes < 1:
+        raise SaginError("--episodes %d: a sweep needs at least one episode"
+                         % args.episodes)
     if args.kind == "denoise":
         grid, key = DENOISE_GRID, "hyper.n_denoise"
     else:

@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 
 from .errors import InvalidWeight, SamplerDiverged
-from .nets import autodiff as ad
+from .nets import autodiff
 from .nets.mlp import Mlp
 
 
@@ -95,9 +95,6 @@ class DiffusionPolicy:
     def predict_noise(self, noisy, states, steps):
         return self.denoiser.forward(self._inputs(noisy, states, steps))
 
-    def predict_noise_tape(self, noisy, states, steps):
-        return self.denoiser.forward_tape(self._inputs(noisy, states, steps))
-
     def sample_batch(self, states, rng, squash=True):
         """Reverse diffusion for a batch of states; (batch, action_dim).
 
@@ -107,10 +104,10 @@ class DiffusionPolicy:
         """
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         batch = len(states)
-        w = self.denoiser.params[0].value
+        w = self.denoiser.params[0]
         a, s = self.action_dim, self.state_dim
         w_x, w_n = w[:a], w[a + s]
-        state_proj = states @ w[a:a + s] + self.denoiser.params[1].value
+        state_proj = states @ w[a:a + s] + self.denoiser.params[1]
         x = rng.standard_normal((batch, a))
         for n in range(self.schedule.n_steps, 0, -1):
             pre = x @ w_x
@@ -140,7 +137,10 @@ def _check_weights(weights, batch):
 
 
 def weighted_denoise_loss(policy, states, actions, weights, rng):
-    """Mean over rows of weight * ||eps - eps_theta(x_n, s, n)||^2."""
+    """Mean over rows of weight * ||eps - eps_theta(x_n, s, n)||^2.
+
+    Returns (loss, gradients of the loss for the denoiser's params).
+    """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
     batch = len(states)
@@ -148,10 +148,14 @@ def weighted_denoise_loss(policy, states, actions, weights, rng):
     steps = rng.integers(1, policy.schedule.n_steps + 1, size=batch)
     noise = rng.standard_normal(actions.shape)
     noisy = forward_diffuse(actions, steps, noise, policy.schedule)
-    pred = policy.predict_noise_tape(noisy, states, steps)
-    resid = ad.sub(noise, pred)
-    per_row = ad.sum_(ad.square(resid), axis=1)
-    return ad.mean(ad.mul(weights, per_row))
+    pred, tape = policy.denoiser.forward_tape(
+        policy._inputs(noisy, states, steps))
+    resid = noise - pred
+    loss = (weights * (resid * resid).sum(axis=1)).mean()
+    # d(loss)/d(pred); its factor order sets the rounding of every run
+    d_pred = -((np.full(batch, 1.0 / batch) * weights)[:, None]
+               * 2.0 * resid)
+    return loss, autodiff.backward(policy.denoiser, tape, d_pred)
 
 
 def entropy_loss(policy, states, uniform_actions, ent_coeff, eq_stats, rng):
@@ -159,7 +163,7 @@ def entropy_loss(policy, states, uniform_actions, ent_coeff, eq_stats, rng):
 
     eq_stats: per-row advantage statistics of the paired states; the row
     weight is ent_coeff * stat so exploration pressure scales with how much
-    better than average the batch looks.
+    better than average the batch looks.  Returns (loss, gradients).
     """
     weights = ent_coeff * np.asarray(eq_stats, dtype=np.float64)
     return weighted_denoise_loss(policy, states, uniform_actions, weights, rng)

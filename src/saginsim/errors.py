@@ -20,6 +20,18 @@ class ConfigInvalid(SaginError):
         super().__init__("%s: %s" % (field, message))
 
 
+class EventLogInvalid(SaginError):
+    """Raised when an events.jsonl log cannot be read back: it is empty,
+    has a foreign schema or an undecodable line, or holds no slot records.
+
+    Carries the log path so callers can report it.
+    """
+
+    def __init__(self, path, message):
+        self.path = path
+        super().__init__("%s: %s" % (path, message))
+
+
 class DegenerateGeometry(SaginError):
     """Zero-distance or otherwise ill-posed link geometry."""
 

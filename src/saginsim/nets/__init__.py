@@ -1,1 +1,1 @@
-"""Numpy networks: reverse-mode autodiff, MLPs with npz checkpoints, Adam."""
+"""Numpy networks: MLPs with explicit backprop and npz checkpoints, Adam."""

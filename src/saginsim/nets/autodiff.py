@@ -1,180 +1,23 @@
-"""Reverse-mode automatic differentiation over numpy arrays.
+"""Explicit MLP backprop: the reverse pass of `Mlp.forward_tape`.
 
-A Var wraps a float64 ndarray and remembers how it was produced.  Calling
-backward() on a scalar Var walks the graph once in reverse topological
-order and accumulates d(root)/d(node) into node.grad.  Gradients are plain
-ndarrays; leaves created directly from data start with grad None.
-
-The op set is the minimum the trainer needs: +, -, * (broadcasting),
-matmul, relu, tanh, square, axis sums and the full mean.
+The trainer's losses are weighted squared errors on one network's output,
+so each computes d(loss)/d(output) in closed form and hands it here.
 """
 
-import numpy as np
 
+def backward(net, tape, d_out):
+    """Parameter gradients [dW1, db1, dW2, db2, ...] of a scalar loss.
 
-class Var:
-    __slots__ = ("value", "grad", "_parents", "_backward")
-
-    def __init__(self, value, parents=(), backward_fn=None):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self._parents = parents
-        self._backward = backward_fn
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):
-        return "Var(shape=%s)" % (self.value.shape,)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _lift(x):
-    return x if isinstance(x, Var) else Var(x)
-
-
-def _accum(var, grad):
-    if var.grad is None:
-        var.grad = np.array(grad, dtype=np.float64)
-    else:
-        var.grad = var.grad + grad
-
-
-def _unbroadcast(grad, shape):
-    """Sum a broadcast gradient back down to the original shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
-
-
-def add(a, b):
-    a, b = _lift(a), _lift(b)
-
-    def back(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(g, b.value.shape))
-    return Var(a.value + b.value, (a, b), back)
-
-
-def sub(a, b):
-    a, b = _lift(a), _lift(b)
-
-    def back(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(-g, b.value.shape))
-    return Var(a.value - b.value, (a, b), back)
-
-
-def mul(a, b):
-    a, b = _lift(a), _lift(b)
-
-    def back(g):
-        _accum(a, _unbroadcast(g * b.value, a.value.shape))
-        _accum(b, _unbroadcast(g * a.value, b.value.shape))
-    return Var(a.value * b.value, (a, b), back)
-
-
-def matmul(a, b):
-    a, b = _lift(a), _lift(b)
-
-    def back(g):
-        _accum(a, g @ b.value.T)
-        _accum(b, a.value.T @ g)
-    return Var(a.value @ b.value, (a, b), back)
-
-
-def relu(a):
-    a = _lift(a)
-    mask = a.value > 0.0
-
-    def back(g):
-        _accum(a, g * mask)
-    return Var(a.value * mask, (a,), back)
-
-
-def tanh(a):
-    a = _lift(a)
-    out = np.tanh(a.value)
-
-    def back(g):
-        _accum(a, g * (1.0 - out * out))
-    return Var(out, (a,), back)
-
-
-def square(a):
-    a = _lift(a)
-
-    def back(g):
-        _accum(a, g * 2.0 * a.value)
-    return Var(a.value * a.value, (a,), back)
-
-
-def sum_(a, axis=None):
-    a = _lift(a)
-    out = a.value.sum(axis=axis)
-
-    def back(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.value.shape).copy())
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis),
-                                      a.value.shape).copy())
-    return Var(out, (a,), back)
-
-
-def mean(a):
-    a = _lift(a)
-    n = a.value.size
-
-    def back(g):
-        _accum(a, np.full(a.value.shape, float(g) / n))
-    return Var(a.value.mean(), (a,), back)
-
-
-def backward(root):
-    """Accumulate gradients of a scalar root into every reachable Var."""
-    if root.value.size != 1:
-        raise ValueError("backward() needs a scalar root")
-    topo = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    _accum(root, np.ones_like(root.value))
-    for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node.grad)
+    tape: what `net.forward_tape(x)` returned alongside its output;
+    d_out: d(loss)/d(output), shaped like the output.  The input x is a
+    constant, so its gradient is never formed.
+    """
+    grads = [None] * len(net.params)
+    g = d_out
+    for i in range(len(tape) - 1, -1, -1):
+        inp, mask = tape[i]
+        grads[2 * i] = inp.T @ g
+        grads[2 * i + 1] = g.sum(axis=0)
+        if mask is not None:
+            g = (g @ net.params[2 * i].T) * mask
+    return grads

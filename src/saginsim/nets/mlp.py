@@ -4,8 +4,6 @@ import json
 
 import numpy as np
 
-from . import autodiff as ad
-
 CHECKPOINT_FORMAT = 1
 
 
@@ -13,7 +11,8 @@ class Mlp:
     """ReLU hidden layers, linear output head, float64 parameters.
 
     widths: [input, hidden..., output].  A two-entry widths list is a
-    single linear layer.
+    single linear layer.  params is [W1, b1, W2, b2, ...]; every update
+    writes into these arrays, so a reference to one stays current.
     """
 
     def __init__(self, widths, rng=None):
@@ -27,17 +26,13 @@ class Mlp:
             else:
                 # He initialization for the ReLU stack
                 w = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
-            self.params.append(ad.Var(w))
-            self.params.append(ad.Var(np.zeros(fan_out)))
-
-    def _layers(self):
-        for i in range(0, len(self.params), 2):
-            yield self.params[i], self.params[i + 1]
+            self.params.append(w)
+            self.params.append(np.zeros(fan_out))
 
     def forward(self, x):
-        """Fast numpy pass, no gradient graph.  x: (batch, in) or (in,)."""
-        h = np.asarray(x, dtype=np.float64) @ self.params[0].value
-        h += self.params[1].value
+        """Fast numpy pass.  x: (batch, in) or (in,)."""
+        h = np.asarray(x, dtype=np.float64) @ self.params[0]
+        h += self.params[1]
         return self.forward_from(h)
 
     def forward_from(self, pre):
@@ -46,36 +41,42 @@ class Mlp:
         `pre` is overwritten: bias and ReLU are applied in place.
         """
         h = pre
-        for w, b in list(self._layers())[1:]:
+        for w, b in zip(self.params[2::2], self.params[3::2]):
             np.maximum(h, 0.0, out=h)
-            h = h @ w.value
-            h += b.value
+            h = h @ w
+            h += b
         return h
 
     def forward_tape(self, x):
-        """Differentiable pass; x is treated as a constant input."""
-        h = ad.Var(np.asarray(x, dtype=np.float64))
-        n_layers = len(self.widths) - 1
-        for i, (w, b) in enumerate(self._layers()):
-            h = ad.add(ad.matmul(h, w), b)
-            if i < n_layers - 1:
-                h = ad.relu(h)
-        return h
+        """(output, tape) for a (batch, in) input; the tape holds each
+        layer's input and the ReLU mask that produced it (None for x),
+        which is what autodiff.backward needs."""
+        h = np.asarray(x, dtype=np.float64)
+        tape = []
+        mask = None
+        for i, (w, b) in enumerate(zip(self.params[0::2], self.params[1::2])):
+            tape.append((h, mask))
+            h = h @ w + b
+            if i < len(self.widths) - 2:
+                mask = h > 0.0
+                h = h * mask
+        return h, tape
 
     def num_params(self):
-        return sum(p.value.size for p in self.params)
+        return sum(p.size for p in self.params)
 
     def get_arrays(self):
-        return [p.value.copy() for p in self.params]
+        return [p.copy() for p in self.params]
 
     def set_arrays(self, arrays):
+        """Copy arrays into the parameters, in place."""
         if len(arrays) != len(self.params):
             raise ValueError("parameter count mismatch")
         for p, a in zip(self.params, arrays):
             a = np.asarray(a, dtype=np.float64)
-            if a.shape != p.value.shape:
+            if a.shape != p.shape:
                 raise ValueError("parameter shape mismatch")
-            p.value = a.copy()
+            p[...] = a
 
     def clone(self):
         other = Mlp(self.widths)

@@ -1,4 +1,4 @@
-"""Adam optimizer over autodiff Vars."""
+"""Adam optimizer over a network's parameter arrays."""
 
 import numpy as np
 
@@ -13,25 +13,21 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
 
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
-    def step(self):
-        """One update; params with grad None are skipped."""
+    def step(self, grads):
+        """One update of every parameter, in place; grads pairs with params."""
+        if len(grads) != len(self.params):
+            raise ValueError("expected %d gradients, got %d"
+                             % (len(self.params), len(grads)))
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
+        for i, (p, g) in enumerate(zip(self.params, grads)):
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradient("parameter %d has a non-finite gradient" % i)
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
             m_hat = self.m[i] / (1.0 - b1 ** self.t)
             v_hat = self.v[i] / (1.0 - b2 ** self.t)
-            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -10,6 +10,7 @@ import json
 import os
 
 from .environment import Totals, episode_totals
+from .errors import EventLogInvalid
 
 EVENTS_SCHEMA = 1
 
@@ -80,16 +81,28 @@ def write_events_jsonl(path, meta, episode_records):
             _write_episode(fh, episode, records)
 
 
+def _decode_event(path, number, line):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise EventLogInvalid(path, "line %d: %s" % (number, exc)) from None
+
+
 def iter_events_jsonl(path):
-    """Yield an event log's meta header, then its slot records one by one."""
+    """Yield an event log's meta header, then its slot records one by one.
+
+    Raises EventLogInvalid for an empty log, a foreign schema or a line
+    that is not JSON.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = (json.loads(line) for line in fh if line.strip())
+        lines = (_decode_event(path, number, line)
+                 for number, line in enumerate(fh, 1) if line.strip())
         meta = next(lines, None)
         if meta is None:
-            raise ValueError("empty event log %s" % path)
-        if meta.get("schema") != EVENTS_SCHEMA:
-            raise ValueError("unsupported event schema %r"
-                             % meta.get("schema"))
+            raise EventLogInvalid(path, "empty event log")
+        if not isinstance(meta, dict) or meta.get("schema") != EVENTS_SCHEMA:
+            raise EventLogInvalid(path, "header %s is not of schema %d"
+                                  % (_dumps(meta), EVENTS_SCHEMA))
         yield meta
         yield from lines
 

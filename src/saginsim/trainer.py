@@ -22,9 +22,9 @@ import numpy as np
 from . import diffusion
 from .environment import SaginEnv, rollout
 from .errors import ConfigInvalid, NonFiniteGradient
+from .nets import autodiff
 from .nets.mlp import Mlp, save_checkpoint
 from .nets.optim import Adam
-from .nets import autodiff as ad
 from .runio import episode_metrics
 from .scenario import SeededRng
 
@@ -116,7 +116,7 @@ def soft_update(online, target, rate):
     if online.widths != target.widths:
         raise ValueError("network shapes differ")
     for p_on, p_tg in zip(online.params, target.params):
-        p_tg.value = rate * p_on.value + (1.0 - rate) * p_tg.value
+        p_tg[...] = rate * p_on + (1.0 - rate) * p_tg
 
 
 def td_targets(batch, critics, target_policy, gamma, target_samples, rng):
@@ -138,15 +138,15 @@ def critic_update(batch, targets, critics, opt1, opt2):
     y = np.asarray(targets, dtype=np.float64)[:, None]
     losses = []
     for net, opt in ((critics.q1, opt1), (critics.q2, opt2)):
-        pred = net.forward_tape(x)
-        loss = ad.mean(ad.square(ad.sub(pred, y)))
-        if not np.isfinite(loss.value):
-            raise NonFiniteGradient("critic loss is not finite: %r"
-                                    % float(loss.value))
-        opt.zero_grad()
-        ad.backward(loss)
-        opt.step()
-        losses.append(float(loss.value))
+        pred, tape = net.forward_tape(x)
+        resid = pred - y
+        loss = float((resid * resid).mean())
+        if not np.isfinite(loss):
+            raise NonFiniteGradient("critic loss is not finite: %r" % loss)
+        # d(loss)/d(pred); its factor order sets the rounding of every run
+        d_pred = np.full(resid.shape, 1.0 / resid.size) * 2.0 * resid
+        opt.step(autodiff.backward(net, tape, d_pred))
+        losses.append(loss)
     return losses
 
 
@@ -164,7 +164,8 @@ def actor_update(policy, critics, states, acts, hyper, rng, opt):
     # mean-form entropy weight
     sample_adv = np.maximum(q_samples - v_est[:, None], 0.0).mean(axis=1)
 
-    loss = diffusion.weighted_denoise_loss(policy, states, acts, weights, rng)
+    loss, grads = diffusion.weighted_denoise_loss(policy, states, acts,
+                                                  weights, rng)
     if hyper.n_uniform_samples > 0 and hyper.ent_coeff > 0.0:
         idx = rng.integers(0, n, size=hyper.n_uniform_samples)
         u_states = states[idx]
@@ -174,15 +175,15 @@ def actor_update(policy, critics, states, acts, hyper, rng, opt):
             stats = np.full(hyper.n_uniform_samples, weights.max())
         else:
             stats = sample_adv[idx]
-        loss = ad.add(loss, diffusion.entropy_loss(
-            policy, u_states, u_actions, hyper.ent_coeff, stats, rng))
-    if not np.isfinite(loss.value):
-        raise NonFiniteGradient("actor loss is not finite: %r"
-                                % float(loss.value))
-    opt.zero_grad()
-    ad.backward(loss)
-    opt.step()
-    return float(loss.value)
+        e_loss, e_grads = diffusion.entropy_loss(
+            policy, u_states, u_actions, hyper.ent_coeff, stats, rng)
+        loss = loss + e_loss
+        grads = [g + e for g, e in zip(grads, e_grads)]
+    loss = float(loss)
+    if not np.isfinite(loss):
+        raise NonFiniteGradient("actor loss is not finite: %r" % loss)
+    opt.step(grads)
+    return loss
 
 
 class QagobTrainer:

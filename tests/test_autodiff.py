@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from saginsim.errors import NonFiniteGradient
-from saginsim.nets import autodiff as ad
+from saginsim.nets import autodiff
 from saginsim.nets.mlp import Mlp, load_checkpoint, save_checkpoint
 from saginsim.nets.optim import Adam
 
@@ -25,96 +25,36 @@ def finite_diff(fn, x, eps=1e-6):
     return g
 
 
-def check_grad(build, x, rtol=1e-6):
-    """build(Var) -> scalar Var; compares backward() to finite differences."""
-    var = ad.Var(x)
-    out = build(var)
-    ad.backward(out)
-    num = finite_diff(lambda xx: float(build(ad.Var(xx)).value), x)
-    np.testing.assert_allclose(var.grad, num, rtol=rtol, atol=1e-8)
+def check_backward(net, x, coef, rtol=1e-5):
+    """backward() of sum(coef * out^2) against finite differences of every
+    parameter entry."""
+    out, tape = net.forward_tape(x)
+    grads = autodiff.backward(net, tape, 2.0 * coef * out)
+    assert len(grads) == len(net.params)
+    for k, (p, grad) in enumerate(zip(net.params, grads)):
+        assert grad.shape == p.shape
+
+        def loss_at(val):
+            saved = p.copy()
+            p[...] = val
+            y = float(np.sum(coef * net.forward(x) ** 2))
+            p[...] = saved
+            return y
+        num = finite_diff(loss_at, p.copy())
+        np.testing.assert_allclose(grad, num, rtol=rtol, atol=1e-8,
+                                   err_msg="param %d" % k)
 
 
-def test_add_sub_mul_grads():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((3, 4))
-    y = rng.standard_normal((3, 4))
-    check_grad(lambda v: ad.mean(ad.mul(ad.add(v, y), ad.sub(v, 2.0))), x)
-
-
-def test_broadcast_bias_grad():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((5, 3))
-    b = rng.standard_normal(3)
-    # gradient with respect to the broadcast bias must sum over rows
-    var = ad.Var(b)
-    out = ad.mean(ad.square(ad.add(ad.Var(x), var)))
-    ad.backward(out)
-    num = finite_diff(lambda bb: float(np.mean((x + bb) ** 2)), b)
-    np.testing.assert_allclose(var.grad, num, rtol=1e-6)
-    assert var.grad.shape == b.shape
-
-
-def test_scalar_broadcast_grad():
-    x = np.array(1.5)
-    check_grad(lambda v: ad.mean(ad.mul(v, np.arange(6.0).reshape(2, 3))), x)
-
-
-def test_matmul_grads_both_sides():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((4, 3))
-    b = rng.standard_normal((3, 2))
-    check_grad(lambda v: ad.sum_(ad.matmul(v, b)), a)
-    check_grad(lambda v: ad.sum_(ad.matmul(ad.Var(a), v)), b)
-
-
-def test_relu_tanh_square_grads():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((6,)) * 2.0
-    x[np.abs(x) < 1e-3] = 0.5  # keep clear of the relu kink
-    check_grad(lambda v: ad.sum_(ad.relu(v)), x)
-    check_grad(lambda v: ad.sum_(ad.tanh(v)), x)
-    check_grad(lambda v: ad.sum_(ad.square(v)), x)
-
-
-def test_axis_sum_grad():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((3, 5))
-    check_grad(lambda v: ad.mean(ad.square(ad.sum_(v, axis=1))), x)
-    check_grad(lambda v: ad.mean(ad.square(ad.sum_(v, axis=0))), x)
-
-
-def test_grad_accumulates_over_reuse():
-    # x used twice: d/dx (x*x + 3x) = 2x + 3
-    x = np.array([2.0])
-    v = ad.Var(x)
-    out = ad.sum_(ad.add(ad.mul(v, v), ad.mul(3.0, v)))
-    ad.backward(out)
-    np.testing.assert_allclose(v.grad, [7.0])
-
-
-def test_operator_sugar():
-    a = ad.Var(np.array([1.0, 2.0]))
-    b = ad.Var(np.array([3.0, 4.0]))
-    out = ad.sum_((a + b) * a - 2.0)
-    assert out.value == pytest.approx((1 + 3) * 1 + (2 + 4) * 2 - 4)
-    ad.backward(out)
-    # d/da sum(a^2 + ab) = 2a + b
-    np.testing.assert_allclose(a.grad, [5.0, 8.0])
-
-
-def test_backward_rejects_vector_root():
-    v = ad.Var(np.ones(3))
-    with pytest.raises(ValueError):
-        ad.backward(ad.add(v, 1.0))
-
-
-def test_diamond_graph_topological_order():
-    # y = (x+1)*(x+1) reuses the same intermediate node twice
-    v = ad.Var(np.array(2.0))
-    t = ad.add(v, 1.0)
-    out = ad.mul(t, t)
-    ad.backward(out)
-    assert float(v.grad) == pytest.approx(2 * 3.0)
+@pytest.mark.parametrize("widths", [[3, 2], [3, 4, 2], [4, 5, 3, 2]],
+                         ids=["linear", "one-hidden", "two-hidden"])
+def test_backward_matches_finite_differences(widths):
+    rng = np.random.default_rng(len(widths))
+    net = Mlp(widths, rng=rng)
+    for b in net.params[1::2]:
+        b[...] = rng.standard_normal(b.shape)
+    x = rng.standard_normal((6, widths[0]))
+    coef = rng.uniform(0.5, 1.5, (6, widths[-1]))
+    check_backward(net, x, coef)
 
 
 def test_mlp_forward_by_hand():
@@ -129,7 +69,13 @@ def test_mlp_forward_by_hand():
     h = np.maximum(x @ np.array([[1.0, -1.0], [0.5, 2.0]]) + [0.0, 1.0], 0.0)
     expect = h @ np.array([[2.0], [-1.0]]) + 0.25
     np.testing.assert_allclose(net.forward(x), expect)
-    np.testing.assert_allclose(net.forward_tape(x).value, expect)
+    out, tape = net.forward_tape(x[None, :])
+    np.testing.assert_allclose(out[0], expect)
+    # the tape holds each layer's input and the mask that made it
+    np.testing.assert_array_equal(tape[0][0], x[None, :])
+    assert tape[0][1] is None
+    np.testing.assert_array_equal(tape[1][0], h[None, :])
+    np.testing.assert_array_equal(tape[1][1], h[None, :] > 0.0)
     # batched input gives the same row
     np.testing.assert_allclose(net.forward(np.stack([x, x])),
                                np.stack([expect, expect]))
@@ -146,32 +92,22 @@ def test_mlp_gradcheck_small_net():
     rng = np.random.default_rng(5)
     net = Mlp([3, 4, 2], rng=rng)
     x = rng.standard_normal((5, 3))
-    out = ad.mean(ad.square(net.forward_tape(x)))
-    ad.backward(out)
-    for k, p in enumerate(net.params):
-        def loss_at(val, k=k):
-            saved = p.value
-            p.value = val
-            y = float(np.mean(net.forward(x) ** 2))
-            p.value = saved
-            return y
-        num = finite_diff(loss_at, p.value.copy())
-        np.testing.assert_allclose(p.grad, num, rtol=1e-5, atol=1e-8,
-                                   err_msg="param %d" % k)
+    # the gradient of mean(out^2)
+    check_backward(net, x, np.full((5, 2), 1.0 / 10), rtol=1e-5)
 
 
 def test_mlp_zero_init_without_rng():
     net = Mlp([2, 3, 1])
-    assert all(np.all(p.value == 0.0) for p in net.params)
+    assert all(np.all(p == 0.0) for p in net.params)
     assert net.num_params() == 2 * 3 + 3 + 3 * 1 + 1
 
 
 def test_he_init_scale():
     rng = np.random.default_rng(6)
     net = Mlp([200, 300], rng=rng)
-    w = net.params[0].value
+    w = net.params[0]
     assert w.std() == pytest.approx(math.sqrt(2.0 / 200), rel=0.1)
-    assert np.all(net.params[1].value == 0.0)
+    assert np.all(net.params[1] == 0.0)
 
 
 def test_clone_is_deep():
@@ -180,7 +116,7 @@ def test_clone_is_deep():
     other = net.clone()
     x = np.ones(2)
     np.testing.assert_allclose(net.forward(x), other.forward(x))
-    other.params[0].value += 1.0
+    other.params[0] += 1.0
     assert not np.allclose(net.forward(x), other.forward(x))
 
 
@@ -194,56 +130,49 @@ def test_set_arrays_validates():
 
 def test_adam_single_step_reference():
     # one Adam step from zero moments: delta = lr * g / (|g| + eps)
-    p = ad.Var(np.array([1.0, -2.0]))
-    p.grad = np.array([0.5, -1.5])
+    p = np.array([1.0, -2.0])
+    g = np.array([0.5, -1.5])
     opt = Adam([p], lr=0.1, eps=1e-8)
-    opt.step()
-    m_hat = p.grad  # bias correction cancels at t=1
-    v_hat = p.grad ** 2
+    opt.step([g])
+    m_hat = g  # bias correction cancels at t=1
+    v_hat = g ** 2
     expect = np.array([1.0, -2.0]) - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
-    np.testing.assert_allclose(p.value, expect, rtol=1e-12)
+    np.testing.assert_allclose(p, expect, rtol=1e-12)
 
 
 def test_adam_two_step_reference():
-    p = ad.Var(np.array([0.0]))
+    p = np.array([0.0])
     opt = Adam([p], lr=0.01)
     m = v = 0.0
     val = 0.0
     for t in (1, 2):
         g = 1.0 if t == 1 else -2.0
-        p.grad = np.array([g])
-        opt.step()
+        opt.step([np.array([g])])
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         m_hat = m / (1 - 0.9 ** t)
         v_hat = v / (1 - 0.999 ** t)
         val -= 0.01 * m_hat / (math.sqrt(v_hat) + 1e-8)
-    assert p.value.item() == pytest.approx(val, rel=1e-12)
+    assert p.item() == pytest.approx(val, rel=1e-12)
 
 
 def test_adam_converges_on_quadratic():
-    p = ad.Var(np.array([5.0]))
+    p = np.array([5.0])
     opt = Adam([p], lr=0.1)
     for _ in range(500):
-        opt.zero_grad()
-        out = ad.sum_(ad.square(p))
-        ad.backward(out)
-        opt.step()
-    assert abs(p.value.item()) < 1e-2
+        opt.step([2.0 * p])  # the gradient of sum(p^2)
+    assert abs(p.item()) < 1e-2
 
 
-def test_adam_skips_none_and_rejects_nan():
-    p = ad.Var(np.array([1.0]))
-    q = ad.Var(np.array([2.0]))
-    opt = Adam([p, q], lr=0.1)
-    p.grad = np.array([1.0])
-    q.grad = None
-    opt.step()
-    assert q.value.item() == 2.0
-    assert p.value.item() != 1.0
-    p.grad = np.array([np.nan])
+def test_adam_rejects_nan():
+    p = np.array([1.0])
+    opt = Adam([p], lr=0.1)
+    opt.step([np.array([1.0])])
+    assert p.item() != 1.0
     with pytest.raises(NonFiniteGradient):
-        opt.step()
+        opt.step([np.array([np.nan])])
+    with pytest.raises(ValueError):
+        opt.step([])
 
 
 def test_checkpoint_round_trip(tmp_path):

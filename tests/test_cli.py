@@ -430,6 +430,31 @@ def test_export_streams_the_log_of_a_run(tmp_path, monkeypatch):
         assert regenerated == original, name
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    '{"schema":9}\n',
+    '{"episodes":1,"schema":1}\n{"slot":0,\n',
+    '{"episodes":1,"schema":1}\n',
+], ids=["empty", "foreign-schema", "undecodable-line", "header-only"])
+def test_export_rejects_a_malformed_log(tmp_path, capsys, text):
+    log = tmp_path / "events.jsonl"
+    log.write_text(text)
+    out = tmp_path / "export"
+    assert run_cli(["export", "--events", str(log), "--out", str(out)]) == 2
+    assert str(log) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_zero_episodes(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = run_cli(["sweep", "--kind", "capacity",
+                    "--config", str(CONFIGS / "toy.toml"), "--seed", "0",
+                    "--episodes", "0", "--out", str(out), "--quiet"])
+    assert code == 2
+    assert "--episodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_outputs_are_folds_of_the_event_log(tmp_path):
     out = str(tmp_path / "base")
     assert run_cli(["baseline", "--algo", "random",

@@ -7,7 +7,6 @@ from saginsim.diffusion import (DiffusionPolicy, VarianceSchedule,
                                 behavior_select, entropy_loss, forward_diffuse,
                                 q_weights, weighted_denoise_loss)
 from saginsim.errors import InvalidWeight, SamplerDiverged
-from saginsim.nets import autodiff as ad
 
 STATE_DIM, ACTION_DIM = 3, 2
 
@@ -171,11 +170,13 @@ def test_weighted_loss_zero_weights_zero_gradient():
     rng = np.random.default_rng(7)
     states = rng.standard_normal((8, STATE_DIM))
     actions = rng.uniform(-1, 1, (8, ACTION_DIM))
-    loss = weighted_denoise_loss(policy, states, actions, np.zeros(8), rng)
-    assert float(loss.value) == 0.0
-    ad.backward(loss)
-    for p in policy.params:
-        assert np.all(p.grad == 0.0)
+    loss, grads = weighted_denoise_loss(policy, states, actions, np.zeros(8),
+                                        rng)
+    assert loss == 0.0
+    assert len(grads) == len(policy.params)
+    for p, g in zip(policy.params, grads):
+        assert g.shape == p.shape
+        assert np.all(g == 0.0)
 
 
 def test_weighted_loss_scales_linearly():
@@ -183,11 +184,11 @@ def test_weighted_loss_scales_linearly():
     actions = np.random.default_rng(9).uniform(-1, 1, (6, ACTION_DIM))
     w = np.abs(np.random.default_rng(10).standard_normal(6))
     policy = make_policy(rng=np.random.default_rng(11))
-    l1 = weighted_denoise_loss(policy, states, actions, w,
-                               np.random.default_rng(12))
-    l2 = weighted_denoise_loss(policy, states, actions, 2.0 * w,
-                               np.random.default_rng(12))
-    assert float(l2.value) == pytest.approx(2.0 * float(l1.value), rel=1e-12)
+    l1, _ = weighted_denoise_loss(policy, states, actions, w,
+                                  np.random.default_rng(12))
+    l2, _ = weighted_denoise_loss(policy, states, actions, 2.0 * w,
+                                  np.random.default_rng(12))
+    assert l2 == pytest.approx(2.0 * l1, rel=1e-12)
 
 
 def test_weighted_loss_matches_hand_formula():
@@ -197,7 +198,7 @@ def test_weighted_loss_matches_hand_formula():
     actions = np.random.default_rng(15).uniform(-1, 1, (5, ACTION_DIM))
     w = np.linspace(0.1, 1.0, 5)
     rng = np.random.default_rng(16)
-    loss = weighted_denoise_loss(policy, states, actions, w, rng)
+    loss, _ = weighted_denoise_loss(policy, states, actions, w, rng)
 
     rng2 = np.random.default_rng(16)
     steps = rng2.integers(1, policy.schedule.n_steps + 1, size=5)
@@ -205,7 +206,7 @@ def test_weighted_loss_matches_hand_formula():
     noisy = forward_diffuse(actions, steps, noise, policy.schedule)
     pred = policy.predict_noise(noisy, states, steps)
     expect = np.mean(w * ((noise - pred) ** 2).sum(axis=1))
-    assert float(loss.value) == pytest.approx(expect, rel=1e-12)
+    assert loss == pytest.approx(expect, rel=1e-12)
     assert np.all(steps >= 1) and np.all(steps <= policy.schedule.n_steps)
 
 
@@ -228,11 +229,11 @@ def test_entropy_loss_weight_pairing():
     uni = np.random.default_rng(25).uniform(-1, 1, (4, ACTION_DIM))
     stats = np.array([1.0, 0.5, 0.0, 2.0])
     coeff = 0.02
-    a = entropy_loss(policy, states, uni, coeff, stats,
-                     np.random.default_rng(26))
-    b = weighted_denoise_loss(policy, states, uni, coeff * stats,
-                              np.random.default_rng(26))
-    assert float(a.value) == pytest.approx(float(b.value), rel=1e-15)
+    a, _ = entropy_loss(policy, states, uni, coeff, stats,
+                        np.random.default_rng(26))
+    b, _ = weighted_denoise_loss(policy, states, uni, coeff * stats,
+                                 np.random.default_rng(26))
+    assert a == pytest.approx(b, rel=1e-15)
 
 
 def test_q_weights_positive_part():
@@ -278,13 +279,11 @@ def test_denoise_loss_training_reduces_noise_error():
     before = None
     loss_rng = np.random.default_rng(34)
     for k in range(60):
-        opt.zero_grad()
-        loss = weighted_denoise_loss(policy, states, actions, w,
-                                     np.random.default_rng(35))
+        loss, grads = weighted_denoise_loss(policy, states, actions, w,
+                                            np.random.default_rng(35))
         if before is None:
-            before = float(loss.value)
-        ad.backward(loss)
-        opt.step()
-    after = float(weighted_denoise_loss(policy, states, actions, w,
-                                        np.random.default_rng(35)).value)
+            before = loss
+        opt.step(grads)
+    after, _ = weighted_denoise_loss(policy, states, actions, w,
+                                     np.random.default_rng(35))
     assert after < before

@@ -7,6 +7,7 @@ import pytest
 from saginsim import runio
 from saginsim.baselines import run_baseline
 from saginsim.environment import SaginEnv, episode_totals, objectives
+from saginsim.errors import EventLogInvalid
 from saginsim.scenario import Scenario
 
 
@@ -116,11 +117,11 @@ def test_events_jsonl_round_trip(tmp_path):
 def test_events_jsonl_rejects_bad_schema(tmp_path):
     path = tmp_path / "events.jsonl"
     path.write_text(json.dumps({"schema": 99}) + "\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(EventLogInvalid):
         runio.read_events_jsonl(path)
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    with pytest.raises(ValueError):
+    with pytest.raises(EventLogInvalid):
         runio.read_events_jsonl(empty)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from saginsim.diffusion import DiffusionPolicy, VarianceSchedule
 from saginsim.environment import SaginEnv
-from saginsim.nets import autodiff as ad
 from saginsim.nets.mlp import Mlp, load_checkpoint
 from saginsim.nets.optim import Adam
 from saginsim.scenario import Scenario
@@ -87,7 +86,7 @@ def test_twin_critics_min_rule():
     # force known constant outputs via the head biases of zeroed nets
     for net, bias in ((critics.q1, 2.0), (critics.q2, -1.0)):
         net.set_arrays([np.zeros_like(a) for a in net.get_arrays()])
-        net.params[-1].value = np.array([bias])
+        net.params[-1][...] = bias
     s = np.zeros((4, S_DIM))
     a = np.zeros((4, A_DIM))
     np.testing.assert_allclose(critics.min_q(s, a), -1.0)
@@ -120,6 +119,45 @@ def test_soft_update_endpoints_and_blend():
 
     with pytest.raises(ValueError):
         soft_update(online, Mlp([2, 4, 1]), 0.5)
+
+
+@pytest.mark.parametrize("rewrite", ["set_arrays", "soft_update"])
+def test_adam_steps_the_arrays_the_nets_read(rewrite):
+    """Adam holds the parameter arrays it was built with.  After the net's
+    parameters are rewritten, a step must still move what forward and the
+    sampler read, not an array the net has dropped."""
+    rng = np.random.default_rng(15)
+    policy = DiffusionPolicy(S_DIM, A_DIM, (8,), VarianceSchedule.linear(3),
+                             rng)
+    net = policy.denoiser
+    opt = Adam(policy.params, 0.1)
+    source = Mlp(net.widths, rng)
+    if rewrite == "set_arrays":
+        net.set_arrays(source.get_arrays())
+    else:
+        soft_update(source, net, 0.5)
+    x = rng.standard_normal((4, net.widths[0]))
+    states = rng.standard_normal((4, S_DIM))
+    out_before = net.forward(x)
+    expect = net.get_arrays()
+
+    # a step on the first-layer weights only
+    grads = [np.zeros_like(p) for p in net.params]
+    grads[0] = np.ones_like(net.params[0])
+    opt.step(grads)
+    expect[0] = expect[0] - 0.1 / (1.0 + 1e-8)
+    for got, want in zip(net.get_arrays(), expect):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    assert not np.allclose(net.forward(x), out_before)
+
+    # the sampler reads the first layer directly; it must see the step
+    fresh = DiffusionPolicy(S_DIM, A_DIM, (8,), VarianceSchedule.linear(3),
+                            None)
+    fresh.denoiser.set_arrays(expect)
+    np.testing.assert_allclose(
+        policy.sample_batch(states, np.random.default_rng(16), squash=False),
+        fresh.sample_batch(states, np.random.default_rng(16), squash=False),
+        rtol=1e-12, atol=1e-12)
 
 
 def make_batch(n=4, reward=1.0, done=0.0):
@@ -214,11 +252,11 @@ def test_actor_update_runs_and_moves_params():
     policy, critics, states, acts = make_actor_setup()
     hyper = tiny_hyper()
     opt = Adam(policy.params, 1e-3)
-    before = [p.value.copy() for p in policy.params]
+    before = [p.copy() for p in policy.params]
     loss = actor_update(policy, critics, states, acts, hyper,
                         np.random.default_rng(10), opt)
     assert math.isfinite(loss)
-    assert any(not np.array_equal(b, p.value)
+    assert any(not np.array_equal(b, p)
                for b, p in zip(before, policy.params))
 
 
@@ -234,12 +272,12 @@ def test_actor_update_all_negative_advantage_max_variant():
 
     hyper = tiny_hyper(ent_variant="max")
     opt = Adam(policy.params, 1e-3)
-    before = [p.value.copy() for p in policy.params]
+    before = [p.copy() for p in policy.params]
     loss = actor_update(policy, FlatCritics(), states, acts, hyper,
                         np.random.default_rng(12), opt)
     assert loss == 0.0
     for b, p in zip(before, policy.params):
-        np.testing.assert_array_equal(b, p.value)
+        np.testing.assert_array_equal(b, p)
 
 
 def test_actor_update_mean_variant_flat_critic_is_noop():
@@ -251,12 +289,12 @@ def test_actor_update_mean_variant_flat_critic_is_noop():
 
     hyper = tiny_hyper(ent_variant="mean")
     opt = Adam(policy.params, 1e-3)
-    before = [p.value.copy() for p in policy.params]
+    before = [p.copy() for p in policy.params]
     loss = actor_update(policy, FlatCritics(), states, acts, hyper,
                         np.random.default_rng(14), opt)
     assert loss == 0.0
     for b, p in zip(before, policy.params):
-        np.testing.assert_array_equal(b, p.value)
+        np.testing.assert_array_equal(b, p)
 
 
 def test_trainer_smoke_episode():
@@ -300,8 +338,8 @@ def test_target_nets_start_as_copies():
     np.testing.assert_array_equal(trainer.critics.q1.forward(x),
                                   trainer.critics.q1_target.forward(x))
     # q1 and q2 must differ, otherwise the twin trick collapses
-    assert not np.array_equal(trainer.critics.q1.params[0].value,
-                              trainer.critics.q2.params[0].value)
+    assert not np.array_equal(trainer.critics.q1.params[0],
+                              trainer.critics.q2.params[0])
 
 
 def test_trainer_checkpoint_round_trip(tmp_path):
