@@ -28,8 +28,6 @@ def action_dim(n_aavs, max_served):
 @dataclasses.dataclass
 class DecodedAction:
     displacements: np.ndarray        # (n_aavs, 2) meters
-    distances: np.ndarray            # (n_aavs,) meters
-    directions: np.ndarray           # (n_aavs,) radians
     offload: dict                    # (aav, gd) -> bool, satellite path when True
     bandwidth: dict                  # (aav, gd) -> Hz
 
@@ -60,8 +58,6 @@ def decode(raw, association, scenario):
     assoc = np.asarray(association)
     max_step = scenario.max_step()
     displacements = np.zeros((scenario.n_aavs, 2))
-    distances = np.zeros(scenario.n_aavs)
-    directions = np.zeros(scenario.n_aavs)
     offload = {}
     bandwidth = {}
     width = 2 + 2 * cap
@@ -69,8 +65,6 @@ def decode(raw, association, scenario):
         base = v * width
         dist = (raw[base] + 1.0) / 2.0 * max_step
         angle = raw[base + 1] * math.pi
-        distances[v] = dist
-        directions[v] = angle
         displacements[v] = (dist * math.cos(angle), dist * math.sin(angle))
         served = np.nonzero(assoc[v])[0]
         m = len(served)
@@ -84,26 +78,18 @@ def decode(raw, association, scenario):
         for k, g in enumerate(sorted(served)):
             offload[(v, int(g))] = bool(off_raws[off_idx[k]] >= 0.0)
             bandwidth[(v, int(g))] = float(shares[k])
-    return DecodedAction(displacements=displacements, distances=distances,
-                         directions=directions, offload=offload,
+    return DecodedAction(displacements=displacements, offload=offload,
                          bandwidth=bandwidth)
-
-
-@dataclasses.dataclass
-class PenaltyEvents:
-    boundary: int = 0    # AAVs clamped back inside the area this slot
-    collision: int = 0   # unordered AAV pairs closer than the safe distance
-
-    def total(self):
-        return self.boundary + self.collision
 
 
 def clamp_and_penalize(positions, scenario):
     """Clamp commanded positions to the area and count penalty events.
 
     positions: (n_aavs, 2) commanded ground coordinates.  Returns the
-    clamped array (a copy) and the PenaltyEvents for the slot.  Collisions
-    are counted on the clamped coordinates; positions are never altered to
+    clamped array (a copy) and the slot record's "events" block:
+    "boundary", the AAVs clamped back inside the area, and "collision",
+    the unordered AAV pairs closer than the safe distance.  Collisions are
+    counted on the clamped coordinates; positions are never altered to
     resolve them.
     """
     x_min, y_min, x_max, y_max = scenario.area_bounds
@@ -111,12 +97,9 @@ def clamp_and_penalize(positions, scenario):
     clamped = np.empty_like(pos)
     clamped[:, 0] = np.clip(pos[:, 0], x_min, x_max)
     clamped[:, 1] = np.clip(pos[:, 1], y_min, y_max)
-    events = PenaltyEvents()
-    for v in range(len(pos)):
-        if not np.array_equal(pos[v], clamped[v]):
-            events.boundary += 1
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            if np.linalg.norm(clamped[i] - clamped[j]) < scenario.safe_distance:
-                events.collision += 1
-    return clamped, events
+    boundary = sum(not np.array_equal(pos[v], clamped[v])
+                   for v in range(len(pos)))
+    collision = sum(1 for i in range(len(pos)) for j in range(i + 1, len(pos))
+                    if np.linalg.norm(clamped[i] - clamped[j])
+                    < scenario.safe_distance)
+    return clamped, {"boundary": boundary, "collision": collision}

@@ -207,8 +207,12 @@ def cmd_export(args):
     events = runio.iter_events_jsonl(args.events)
     next(events)  # the meta header
     tail = runio.RunTail()
-    for rec in events:
-        tail.add(rec.get("episode", 0), rec)
+    for number, rec in events:
+        try:
+            tail.add(rec.get("episode", 0), rec)
+        except (AttributeError, KeyError, TypeError):
+            raise EventLogInvalid(args.events, "line %d is not a slot record"
+                                  % number) from None
     if not tail.track:
         raise EventLogInvalid(args.events, "no slot records to export")
     tail.write(runio.ensure_dir(args.out))

@@ -17,6 +17,13 @@ Reward: r = r_task + w_dc * delivered_bits - w_energy * aav_joules
 with r_task the summed slack (tolerance - delay) over served tasks.
 Modes: "joint" keeps all terms, "mec_only" drops the delivered-bits term,
 "dc_only" drops the task term.
+
+Each step appends one slot record, a dict of plain Python values that is
+also the slot's line in events.jsonl.  service.run_slot writes its
+"skipped", "tasks", "dc" and "energy" blocks, actions.clamp_and_penalize
+its "events" block, and step the rest: "slot", "generated", "expired",
+"aav_pos", "assoc", dc "generated", energy "aav_move", and the "reward"
+block, computed from the record itself.
 """
 
 import numpy as np
@@ -198,75 +205,37 @@ class SaginEnv:
                        for d in moved]
         world.aav_pos = clamped
 
-        outcome = service.run_slot(world, decoded, assoc, sc,
-                                   self._episode_rain_extra)
+        record = service.run_slot(world, decoded, assoc, sc,
+                                  self._episode_rain_extra)
+        record.update(
+            slot=t, generated=generated, expired=expired,
+            aav_pos=clamped.tolist(),
+            assoc=[np.nonzero(row)[0].tolist() for row in assoc],
+            events=events)
+        record["dc"]["generated"] = dc_generated
+        record["energy"]["aav_move"] = move_energy
 
-        r_task = sum(task.max_delay - task.delay for task in outcome.tasks)
-        delivered = float(outcome.delivered.sum())
-        aav_joules = sum(move_energy) + sum(outcome.aav_compute_energy)
+        r_task = sum(task["max_delay"] - task["delay"]
+                     for task in record["tasks"])
+        # numpy's pairwise order, not sum()'s: it sets the last bit
+        delivered = float(np.sum(record["dc"]["delivered"]))
+        aav_joules = (sum(record["energy"]["aav_move"])
+                      + sum(record["energy"]["aav_compute"]))
+        n_events = events["boundary"] + events["collision"]
         rw = sc.reward
-        value = -rw.energy_weight * aav_joules - rw.penalty * events.total()
+        value = -rw.energy_weight * aav_joules - rw.penalty * n_events
         if rw.mode != "dc_only":
             value += r_task
         if rw.mode != "mec_only":
             value += rw.dc_weight * delivered
-        reward_parts = {
-            "task": r_task,
-            "dc_bits": delivered,
-            "energy_j": aav_joules,
-            "events": events.total(),
-            "value": value,
-        }
-
-        record = self._record(t, generated, expired, dc_generated, assoc,
-                              outcome, move_energy, events, reward_parts)
+        record["reward"] = {"task": float(r_task), "dc_bits": delivered,
+                            "energy_j": aav_joules, "events": n_events,
+                            "value": value}
         self.records.append(record)
 
         world.slot = t + 1
         self.done = world.slot >= sc.horizon
         return self._state(), value, self.done, record
-
-    def _record(self, t, generated, expired, dc_generated, assoc, outcome,
-                move_energy, events, reward_parts):
-        task_rows = []
-        for task in outcome.tasks:
-            task_rows.append({
-                "aav": task.aav, "gd": task.gd, "task_id": task.task_id,
-                "size_bits": task.size_bits, "result_ratio": task.result_ratio,
-                "max_delay": task.max_delay, "offloaded": task.offloaded,
-                "success": task.success, "delay": task.delay,
-                "components": {k: float(x) for k, x in task.components.items()},
-            })
-        served = [[int(g) for g in np.nonzero(assoc[v])[0]]
-                  for v in range(self.scenario.n_aavs)]
-        return {
-            "slot": int(t),
-            "generated": int(generated),
-            "expired": int(expired),
-            "skipped": int(outcome.skipped_low_rate),
-            "aav_pos": [[float(x), float(y)] for x, y in self.world.aav_pos],
-            "assoc": served,
-            "tasks": task_rows,
-            "dc": {
-                "generated": float(dc_generated),
-                "dc_time": [float(x) for x in outcome.dc_time],
-                "collected": [float(x) for x in outcome.collected],
-                "delivered": [float(x) for x in outcome.delivered],
-                "from_gds": [float(x) for x in outcome.collected_from_gds],
-                "buffers": [float(x) for x in self.world.dc_buffers],
-            },
-            "energy": {
-                "aav_move": [float(x) for x in move_energy],
-                "aav_compute": [float(x) for x in outcome.aav_compute_energy],
-                "gd_tx": float(outcome.gd_tx_energy),
-                "sat_tx": float(outcome.sat_tx_energy),
-                "sat_compute": float(outcome.sat_compute_energy),
-            },
-            "events": {"boundary": int(events.boundary),
-                       "collision": int(events.collision)},
-            "reward": {k: (float(x) if k != "events" else int(x))
-                       for k, x in reward_parts.items()},
-        }
 
     def _state(self):
         sc = self.scenario

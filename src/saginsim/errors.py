@@ -21,8 +21,9 @@ class ConfigInvalid(SaginError):
 
 
 class EventLogInvalid(SaginError):
-    """Raised when an events.jsonl log cannot be read back: it is empty,
-    has a foreign schema or an undecodable line, or holds no slot records.
+    """Raised when an events.jsonl log cannot be read back: it cannot be
+    opened, is empty, has a foreign schema, an undecodable line or a line
+    that is not a slot record, or holds no slot records.
 
     Carries the log path so callers can report it.
     """

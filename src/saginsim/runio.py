@@ -89,47 +89,51 @@ def _decode_event(path, number, line):
 
 
 def iter_events_jsonl(path):
-    """Yield an event log's meta header, then its slot records one by one.
+    """Yield (line number, decoded line) for each non-blank line of an
+    event log: its meta header first, then its slot records.
 
-    Raises EventLogInvalid for an empty log, a foreign schema or a line
-    that is not JSON.
+    Raises EventLogInvalid for a log that cannot be opened, an empty log,
+    a foreign schema or a line that is not JSON.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = (_decode_event(path, number, line)
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise EventLogInvalid(path, exc.strerror) from None
+    with fh:
+        lines = ((number, _decode_event(path, number, line))
                  for number, line in enumerate(fh, 1) if line.strip())
-        meta = next(lines, None)
-        if meta is None:
+        first = next(lines, None)
+        if first is None:
             raise EventLogInvalid(path, "empty event log")
+        meta = first[1]
         if not isinstance(meta, dict) or meta.get("schema") != EVENTS_SCHEMA:
             raise EventLogInvalid(path, "header %s is not of schema %d"
                                   % (_dumps(meta), EVENTS_SCHEMA))
-        yield meta
+        yield first
         yield from lines
 
 
 def read_events_jsonl(path):
     """(meta header, list of every slot record) of an event log."""
     events = iter_events_jsonl(path)
-    meta = next(events)
-    return meta, list(events)
+    _, meta = next(events)
+    return meta, [rec for _, rec in events]
 
 
-def export_trajectories(records, out_path):
-    """Per-slot AAV positions of the log's final episode as CSV."""
-    if not records:
+def export_trajectories(track, out_path):
+    """Per-slot AAV positions of one episode as CSV; track holds the
+    episode's slots in order, each a dict with its "slot" and "aav_pos"."""
+    if not track:
         raise ValueError("no records to export")
-    last_ep = max(rec.get("episode", 0) for rec in records)
-    rows = [rec for rec in records if rec.get("episode", 0) == last_ep]
-    rows.sort(key=lambda rec: rec["slot"])
-    slots = [rec["slot"] for rec in rows]
+    first, last = track[0]["slot"], track[-1]["slot"]
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "aav", "x", "y", "is_start", "is_end"])
-        for rec in rows:
+        for rec in track:
             for v, (x, y) in enumerate(rec["aav_pos"]):
                 writer.writerow([rec["slot"], v, repr(float(x)), repr(float(y)),
-                                 int(rec["slot"] == slots[0]),
-                                 int(rec["slot"] == slots[-1])])
+                                 int(rec["slot"] == first),
+                                 int(rec["slot"] == last)])
 
 
 def export_energy_breakdown(totals, out_path):

@@ -13,6 +13,10 @@ total delay fits the completion tolerance; either way it leaves the queue.
 
 The satellite sits at the zenith of the area center; all AAVs hold
 satellite links every slot, splitting the satellite bandwidth evenly.
+
+run_slot writes the service part of the slot record: its "skipped" count,
+its "tasks" rows, and its "dc" and "energy" blocks except for the values
+only the environment knows (bits generated, AAV propulsion energy).
 """
 
 import dataclasses
@@ -32,35 +36,6 @@ class WorldState:
     gd_states: list          # workload.GdState per GD
     dc_buffers: np.ndarray   # (n_aavs,) collected bits awaiting delivery
     slot: int = 0
-
-
-@dataclasses.dataclass
-class TaskRecord:
-    aav: int
-    gd: int
-    task_id: int
-    size_bits: float
-    result_ratio: float
-    max_delay: float
-    offloaded: bool
-    success: bool
-    delay: float
-    components: dict         # t_up_g2a, t_up_a2s, t_comp, t_down_s2a, t_down_a2g, t_prop
-
-
-@dataclasses.dataclass
-class SlotOutcome:
-    tasks: list
-    busy_tx: np.ndarray            # (n_aavs,) s spent on task uplink+downlink
-    dc_time: np.ndarray            # (n_aavs,) s left for data collection
-    collected: np.ndarray          # (n_aavs,) bits taken from GDs this slot
-    delivered: np.ndarray          # (n_aavs,) bits forwarded to the satellite
-    collected_from_gds: np.ndarray # (n_gds,) bits leaving each GD store
-    skipped_low_rate: int          # pending tasks left waiting for a usable rate
-    aav_compute_energy: list       # per-AAV J for locally processed tasks
-    gd_tx_energy: float            # J spent by GDs uplinking tasks and data
-    sat_tx_energy: float           # J spent by the satellite returning results
-    sat_compute_energy: float      # J spent by the satellite processing tasks
 
 
 def sat_distance(aav_xy, scenario):
@@ -102,9 +77,14 @@ def task_delay(size_bits, result_ratio, offloaded, rates, sat_dist, compute):
 
 def run_slot(world, decisions, association, scenario, rain_extra_db=0.0):
     """Serve tasks and collect data for one slot; mutates GD queues, GD
-    stores and AAV buffers.  Positions are taken as already moved.  The
-    returned SlotOutcome is the slot's whole account: served tasks with
-    their success, bits collected and delivered, and energy by source."""
+    stores and AAV buffers.  Positions are taken as already moved.
+
+    Returns the service part of the slot record, in plain Python values:
+    "skipped" (pending tasks left waiting for a usable uplink rate),
+    "tasks" (one row per served task, with its delay components), "dc"
+    (per-AAV collection time, bits collected, delivered and buffered, and
+    bits taken from each GD) and "energy" (per-AAV compute joules, and
+    GD transmit, satellite transmit and satellite compute joules)."""
     n_aavs, n_gds = scenario.n_aavs, scenario.n_gds
     radio = scenario.radio
     compute = scenario.compute
@@ -161,11 +141,11 @@ def run_slot(world, decisions, association, scenario, rain_extra_db=0.0):
                 aav_compute_energy[v] += compute_energy(
                     task.size_bits, compute.cycles_per_bit,
                     compute.energy_per_cycle)
-            tasks.append(TaskRecord(
-                aav=v, gd=g, task_id=task.task_id, size_bits=task.size_bits,
-                result_ratio=task.result_ratio, max_delay=task.max_delay,
-                offloaded=offloaded, success=success, delay=delay,
-                components=comps))
+            tasks.append({
+                "aav": v, "gd": g, "task_id": task.task_id,
+                "size_bits": task.size_bits, "result_ratio": task.result_ratio,
+                "max_delay": task.max_delay, "offloaded": offloaded,
+                "success": success, "delay": delay, "components": comps})
 
     dc_time = np.maximum(0.0, scenario.slot_length - busy_tx)
     collected = np.zeros(n_aavs)
@@ -192,9 +172,20 @@ def run_slot(world, decisions, association, scenario, rain_extra_db=0.0):
         world.dc_buffers[v] -= sent
         delivered[v] = sent
 
-    return SlotOutcome(
-        tasks=tasks, busy_tx=busy_tx, dc_time=dc_time, collected=collected,
-        delivered=delivered, collected_from_gds=collected_from_gds,
-        skipped_low_rate=skipped, aav_compute_energy=aav_compute_energy,
-        gd_tx_energy=gd_tx_energy, sat_tx_energy=sat_tx_energy,
-        sat_compute_energy=sat_compute_energy)
+    return {
+        "skipped": skipped,
+        "tasks": tasks,
+        "dc": {
+            "dc_time": dc_time.tolist(),
+            "collected": collected.tolist(),
+            "delivered": delivered.tolist(),
+            "from_gds": collected_from_gds.tolist(),
+            "buffers": world.dc_buffers.tolist(),
+        },
+        "energy": {
+            "aav_compute": aav_compute_energy,
+            "gd_tx": float(gd_tx_energy),
+            "sat_tx": float(sat_tx_energy),
+            "sat_compute": float(sat_compute_energy),
+        },
+    }

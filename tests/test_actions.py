@@ -60,19 +60,22 @@ def test_distance_and_direction_mapping():
     raw[6] = -1.0
     dec = decode(raw, empty_assoc(sc), sc)
     step = sc.max_step()
-    assert math.isclose(dec.distances[0], step, rel_tol=1e-12)
-    assert math.isclose(dec.directions[0], math.pi / 2, rel_tol=1e-12)
-    assert abs(dec.displacements[0][0]) < 1e-9
-    assert math.isclose(dec.displacements[0][1], step, rel_tol=1e-12)
-    assert dec.distances[1] == 0.0
+    dx, dy = dec.displacements[0]
+    assert math.isclose(np.hypot(dx, dy), step, rel_tol=1e-12)
+    assert math.isclose(math.atan2(dy, dx), math.pi / 2, rel_tol=1e-12)
+    assert abs(dx) < 1e-9
+    assert math.isclose(dy, step, rel_tol=1e-12)
+    assert np.hypot(*dec.displacements[1]) == 0.0
 
 
 def test_midpoint_distance():
     sc = make_scenario()
     raw = np.zeros(action_dim(sc.n_aavs, sc.max_served))
     dec = decode(raw, empty_assoc(sc), sc)
-    # raw 0 maps to half of the per-slot envelope
-    assert math.isclose(dec.distances[0], sc.max_step() / 2, rel_tol=1e-12)
+    # raw 0 maps to half of the per-slot envelope, heading along +x
+    dx, dy = dec.displacements[0]
+    assert math.isclose(np.hypot(dx, dy), sc.max_step() / 2, rel_tol=1e-12)
+    assert math.atan2(dy, dx) == 0.0
 
 
 def test_out_of_range_raw_is_clipped():
@@ -81,8 +84,11 @@ def test_out_of_range_raw_is_clipped():
     raw[0] = 3.0
     raw[1] = -7.0
     dec = decode(raw, empty_assoc(sc), sc)
-    assert dec.distances[0] <= sc.max_step() + 1e-12
-    assert -math.pi <= dec.directions[0] <= math.pi
+    # clipped to raw 1 and -1: a full step, heading -pi
+    dx, dy = dec.displacements[0]
+    assert math.isclose(np.hypot(dx, dy), sc.max_step(), rel_tol=1e-12)
+    assert -math.pi <= math.atan2(dy, dx) <= math.pi
+    assert math.isclose(abs(math.atan2(dy, dx)), math.pi, rel_tol=1e-12)
 
 
 def test_top_m_offload_raws_map_to_served_ascending():
@@ -174,9 +180,7 @@ def test_clamp_boundary_event():
     prop = np.array([[540.0, 0.0], [-250.0, -250.0]])
     clamped, events = clamp_and_penalize(prop, sc)
     assert clamped[0, 0] == 500.0
-    assert events.boundary == 1
-    assert events.collision == 0
-    assert events.total() == 1
+    assert events == {"boundary": 1, "collision": 0}
 
 
 def test_clamp_both_axes_is_one_event():
@@ -184,15 +188,15 @@ def test_clamp_both_axes_is_one_event():
     prop = np.array([[600.0, -700.0], [0.0, 0.0]])
     clamped, events = clamp_and_penalize(prop, sc)
     assert clamped[0].tolist() == [500.0, -500.0]
-    assert events.boundary == 1
+    assert events["boundary"] == 1
 
 
 def test_collision_event_counts_pairs():
     sc = make_scenario(safe_distance=50.0)
     prop = np.array([[0.0, 0.0], [30.0, 0.0]])
     clamped, events = clamp_and_penalize(prop, sc)
-    assert events.collision == 1
-    assert events.boundary == 0
+    assert events["collision"] == 1
+    assert events["boundary"] == 0
 
 
 def test_three_way_collision_counts_three_pairs():
@@ -201,7 +205,7 @@ def test_three_way_collision_counts_three_pairs():
                                               (250.0, 250.0), (0.0, 0.0)))
     prop = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
     clamped, events = clamp_and_penalize(prop, sc)
-    assert events.collision == 3
+    assert events["collision"] == 3
 
 
 def test_no_events_inside_bounds():
@@ -209,7 +213,7 @@ def test_no_events_inside_bounds():
     prop = np.array([[10.0, 10.0], [210.0, 190.0]])
     clamped, events = clamp_and_penalize(prop, sc)
     assert np.array_equal(clamped, prop)
-    assert events.total() == 0
+    assert events == {"boundary": 0, "collision": 0}
 
 
 def test_decoded_action_is_plain_container():
@@ -217,5 +221,4 @@ def test_decoded_action_is_plain_container():
     dec = decode(np.zeros(action_dim(sc.n_aavs, sc.max_served)),
                  empty_assoc(sc), sc)
     assert isinstance(dec, DecodedAction)
-    assert len(dec.distances) == sc.n_aavs
-    assert len(dec.directions) == sc.n_aavs
+    assert dec.displacements.shape == (sc.n_aavs, 2)

@@ -430,18 +430,23 @@ def test_export_streams_the_log_of_a_run(tmp_path, monkeypatch):
         assert regenerated == original, name
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    '{"schema":9}\n',
-    '{"episodes":1,"schema":1}\n{"slot":0,\n',
-    '{"episodes":1,"schema":1}\n',
-], ids=["empty", "foreign-schema", "undecodable-line", "header-only"])
-def test_export_rejects_a_malformed_log(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, says", [
+    ("", "empty"),
+    ('{"schema":9}\n', "schema"),
+    ('{"episodes":1,"schema":1}\n{"slot":0,\n', "line 2"),
+    ('{"episodes":1,"schema":1}\n', "no slot records"),
+    ('{"episodes":1,"schema":1}\n\n{"episode":0}\n', "line 3"),
+    (None, "No such file"),
+], ids=["empty", "foreign-schema", "undecodable-line", "header-only",
+        "not-a-slot-record", "missing"])
+def test_export_rejects_a_malformed_log(tmp_path, capsys, text, says):
     log = tmp_path / "events.jsonl"
-    log.write_text(text)
+    if text is not None:
+        log.write_text(text)
     out = tmp_path / "export"
     assert run_cli(["export", "--events", str(log), "--out", str(out)]) == 2
-    assert str(log) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(log) in err and says in err
     assert not out.exists()
 
 

@@ -269,6 +269,21 @@ def test_default_config_env_smoke():
     rec = env.records[0]
     assert set(rec) == {"slot", "generated", "expired", "skipped", "aav_pos",
                         "assoc", "tasks", "dc", "energy", "events", "reward"}
+    assert set(rec["dc"]) == {"generated", "dc_time", "collected",
+                              "delivered", "from_gds", "buffers"}
+    assert set(rec["energy"]) == {"aav_move", "aav_compute", "gd_tx",
+                                  "sat_tx", "sat_compute"}
+    assert set(rec["events"]) == {"boundary", "collision"}
+    assert set(rec["reward"]) == {"task", "dc_bits", "energy_j", "events",
+                                  "value"}
+    while not rec["tasks"] and not done:
+        _, _, done, rec = env.step(rng.uniform(-1, 1, env.action_dim))
+    task = rec["tasks"][0]
+    assert set(task) == {"aav", "gd", "task_id", "size_bits", "result_ratio",
+                         "max_delay", "offloaded", "success", "delay",
+                         "components"}
+    assert set(task["components"]) == {"t_up_g2a", "t_up_a2s", "t_comp",
+                                       "t_down_s2a", "t_down_a2g", "t_prop"}
 
 
 def test_record_values_are_plain_python():

@@ -126,25 +126,25 @@ def test_events_jsonl_rejects_bad_schema(tmp_path):
 
 
 def test_export_trajectories_final_episode_only(tmp_path):
-    env, _ = finished_env()
-    flat = []
-    for episode in (0, 1):
+    first, _ = finished_env(seed=5)
+    last, _ = finished_env(seed=6)
+    assert first.records[0]["aav_pos"] != last.records[0]["aav_pos"]
+    tail = runio.RunTail()
+    for episode, env in enumerate((first, last)):
         for rec in env.records:
-            out = dict(rec)
-            out["episode"] = episode
-            flat.append(out)
-    path = tmp_path / "traj.csv"
-    runio.export_trajectories(flat, path)
-    lines = path.read_text().splitlines()
+            tail.add(episode, rec)
+    tail.write(tmp_path)
+    lines = (tmp_path / "trajectories.csv").read_text().splitlines()
     assert lines[0] == "slot,aav,x,y,is_start,is_end"
-    n_slots = len(env.records)
-    assert len(lines) - 1 == n_slots * env.scenario.n_aavs
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[4] == "1" and first[5] == "0"
-    last = lines[-1].split(",")
-    assert last[0] == str(n_slots - 1) and last[5] == "1"
-    # coordinates match the final episode's records
-    assert float(first[2]) == pytest.approx(env.records[0]["aav_pos"][0][0])
+    n_slots = len(last.records)
+    rows = [line.split(",") for line in lines[1:]]
+    # one row per slot and AAV, all of them the final episode's positions
+    assert [[int(r[0]), int(r[1]), float(r[2]), float(r[3])] for r in rows] \
+        == [[rec["slot"], v, x, y] for rec in last.records
+            for v, (x, y) in enumerate(rec["aav_pos"])]
+    assert [r[4:] for r in rows[:2]] == [["1", "0"], ["1", "0"]]
+    assert [r[4:] for r in rows[-2:]] == [["0", "1"], ["0", "1"]]
+    assert n_slots > 1 and all(r[4:] == ["0", "0"] for r in rows[2:-2])
 
 
 def test_export_energy_breakdown_totals(tmp_path):

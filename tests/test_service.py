@@ -8,8 +8,7 @@ from saginsim.actions import DecodedAction
 from saginsim.errors import LinkDown
 from saginsim.scenario import RadioParams, Scenario
 from saginsim.environment import episode_totals
-from saginsim.service import (SlotOutcome, WorldState, run_slot, sat_distance,
-                              task_delay)
+from saginsim.service import WorldState, run_slot, sat_distance, task_delay
 from saginsim.workload import GdState, MecTask
 
 
@@ -49,11 +48,8 @@ def full_service_decision(sc, offload=False):
         for g in range(sc.n_gds):
             offl[(v, g)] = offload
             bw[(v, g)] = sc.radio.bandwidth_aav
-    return DecodedAction(
-        displacements=np.zeros((sc.n_aavs, 2)),
-        distances=np.zeros(sc.n_aavs),
-        directions=np.zeros(sc.n_aavs),
-        offload=offl, bandwidth=bw)
+    return DecodedAction(displacements=np.zeros((sc.n_aavs, 2)),
+                         offload=offl, bandwidth=bw)
 
 
 def everyone_assoc(sc):
@@ -119,22 +115,24 @@ def test_run_slot_local_task_bookkeeping():
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task])
     out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
                    sc)
-    assert len(out.tasks) == 1
-    rec = out.tasks[0]
-    assert rec.success and not rec.offloaded
-    assert [t.success for t in out.tasks] == [True]
+    assert len(out["tasks"]) == 1
+    rec = out["tasks"][0]
+    assert rec["success"] and not rec["offloaded"]
+    assert [t["success"] for t in out["tasks"]] == [True]
     assert world.gd_states[0].pending == []
-    comps = rec.components
-    assert math.isclose(out.busy_tx[0],
-                        comps["t_up_g2a"] + comps["t_down_a2g"], rel_tol=1e-12)
-    assert math.isclose(out.dc_time[0], 1.0 - out.busy_tx[0], rel_tol=1e-9)
+    comps = rec["components"]
+    # the radio is busy for the task's uplink and downlink only
+    assert math.isclose(out["dc"]["dc_time"][0],
+                        1.0 - (comps["t_up_g2a"] + comps["t_down_a2g"]),
+                        rel_tol=1e-9)
     # no stored data: GD energy is the task uplink only
-    assert math.isclose(out.gd_tx_energy,
+    assert math.isclose(out["energy"]["gd_tx"],
                         sc.radio.power_gd * comps["t_up_g2a"], rel_tol=1e-12)
-    assert math.isclose(out.aav_compute_energy[0],
+    assert math.isclose(out["energy"]["aav_compute"][0],
                         sc.compute.energy_per_cycle
                         * sc.compute.cycles_per_bit * 2e5, rel_tol=1e-12)
-    assert out.sat_tx_energy == 0.0 and out.sat_compute_energy == 0.0
+    assert out["energy"]["sat_tx"] == 0.0
+    assert out["energy"]["sat_compute"] == 0.0
 
 
 def test_run_slot_offloaded_task_bookkeeping():
@@ -143,21 +141,21 @@ def test_run_slot_offloaded_task_bookkeeping():
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task])
     out = run_slot(world, full_service_decision(sc, offload=True),
                    everyone_assoc(sc), sc)
-    rec = out.tasks[0]
-    assert rec.offloaded
-    comps = rec.components
+    rec = out["tasks"][0]
+    assert rec["offloaded"]
+    comps = rec["components"]
     assert comps["t_up_a2s"] > 0.0 and comps["t_down_s2a"] > 0.0
     d = sat_distance([0.0, 0.0], sc)
     assert math.isclose(comps["t_prop"], 2 * d / channel.LIGHT_SPEED,
                         rel_tol=1e-12)
-    assert out.aav_compute_energy[0] == 0.0
-    assert math.isclose(out.sat_compute_energy,
+    assert out["energy"]["aav_compute"][0] == 0.0
+    assert math.isclose(out["energy"]["sat_compute"],
                         sc.energy.sat_energy_per_cycle
                         * sc.compute.cycles_per_bit * 2e5, rel_tol=1e-12)
-    assert math.isclose(out.sat_tx_energy,
+    assert math.isclose(out["energy"]["sat_tx"],
                         sc.radio.power_sat * comps["t_down_s2a"], rel_tol=1e-12)
     # the satellite round trip only adds delay relative to local service
-    assert rec.delay > sum((comps["t_up_g2a"], comps["t_down_a2g"]))
+    assert rec["delay"] > sum((comps["t_up_g2a"], comps["t_down_a2g"]))
 
 
 def test_rate_floor_skips_task_but_not_collection():
@@ -167,12 +165,12 @@ def test_rate_floor_skips_task_but_not_collection():
                        stored=5e3)
     out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
                    sc)
-    assert out.skipped_low_rate == 1
-    assert out.tasks == []
+    assert out["skipped"] == 1
+    assert out["tasks"] == []
     assert len(world.gd_states[0].pending) == 1
     # the radio stayed free, so the whole slot went to data collection
-    assert out.dc_time[0] == sc.slot_length
-    assert out.collected[0] == pytest.approx(5e3)
+    assert out["dc"]["dc_time"][0] == sc.slot_length
+    assert out["dc"]["collected"][0] == pytest.approx(5e3)
     assert world.gd_states[0].stored_bits == pytest.approx(0.0)
 
 
@@ -182,7 +180,7 @@ def test_over_tolerance_task_fails_but_leaves_queue():
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task])
     out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
                    sc)
-    assert [t.success for t in out.tasks] == [False]
+    assert [t["success"] for t in out["tasks"]] == [False]
     assert world.gd_states[0].pending == []
 
 
@@ -195,13 +193,14 @@ def test_dc_conservation_with_busy_radio():
     out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
                    sc)
     gd = world.gd_states[0]
-    assert math.isclose(stored - gd.stored_bits, out.collected[0],
+    dc = out["dc"]
+    assert math.isclose(stored - gd.stored_bits, dc["collected"][0],
                         rel_tol=1e-12)
     # buffer keeps whatever the satellite uplink could not forward
     assert math.isclose(world.dc_buffers[0],
-                        out.collected[0] - out.delivered[0], rel_tol=1e-9)
-    assert out.delivered[0] <= out.collected[0] + 1e-9
-    assert out.collected_from_gds[0] == pytest.approx(out.collected[0])
+                        dc["collected"][0] - dc["delivered"][0], rel_tol=1e-9)
+    assert dc["delivered"][0] <= dc["collected"][0] + 1e-9
+    assert dc["from_gds"][0] == pytest.approx(dc["collected"][0])
 
 
 def test_no_collection_when_radio_saturated():
@@ -212,9 +211,10 @@ def test_no_collection_when_radio_saturated():
                        stored=1e6)
     out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
                    sc)
-    assert out.busy_tx[0] > sc.slot_length
-    assert out.dc_time[0] == 0.0
-    assert out.collected[0] == 0.0
+    comps = out["tasks"][0]["components"]
+    assert comps["t_up_g2a"] + comps["t_down_a2g"] > sc.slot_length
+    assert out["dc"]["dc_time"][0] == 0.0
+    assert out["dc"]["collected"][0] == 0.0
     assert world.gd_states[0].stored_bits == pytest.approx(1e6)
 
 
@@ -224,8 +224,8 @@ def test_buffer_drains_without_new_collection():
     world.dc_buffers[0] = 3e3
     out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
                    sc)
-    assert out.collected[0] == 0.0
-    assert out.delivered[0] == pytest.approx(3e3)
+    assert out["dc"]["collected"][0] == 0.0
+    assert out["dc"]["delivered"][0] == pytest.approx(3e3)
     assert world.dc_buffers[0] == pytest.approx(0.0)
 
 
@@ -236,8 +236,8 @@ def test_unserved_gd_keeps_its_data():
     assoc = np.zeros((1, 2), dtype=np.int8)
     assoc[0, 0] = 1
     out = run_slot(world, full_service_decision(sc), assoc, sc)
-    assert out.collected_from_gds[0] == pytest.approx(1e3)
-    assert out.collected_from_gds[1] == 0.0
+    assert out["dc"]["from_gds"][0] == pytest.approx(1e3)
+    assert out["dc"]["from_gds"][1] == 0.0
     assert world.gd_states[1].stored_bits == pytest.approx(1e3)
 
 
@@ -258,7 +258,7 @@ def test_cross_cell_interference_slows_service():
                         tasks=[make_task(gd=0, size=6e5, max_delay=50.0)])
     assoc1 = np.ones((1, 1), dtype=np.int8)
     out1 = run_slot(world1, full_service_decision(sc1), assoc1, sc1)
-    assert out2.tasks[0].delay > out1.tasks[0].delay
+    assert out2["tasks"][0]["delay"] > out1["tasks"][0]["delay"]
 
 
 def test_rain_extra_db_slows_satellite_path():
@@ -270,7 +270,7 @@ def test_rain_extra_db_slows_satellite_path():
     world_wet = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], **kw)
     out_wet = run_slot(world_wet, full_service_decision(sc, offload=True),
                        everyone_assoc(sc), sc, rain_extra_db=10.0)
-    assert out_wet.tasks[0].delay > out_dry.tasks[0].delay
+    assert out_wet["tasks"][0]["delay"] > out_dry["tasks"][0]["delay"]
 
 
 def slot_record(generated=0, tasks=(), dc_generated=0.0, delivered=(0.0,)):
