@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .association import served_gds
 from .errors import CodecShape
 
 
@@ -34,7 +35,8 @@ class DecodedAction:
 
 def _top_positions(raws, m):
     """Indices of the m largest raws, earlier position winning ties."""
-    order = sorted(range(len(raws)), key=lambda i: (-raws[i], i))
+    # a reversed sort is still stable: equal raws keep position order
+    order = sorted(range(len(raws)), key=raws.__getitem__, reverse=True)
     return sorted(order[:m])
 
 
@@ -54,32 +56,28 @@ def decode(raw, association, scenario):
         raise CodecShape("expected action of shape (%d,), got %s" % (dim, raw.shape))
     if not np.all(np.isfinite(raw)):
         raise CodecShape("non-finite action components")
-    raw = np.clip(raw, -1.0, 1.0)
-    assoc = np.asarray(association)
+    rows = np.clip(raw, -1.0, 1.0).reshape(scenario.n_aavs, -1).tolist()
     max_step = scenario.max_step()
-    displacements = np.zeros((scenario.n_aavs, 2))
+    displacements = []
     offload = {}
     bandwidth = {}
-    width = 2 + 2 * cap
-    for v in range(scenario.n_aavs):
-        base = v * width
-        dist = (raw[base] + 1.0) / 2.0 * max_step
-        angle = raw[base + 1] * math.pi
-        displacements[v] = (dist * math.cos(angle), dist * math.sin(angle))
-        served = np.nonzero(assoc[v])[0]
+    for v, (row, served) in enumerate(zip(rows, served_gds(association))):
+        dist = (row[0] + 1.0) / 2.0 * max_step
+        angle = row[1] * math.pi
+        displacements.append((dist * math.cos(angle), dist * math.sin(angle)))
         m = len(served)
         if m == 0:
             continue
-        off_raws = raw[base + 2: base + 2 + cap]
-        bw_raws = raw[base + 2 + cap: base + 2 + 2 * cap]
+        off_raws = row[2:2 + cap]
+        bw_raws = row[2 + cap:]
         off_idx = _top_positions(off_raws, m)
-        bw_idx = _top_positions(bw_raws, m)
-        shares = _softmax(bw_raws[bw_idx]) * scenario.radio.bandwidth_aav
-        for k, g in enumerate(sorted(served)):
-            offload[(v, int(g))] = bool(off_raws[off_idx[k]] >= 0.0)
-            bandwidth[(v, int(g))] = float(shares[k])
-    return DecodedAction(displacements=displacements, offload=offload,
-                         bandwidth=bandwidth)
+        shares = _softmax([bw_raws[i] for i in _top_positions(bw_raws, m)]) \
+            * scenario.radio.bandwidth_aav
+        for k, g in enumerate(served):
+            offload[(v, g)] = off_raws[off_idx[k]] >= 0.0
+            bandwidth[(v, g)] = float(shares[k])
+    return DecodedAction(displacements=np.array(displacements),
+                         offload=offload, bandwidth=bandwidth)
 
 
 def clamp_and_penalize(positions, scenario):
@@ -97,9 +95,13 @@ def clamp_and_penalize(positions, scenario):
     clamped = np.empty_like(pos)
     clamped[:, 0] = np.clip(pos[:, 0], x_min, x_max)
     clamped[:, 1] = np.clip(pos[:, 1], y_min, y_max)
-    boundary = sum(not np.array_equal(pos[v], clamped[v])
-                   for v in range(len(pos)))
-    collision = sum(1 for i in range(len(pos)) for j in range(i + 1, len(pos))
-                    if np.linalg.norm(clamped[i] - clamped[j])
-                    < scenario.safe_distance)
+    boundary = int(np.count_nonzero((pos != clamped).any(axis=1)))
+    diff = clamped[:, None, :] - clamped[None, :, :]
+    # a matmul of a difference with itself is the dot product that
+    # np.linalg.norm takes of one pair, to the last bit; a sum of squares
+    # is not
+    dist = np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+    order = np.arange(len(pos))
+    collision = int(np.count_nonzero((dist < scenario.safe_distance)
+                                     & (order[:, None] < order)))
     return clamped, {"boundary": boundary, "collision": collision}

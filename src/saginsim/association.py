@@ -1,4 +1,5 @@
-"""GD-to-AAV association by deferred acceptance.
+"""GD-to-AAV association: the stable matching of GD-proposing deferred
+acceptance, found by one scan over the AAV-GD pairs.
 
 GDs propose to AAVs in order of increasing 3D distance; an AAV holds at
 most `capacity` GDs and, when oversubscribed, evicts its farthest held GD.
@@ -6,11 +7,17 @@ Both sides rank purely by distance, so the result is a stable many-to-one
 matching: no unmatched GD and AAV pair can both do better.  GDs left
 unmatched when every AAV prefers its held set stay idle for the slot.
 
-Determinism: candidate ties broken by lower AAV index, eviction ties by
-lower GD index, and unmatched GDs propose in ascending index order.
+Ties: a GD prefers the lower AAV index, and an AAV evicts the lower GD
+index, so it keeps the higher.  Sorting the pairs by the key
+(distance, AAV index, -GD index) orders them in a way that agrees with
+every GD's and every AAV's preferences at once.  Under such a common
+order the stable matching is unique (Gale & Shapley 1962): the first pair
+whose GD is still free and whose AAV still has room must be matched in
+every stable matching, since both sides rank it above anything else left
+to them.  Taking pairs in key order on that rule therefore gives the
+deferred-acceptance result, ties included, without proposals or
+evictions.
 """
-
-import heapq
 
 import numpy as np
 
@@ -30,31 +37,31 @@ def gs_associate(aav_positions, gd_positions, capacity, altitude):
     """
     dist = _distances(aav_positions, gd_positions, altitude)
     n_aavs, n_gds = dist.shape
-    # candidate lists sorted nearest-first; the stable sort breaks ties
-    # by lower AAV index
-    candidates = np.argsort(dist, axis=0, kind="stable").T.tolist()
-    cursor = [0] * n_gds            # next candidate to propose to
-    held = [[] for _ in range(n_aavs)]
-    free = list(range(n_gds))       # heap of unmatched GDs with candidates left
-    proposals = 0
-    budget = n_gds * n_aavs
-    while free:
-        g = heapq.heappop(free)
-        v = candidates[g][cursor[g]]
-        cursor[g] += 1
-        proposals += 1
-        assert proposals <= budget, "deferred acceptance failed to terminate"
-        held[v].append(g)
-        if len(held[v]) > capacity:
-            far = max(held[v], key=lambda x: (dist[v, x], -x))
-            held[v].remove(far)
-            if cursor[far] < n_aavs:
-                heapq.heappush(free, far)
+    aav_idx, gd_idx = np.divmod(np.arange(n_aavs * n_gds), n_gds)
+    # lexsort's last key is the primary one
+    order = np.lexsort((-gd_idx, aav_idx, dist.ravel()))
+    gd_free = [True] * n_gds
+    load = [0] * n_aavs
+    taken = []
+    left = min(n_gds, n_aavs * capacity)
+    for pair in order.tolist():
+        if not left:
+            break
+        v, g = divmod(pair, n_gds)
+        if gd_free[g] and load[v] < capacity:
+            gd_free[g] = False
+            load[v] += 1
+            taken.append(pair)
+            left -= 1
     assoc = np.zeros((n_aavs, n_gds), dtype=np.int8)
-    for v in range(n_aavs):
-        for g in held[v]:
-            assoc[v, g] = 1
+    assoc.flat[taken] = 1
     return assoc
+
+
+def served_gds(assoc):
+    """Per AAV, the ascending indices of the GDs it serves, as lists."""
+    return [[g for g, flag in enumerate(row) if flag]
+            for row in np.asarray(assoc).tolist()]
 
 
 def blocking_pairs(assoc, aav_positions, gd_positions, capacity, altitude):

@@ -24,13 +24,13 @@ def greedy_action(env, rng):
     raw = rng.uniform(-1.0, 1.0, size=env.action_dim)
     width = 2 + 2 * cap
     max_step = sc.max_step()
-    for v in range(sc.n_aavs):
-        vec = env.gd_pos - env.world.aav_pos[v]
-        dists = np.linalg.norm(vec, axis=1)
-        g = int(np.argmin(dists))
-        step = min(max_step, float(dists[g]))
-        if dists[g] > 0.0:
-            angle = math.atan2(float(vec[g, 1]), float(vec[g, 0]))
+    vec = env.gd_pos[None, :, :] - env.world.aav_pos[:, None, :]
+    dists = np.linalg.norm(vec, axis=2)
+    for v, g in enumerate(np.argmin(dists, axis=1).tolist()):
+        dist = float(dists[v, g])
+        if dist > 0.0:
+            step = min(max_step, dist)
+            angle = math.atan2(float(vec[v, g, 1]), float(vec[v, g, 0]))
         else:
             step, angle = 0.0, 0.0
         raw[v * width] = 2.0 * step / max_step - 1.0

@@ -156,10 +156,11 @@ class InterferenceField:
         n_aavs, _ = assoc.shape
         if assoc.min() < 0 or assoc.max() > 1:
             raise InvalidAllocation("association entries must be 0/1")
-        if np.any(assoc.sum(axis=0) > 1):
+        owners = assoc.sum(axis=0)
+        if np.any(owners > 1):
             raise InvalidAllocation("a GD is associated to several AAVs")
         gains = channel_gain_matrix(aav_positions, gd_positions, radio)
-        served_any = assoc.sum(axis=0).astype(bool)
+        served_any = owners.astype(bool)
         power = np.zeros(n_aavs)
         for v in range(n_aavs):
             foreign = served_any & ~assoc[v].astype(bool)

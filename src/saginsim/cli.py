@@ -203,6 +203,15 @@ def cmd_baseline(args):
     return 1 if _run_seeds(args, "baseline", run) else 0
 
 
+def _is_xy_list(value):
+    """True for a list of [x, y] number pairs, the form of "aav_pos"."""
+    return isinstance(value, list) and all(
+        isinstance(point, list) and len(point) == 2
+        and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                for c in point)
+        for point in value)
+
+
 def cmd_export(args):
     events = runio.iter_events_jsonl(args.events)
     next(events)  # the meta header
@@ -213,6 +222,9 @@ def cmd_export(args):
         except (AttributeError, KeyError, TypeError):
             raise EventLogInvalid(args.events, "line %d is not a slot record"
                                   % number) from None
+        if not _is_xy_list(rec["aav_pos"]):
+            raise EventLogInvalid(args.events, "line %d: aav_pos is not a "
+                                  "list of [x, y] number pairs" % number)
     if not tail.track:
         raise EventLogInvalid(args.events, "no slot records to export")
     tail.write(runio.ensure_dir(args.out))

@@ -210,7 +210,7 @@ class SaginEnv:
         record.update(
             slot=t, generated=generated, expired=expired,
             aav_pos=clamped.tolist(),
-            assoc=[np.nonzero(row)[0].tolist() for row in assoc],
+            assoc=association.served_gds(assoc),
             events=events)
         record["dc"]["generated"] = dc_generated
         record["energy"]["aav_move"] = move_energy
@@ -240,33 +240,24 @@ class SaginEnv:
     def _state(self):
         sc = self.scenario
         x_min, y_min, x_max, y_max = sc.area_bounds
-
-        def norm_x(x):
-            return 2.0 * (x - x_min) / (x_max - x_min) - 1.0
-
-        def norm_y(y):
-            return 2.0 * (y - y_min) / (y_max - y_min) - 1.0
-
-        parts = []
-        for x, y in self.world.aav_pos:
-            parts.extend((norm_x(x), norm_y(y)))
-        for x, y in self.gd_pos:
-            parts.extend((norm_x(x), norm_y(y)))
+        pos = np.concatenate((self.world.aav_pos, self.gd_pos))
+        span = (x_max - x_min, y_max - y_min)
+        scaled = 2.0 * (pos - (x_min, y_min)) / span - 1.0
         wl = sc.workload
         urgency_scale = (wl.deadline_range[1] / sc.slot_length) \
             * wl.tolerance_range[1]
+        stored_scale = 50.0 * wl.dc_poisson_rate * workload.DC_SIZE_UNIT
         t = self.world.slot
+        urgency, stored = [], []
         for gd in self.world.gd_states:
             task = gd.earliest_pending()
             if task is None:
-                parts.append(0.0)
+                urgency.append(0.0)
             else:
                 remaining = max(0, task.deadline_slot - t)
-                parts.append(remaining * task.max_delay / urgency_scale)
-        stored_scale = 50.0 * wl.dc_poisson_rate * workload.DC_SIZE_UNIT
-        for gd in self.world.gd_states:
-            parts.append(gd.stored_bits / stored_scale)
-        parts.append((sc.horizon - t) / sc.horizon)
-        state = np.asarray(parts, dtype=float)
+                urgency.append(remaining * task.max_delay / urgency_scale)
+            stored.append(gd.stored_bits / stored_scale)
+        state = np.concatenate((scaled.ravel(), urgency, stored,
+                                [(sc.horizon - t) / sc.horizon]))
         assert state.shape == (self.state_dim,)
         return state

@@ -25,6 +25,7 @@ import math
 import numpy as np
 
 from . import channel
+from .association import served_gds
 from .energy import compute_energy
 from .errors import LinkDown
 
@@ -92,7 +93,7 @@ def run_slot(world, decisions, association, scenario, rain_extra_db=0.0):
                             np.full(n_aavs, scenario.aav_altitude)])
     gd3 = np.column_stack([world.gd_pos, np.zeros(n_gds)])
     field = channel.InterferenceField(aav3, gd3, association, radio)
-    sat_dists = [sat_distance(world.aav_pos[v], scenario) for v in range(n_aavs)]
+    served = served_gds(association)
     n_connected = n_aavs
 
     tasks = []
@@ -102,15 +103,23 @@ def run_slot(world, decisions, association, scenario, rain_extra_db=0.0):
     sat_compute_energy = 0.0
     aav_compute_energy = [0.0] * n_aavs
     skipped = 0
-    uplink_rate = {}
+    r_a2s, uplink_rates = [], []
 
     for v in range(n_aavs):
-        served = np.nonzero(np.asarray(association)[v])[0]
-        for g in sorted(int(x) for x in served):
+        sat_dist = sat_distance(world.aav_pos[v], scenario)
+        up = channel.sat_link_rate(sat_dist, "up", n_connected, radio,
+                                   rain_extra_db)
+        down = channel.sat_link_rate(sat_dist, "down", n_connected, radio,
+                                     rain_extra_db)
+        r_a2s.append(up)
+        gains = field.gains[v].tolist()
+        interference = field.at(v)
+        rates_v = []
+        for g in served[v]:
             bw = decisions.bandwidth[(v, g)]
-            gain = field.gains[v, g]
-            r_up = channel.g2a_rate(gain, bw, field.at(v), radio)
-            uplink_rate[(v, g)] = r_up
+            gain = gains[g]
+            r_up = channel.g2a_rate(gain, bw, interference, radio)
+            rates_v.append(r_up)
             gd = world.gd_states[g]
             task = gd.earliest_pending()
             if task is None:
@@ -121,12 +130,10 @@ def run_slot(world, decisions, association, scenario, rain_extra_db=0.0):
             rates = {"g2a": r_up, "a2g": channel.a2g_rate(gain, bw, radio)}
             offloaded = decisions.offload[(v, g)]
             if offloaded:
-                rates["a2s"] = channel.sat_link_rate(
-                    sat_dists[v], "up", n_connected, radio, rain_extra_db)
-                rates["s2a"] = channel.sat_link_rate(
-                    sat_dists[v], "down", n_connected, radio, rain_extra_db)
+                rates["a2s"] = up
+                rates["s2a"] = down
             comps = task_delay(task.size_bits, task.result_ratio, offloaded,
-                               rates, sat_dists[v], compute)
+                               rates, sat_dist, compute)
             delay = sum(comps.values())
             success = delay <= task.max_delay
             gd.pending.pop(0)
@@ -146,6 +153,7 @@ def run_slot(world, decisions, association, scenario, rain_extra_db=0.0):
                 "size_bits": task.size_bits, "result_ratio": task.result_ratio,
                 "max_delay": task.max_delay, "offloaded": offloaded,
                 "success": success, "delay": delay, "components": comps})
+        uplink_rates.append(rates_v)
 
     dc_time = np.maximum(0.0, scenario.slot_length - busy_tx)
     collected = np.zeros(n_aavs)
@@ -154,21 +162,17 @@ def run_slot(world, decisions, association, scenario, rain_extra_db=0.0):
     for v in range(n_aavs):
         if dc_time[v] <= 0.0:
             continue
-        served = np.nonzero(np.asarray(association)[v])[0]
-        for g in sorted(int(x) for x in served):
+        for g, r_up in zip(served[v], uplink_rates[v]):
             gd = world.gd_states[g]
             if gd.stored_bits <= 0.0:
                 continue
-            r_up = uplink_rate[(v, g)]
             take = min(gd.stored_bits, dc_time[v] * r_up)
             gd.stored_bits -= take
             collected[v] += take
             collected_from_gds[g] += take
             gd_tx_energy += radio.power_gd * (take / r_up)
         world.dc_buffers[v] += collected[v]
-        r_a2s = channel.sat_link_rate(sat_dists[v], "up", n_connected, radio,
-                                      rain_extra_db)
-        sent = min(world.dc_buffers[v], dc_time[v] * r_a2s)
+        sent = min(world.dc_buffers[v], dc_time[v] * r_a2s[v])
         world.dc_buffers[v] -= sent
         delivered[v] = sent
 

@@ -79,6 +79,8 @@ def accrue_dc_data(gd, params, rng):
 
 def expire_overdue(gd, slot):
     """Drop pending tasks whose start deadline has passed; returns the count."""
+    if not gd.pending:
+        return 0
     keep, dropped = [], 0
     for task in gd.pending:
         if task.deadline_slot < slot:

@@ -222,3 +222,122 @@ def test_decoded_action_is_plain_container():
                  empty_assoc(sc), sc)
     assert isinstance(dec, DecodedAction)
     assert dec.displacements.shape == (sc.n_aavs, 2)
+
+
+def loop_decode(raw, association, scenario):
+    """Per-AAV, per-element decode on numpy scalars; the reference that
+    decode must equal to the last bit."""
+    raw = np.clip(np.asarray(raw, dtype=float), -1.0, 1.0)
+    cap = scenario.max_served
+    assoc = np.asarray(association)
+    max_step = scenario.max_step()
+    displacements = np.zeros((scenario.n_aavs, 2))
+    offload, bandwidth = {}, {}
+    width = 2 + 2 * cap
+    for v in range(scenario.n_aavs):
+        base = v * width
+        dist = (raw[base] + 1.0) / 2.0 * max_step
+        angle = raw[base + 1] * math.pi
+        displacements[v] = (dist * math.cos(angle), dist * math.sin(angle))
+        served = np.nonzero(assoc[v])[0]
+        m = len(served)
+        if m == 0:
+            continue
+        off_raws = raw[base + 2: base + 2 + cap]
+        bw_raws = raw[base + 2 + cap: base + 2 + 2 * cap]
+        off_idx = sorted(sorted(range(cap), key=lambda i: (-off_raws[i], i))[:m])
+        bw_idx = sorted(sorted(range(cap), key=lambda i: (-bw_raws[i], i))[:m])
+        values = bw_raws[bw_idx]
+        e = np.exp(values - values.max())
+        shares = e / e.sum() * scenario.radio.bandwidth_aav
+        for k, g in enumerate(sorted(served)):
+            offload[(v, int(g))] = bool(off_raws[off_idx[k]] >= 0.0)
+            bandwidth[(v, int(g))] = float(shares[k])
+    return displacements, offload, bandwidth
+
+
+def test_decode_equals_loop_reference():
+    sc = make_scenario(n_aavs=3, max_served=3,
+                       initial_aav_positions=((0.0, 0.0),) * 3)
+    assoc = empty_assoc(sc)
+    assoc[0, [0, 2, 5]] = 1     # m == cap
+    assoc[1, 3] = 1             # m < cap; AAV 2 serves nobody, m == 0
+    dim = action_dim(sc.n_aavs, sc.max_served)
+    rng = np.random.default_rng(11)
+    # ties, signed zeros and out-of-range raws, then plain uniform raws
+    levels = [-3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0]
+    cases = [rng.choice(levels, size=dim) for _ in range(300)]
+    cases += [rng.uniform(-1.5, 1.5, size=dim) for _ in range(300)]
+    cases += [np.full(dim, 0.5), np.full(dim, -0.0), np.zeros(dim)]
+    for raw in cases:
+        dec = decode(raw, assoc, sc)
+        displacements, offload, bandwidth = loop_decode(raw, assoc, sc)
+        assert dec.displacements.tobytes() == displacements.tobytes()
+        assert dec.offload == offload
+        assert all(type(flag) is bool for flag in dec.offload.values())
+        assert dec.bandwidth == bandwidth
+
+
+def loop_clamp(positions, scenario):
+    """Per-AAV, per-pair clamp and event count; the reference that
+    clamp_and_penalize must equal to the last bit."""
+    x_min, y_min, x_max, y_max = scenario.area_bounds
+    pos = np.array(positions, dtype=float)
+    clamped = np.empty_like(pos)
+    clamped[:, 0] = np.clip(pos[:, 0], x_min, x_max)
+    clamped[:, 1] = np.clip(pos[:, 1], y_min, y_max)
+    boundary = sum(not np.array_equal(pos[v], clamped[v])
+                   for v in range(len(pos)))
+    collision = sum(1 for i in range(len(pos)) for j in range(i + 1, len(pos))
+                    if np.linalg.norm(clamped[i] - clamped[j])
+                    < scenario.safe_distance)
+    return clamped, {"boundary": boundary, "collision": collision}
+
+
+@pytest.mark.parametrize("positions", [
+    [[500.0, 0.0], [-500.0, 500.0], [0.0, -500.0], [100.0, 100.0]],
+    [[0.0, 0.0], [50.0, 0.0], [30.0, 40.0], [-30.0, -40.0]],
+    [[10.0, 10.0], [10.0, 10.0], [10.0, 10.0], [400.0, 0.0]],
+    [[510.0, 510.0], [500.0, 500.0], [-600.0, 0.0], [-500.0, 40.0]],
+    [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [250.0, 250.0]],
+], ids=["on-boundary", "at-safe-distance", "coincident", "clamped-onto-others",
+        "signed-zeros"])
+def test_clamp_equals_loop_reference(positions):
+    for bounds in ((-500.0, -500.0, 500.0, 500.0), (0.0, 0.0, 500.0, 500.0)):
+        sc = make_scenario(n_aavs=4, safe_distance=50.0, area_bounds=bounds,
+                           initial_aav_positions=((0.0, 0.0),) * 4)
+        clamped, events = clamp_and_penalize(np.array(positions), sc)
+        ref_clamped, ref_events = loop_clamp(positions, sc)
+        assert clamped.tobytes() == ref_clamped.tobytes()
+        assert events == ref_events
+
+
+def test_clamp_equals_loop_reference_on_a_lattice():
+    sc = make_scenario(n_aavs=5, safe_distance=50.0,
+                       initial_aav_positions=((0.0, 0.0),) * 5)
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        positions = rng.integers(-12, 13, size=(5, 2)) * 50.0
+        clamped, events = clamp_and_penalize(positions, sc)
+        ref_clamped, ref_events = loop_clamp(positions, sc)
+        assert clamped.tobytes() == ref_clamped.tobytes()
+        assert events == ref_events
+    for _ in range(500):
+        positions = rng.uniform(-600.0, 600.0, size=(5, 2))
+        clamped, events = clamp_and_penalize(positions, sc)
+        assert events == loop_clamp(positions, sc)[1]
+
+
+def test_collision_threshold_is_the_reference_norm_to_the_last_bit():
+    # safe_distance set to the reference's own distance of the pair and to
+    # the next float above it: a distance off by one unit in the last place
+    # counts the pair on the wrong side
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        positions = rng.uniform(-500.0, 500.0, size=(2, 2))
+        dist = float(np.linalg.norm(positions[0] - positions[1]))
+        for safe, expected in ((dist, 0), (np.nextafter(dist, np.inf), 1)):
+            sc = make_scenario(safe_distance=float(safe))
+            _, events = clamp_and_penalize(positions, sc)
+            assert events["collision"] == expected
+            assert events == loop_clamp(positions, sc)[1]

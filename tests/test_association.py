@@ -1,8 +1,69 @@
+import heapq
+
 import numpy as np
 
-from saginsim.association import blocking_pairs, gs_associate
+from saginsim.association import _distances, blocking_pairs, gs_associate
 
 ALT = 100.0
+
+
+def deferred_acceptance(aav_positions, gd_positions, capacity, altitude):
+    """GD-proposing deferred acceptance, the reference for gs_associate.
+
+    GDs propose nearest-first (equal distances: lower AAV index first),
+    unmatched GDs propose in ascending index order, and an oversubscribed
+    AAV evicts its farthest held GD (equal distances: the lower GD index).
+    """
+    dist = _distances(aav_positions, gd_positions, altitude)
+    n_aavs, n_gds = dist.shape
+    candidates = np.argsort(dist, axis=0, kind="stable").T.tolist()
+    cursor = [0] * n_gds
+    held = [[] for _ in range(n_aavs)]
+    free = list(range(n_gds))
+    proposals = 0
+    while free:
+        g = heapq.heappop(free)
+        v = candidates[g][cursor[g]]
+        cursor[g] += 1
+        proposals += 1
+        assert proposals <= n_gds * n_aavs, "deferred acceptance did not end"
+        held[v].append(g)
+        if len(held[v]) > capacity:
+            far = max(held[v], key=lambda x: (dist[v, x], -x))
+            held[v].remove(far)
+            if cursor[far] < n_aavs:
+                heapq.heappush(free, far)
+    assoc = np.zeros((n_aavs, n_gds), dtype=np.int8)
+    for v in range(n_aavs):
+        for g in held[v]:
+            assoc[v, g] = 1
+    return assoc
+
+
+def geometries(count, seed):
+    """(aav, gd, capacity) cases; every second one on a 50 m lattice, where
+    distances tie exactly and GDs can coincide."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n_aavs = int(rng.integers(1, 6))
+        n_gds = int(rng.integers(1, 12))
+        capacity = int(rng.integers(1, 5))
+        if k % 2:
+            aav = rng.integers(-3, 4, size=(n_aavs, 2)) * 50.0
+            gd = rng.integers(-3, 4, size=(n_gds, 2)) * 50.0
+        else:
+            aav = rng.uniform(-800, 800, size=(n_aavs, 2))
+            gd = rng.uniform(-800, 800, size=(n_gds, 2))
+        yield aav, gd, capacity
+
+
+def test_pair_scan_equals_deferred_acceptance():
+    for aav, gd, capacity in geometries(2000, seed=4):
+        assoc = gs_associate(aav, gd, capacity, ALT)
+        expected = deferred_acceptance(aav, gd, capacity, ALT)
+        assert assoc.dtype == expected.dtype
+        assert np.array_equal(assoc, expected), (aav, gd, capacity)
+        assert blocking_pairs(assoc, aav, gd, capacity, ALT) == []
 
 
 def test_capacity_never_exceeded():

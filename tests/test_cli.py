@@ -98,7 +98,7 @@ def test_baseline_command(tmp_path, config_path):
     assert code == 0
     check_run_outputs(out, [1, 2], 2)
     manifest = json.loads(
-        open(os.path.join(out, "manifest.json"), encoding="utf-8").read())
+        pathlib.Path(out, "manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == "baseline"
     assert manifest["algo"] == "random"
     assert manifest["seeds"] == [1, 2]
@@ -114,11 +114,11 @@ def test_baseline_greedy_and_mode_override(tmp_path, config_path):
                         config_path, "--seed", "3", "--episodes", "1",
                         "--out", out, "--quiet"] + mode_args)
         assert code == 0
-        resolved = open(os.path.join(out, "config.resolved.toml"),
-                        encoding="utf-8").read()
+        resolved = pathlib.Path(out, "config.resolved.toml").read_text(
+            encoding="utf-8")
         assert 'mode = "dc_only"' in resolved
         manifest = json.loads(
-            open(os.path.join(out, "manifest.json"), encoding="utf-8").read())
+            pathlib.Path(out, "manifest.json").read_text(encoding="utf-8"))
         assert manifest["mode"] == "dc_only"
 
 
@@ -210,8 +210,8 @@ def test_train_eval_export_pipeline(tmp_path, config_path, monkeypatch):
     code = run_cli(["export", "--events", events, "--out", export_out])
     assert code == 0
     for name in ("trajectories.csv", "energy.csv"):
-        original = open(os.path.join(train_out, "seed0", name), "rb").read()
-        regenerated = open(os.path.join(export_out, name), "rb").read()
+        original = pathlib.Path(train_out, "seed0", name).read_bytes()
+        regenerated = pathlib.Path(export_out, name).read_bytes()
         assert regenerated == original
 
 
@@ -224,8 +224,8 @@ def test_train_accepts_scenario_override(tmp_path, config_path):
     _, records = runio.read_events_jsonl(
         os.path.join(out, "seed0", "events.jsonl"))
     assert len(records) == 4
-    resolved = open(os.path.join(out, "config.resolved.toml"),
-                    encoding="utf-8").read()
+    resolved = pathlib.Path(out, "config.resolved.toml").read_text(
+        encoding="utf-8")
     assert "horizon = 4" in resolved
 
 
@@ -278,8 +278,8 @@ def test_resolved_config_records_the_seed_that_ran(tmp_path, config_path,
     code = run_cli(["baseline", "--algo", "random", "--config", config_path,
                     "--seed", "1", "--episodes", "1", "--out", out, "--quiet"])
     assert code == 0
-    resolved = open(os.path.join(out, "config.resolved.toml"),
-                    encoding="utf-8").read()
+    resolved = pathlib.Path(out, "config.resolved.toml").read_text(
+        encoding="utf-8")
     assert parse_config_text(resolved)[""]["seed"] == 1
 
 
@@ -313,17 +313,16 @@ def test_capacity_sweep_overrides_scenario(tmp_path, config_path, monkeypatch):
                     "--seed", "0", "--episodes", "1", "--out", out, "--quiet"]
                    + TINY_HYPER)
     assert code == 0
-    resolved = open(os.path.join(out, "manifest.json"), encoding="utf-8").read()
+    resolved = pathlib.Path(out, "manifest.json").read_text(encoding="utf-8")
     assert json.loads(resolved)["command"] == "sweep"
     assert os.path.exists(os.path.join(out, "capacity1", "seed0",
                                        "metrics.csv"))
     # each grid point records the scenario it ran
-    resolved = open(os.path.join(out, "capacity1", "config.resolved.toml"),
-                    encoding="utf-8").read()
+    resolved = pathlib.Path(out, "capacity1", "config.resolved.toml").read_text(
+        encoding="utf-8")
     assert parse_config_text(resolved)[""]["max_served"] == 1
-    grid_manifest = json.loads(open(os.path.join(out, "capacity1",
-                                                 "manifest.json"),
-                                    encoding="utf-8").read())
+    grid_manifest = json.loads(pathlib.Path(
+        out, "capacity1", "manifest.json").read_text(encoding="utf-8"))
     assert grid_manifest["overrides"]["max_served"] == "1"
 
 
@@ -425,9 +424,16 @@ def test_export_streams_the_log_of_a_run(tmp_path, monkeypatch):
                     os.path.join(seed_dir, "events.jsonl"),
                     "--out", export_out]) == 0
     for name in ("trajectories.csv", "energy.csv"):
-        original = open(os.path.join(seed_dir, name), "rb").read()
-        regenerated = open(os.path.join(export_out, name), "rb").read()
+        original = pathlib.Path(seed_dir, name).read_bytes()
+        regenerated = pathlib.Path(export_out, name).read_bytes()
         assert regenerated == original, name
+
+
+# a slot line holding every key export reads; aav_pos is filled in per case
+SLOT_LINE = ('{"slot":0,"generated":0,"tasks":[],'
+             '"dc":{"delivered":[0.0],"generated":0.0},'
+             '"energy":{"aav_move":[0.0],"aav_compute":[0.0],"gd_tx":0.0,'
+             '"sat_tx":0.0,"sat_compute":0.0},"aav_pos":%s}\n')
 
 
 @pytest.mark.parametrize("text, says", [
@@ -437,8 +443,12 @@ def test_export_streams_the_log_of_a_run(tmp_path, monkeypatch):
     ('{"episodes":1,"schema":1}\n', "no slot records"),
     ('{"episodes":1,"schema":1}\n\n{"episode":0}\n', "line 3"),
     (None, "No such file"),
+    ('{"episodes":1,"schema":1}\n' + SLOT_LINE % "[[1.0]]", "line 2: aav_pos"),
+    ('{"episodes":1,"schema":1}\n' + SLOT_LINE % "[[0.0, 0.0]]"
+     + SLOT_LINE % '[["1.0", 0.0]]', "line 3: aav_pos"),
 ], ids=["empty", "foreign-schema", "undecodable-line", "header-only",
-        "not-a-slot-record", "missing"])
+        "not-a-slot-record", "missing", "aav-pos-not-a-pair",
+        "aav-pos-not-a-number"])
 def test_export_rejects_a_malformed_log(tmp_path, capsys, text, says):
     log = tmp_path / "events.jsonl"
     if text is not None:

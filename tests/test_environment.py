@@ -4,6 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from saginsim import workload
 from saginsim.environment import SaginEnv, objectives, rollout, state_dim
 from saginsim.errors import EpisodeFinished
 from saginsim.scenario import RewardWeights, Scenario, load_scenario
@@ -305,3 +306,59 @@ def test_record_values_are_plain_python():
             assert isinstance(node, (int, float, bool, str)), type(node)
 
     check(rec)
+
+
+def loop_state(env):
+    """The observation built element by element on Python and numpy
+    scalars; the reference that SaginEnv._state must equal to the last bit."""
+    sc = env.scenario
+    x_min, y_min, x_max, y_max = sc.area_bounds
+    parts = []
+    for x, y in list(env.world.aav_pos) + list(env.gd_pos):
+        parts.extend((2.0 * (x - x_min) / (x_max - x_min) - 1.0,
+                      2.0 * (y - y_min) / (y_max - y_min) - 1.0))
+    wl = sc.workload
+    urgency_scale = (wl.deadline_range[1] / sc.slot_length) \
+        * wl.tolerance_range[1]
+    t = env.world.slot
+    for gd in env.world.gd_states:
+        task = gd.earliest_pending()
+        if task is None:
+            parts.append(0.0)
+        else:
+            remaining = max(0, task.deadline_slot - t)
+            parts.append(remaining * task.max_delay / urgency_scale)
+    stored_scale = 50.0 * wl.dc_poisson_rate * workload.DC_SIZE_UNIT
+    for gd in env.world.gd_states:
+        parts.append(gd.stored_bits / stored_scale)
+    parts.append((sc.horizon - t) / sc.horizon)
+    return np.asarray(parts, dtype=float)
+
+
+def test_state_equals_loop_reference():
+    sc = toy_scenario(horizon=30)
+    env = SaginEnv(sc)
+    rng = np.random.default_rng(5)
+    state = env.reset()
+    assert state.tobytes() == loop_state(env).tobytes()
+    while not env.done:
+        state, _, _, _ = env.step(rng.uniform(-1, 1, env.action_dim))
+        assert state.tobytes() == loop_state(env).tobytes()
+    # pending, overdue and empty queues side by side, off-grid positions
+    t = env.world.slot
+    task = dict(task_id=0, size_bits=1e5, result_ratio=0.2, created_slot=0)
+    gds = env.world.gd_states
+    gds[0].pending = []
+    gds[1].pending = [workload.MecTask(gd=1, max_delay=1.3,
+                                       deadline_slot=t - 4, **task)]
+    gds[2].pending = [workload.MecTask(gd=2, max_delay=0.9,
+                                       deadline_slot=t + 7, **task),
+                      workload.MecTask(gd=2, max_delay=1.7,
+                                       deadline_slot=t + 9, **task)]
+    gds[3].pending = [workload.MecTask(gd=3, max_delay=1.1,
+                                       deadline_slot=t, **task)]
+    gds[4].stored_bits = 123456.7
+    env.world.aav_pos = np.array([[-0.0, 333.3], [499.9, -500.0]])
+    state = env._state()
+    assert state.tobytes() == loop_state(env).tobytes()
+    assert state[2 * 2 + 2 * 5 + 1] == 0.0 and state[2 * 2 + 2 * 5 + 2] > 0.0
