@@ -41,7 +41,7 @@ def greedy_action(env, rng):
 _POLICIES = {"random": random_action, "greedy": greedy_action}
 
 
-def run_baseline(scenario, algo, seed=None, episodes=1, on_episode=None):
+def run_baseline(scenario, algo, seed, episodes, on_episode=None):
     """Run a baseline policy; returns per-episode metric rows.
 
     on_episode(row, records) fires after each episode with its report row

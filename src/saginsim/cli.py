@@ -7,14 +7,15 @@ Verbs:
     export    regenerate trajectory/energy CSVs from an events.jsonl
     sweep     train across denoising-step or serving-capacity grids
 
-Every run writes manifest.json and the resolved scenario next to its
-outputs, so a run can be reproduced from the output directory alone.
+Every run writes manifest.json (seeds, episodes, overrides) and the
+resolved scenario, config.resolved.toml, next to its outputs; --config of
+that file with the manifest's seeds, episodes and hyper. overrides
+reproduces the run.  The seed and the episode count are flags only.
 Overrides use dotted config keys (e.g. --override workload.task_rate=0.2);
 keys under hyper. steer the trainer (e.g. --override hyper.batch_size=64).
-A key that a flag sets (seed, hyper.episodes, and reward.mode with --mode)
-cannot also be overridden, nor can eval's network and schedule keys, which
-its --checkpoint sets, or a sweep's swept key (max_served for --kind
-capacity, hyper.n_denoise for --kind denoise).
+No override may set what --mode, eval's --checkpoint (its network and
+schedule keys) or a sweep's --kind (max_served for capacity,
+hyper.n_denoise for denoise) sets.
 """
 
 import argparse
@@ -48,20 +49,14 @@ def _parse_overrides(pairs):
     return overrides
 
 
-def _split_hyper(overrides):
-    scenario_ov, hyper_ov = {}, {}
-    for key, value in overrides.items():
-        if key.startswith("hyper."):
-            hyper_ov[key[len("hyper."):]] = value
-        else:
-            scenario_ov[key] = value
-    return scenario_ov, hyper_ov
-
-
-def _build_hyper(hyper_ov, episodes=None):
+def _build_hyper(overrides):
+    """The Hyper of the hyper. overrides; Hyper checks the values."""
     kwargs = {}
     fields = {f.name: f for f in dataclasses.fields(Hyper)}
-    for key, raw in hyper_ov.items():
+    for dotted, raw in overrides.items():
+        if not dotted.startswith("hyper."):
+            continue
+        key = dotted[len("hyper."):]
         if key not in fields:
             raise SaginError("unknown hyper field %r" % key)
         default = fields[key].default
@@ -75,8 +70,6 @@ def _build_hyper(hyper_ov, episodes=None):
                 kwargs[key] = raw
         except ValueError:
             raise SaginError("hyper.%s: cannot parse %r" % (key, raw)) from None
-    if episodes is not None:
-        kwargs["episodes"] = episodes
     return Hyper(**kwargs)
 
 
@@ -87,17 +80,16 @@ def _reject_shadowed(overrides, shadowed):
             raise SaginError("--override %s: %s sets it" % (key, flag))
 
 
-def _load(args, seed):
+def _load(args):
+    """The scenario, the overrides and the Hyper of a command's flags."""
     overrides = _parse_overrides(args.override)
-    shadowed = {"seed": "--seed", "hyper.episodes": "--episodes"}
+    scenario_ov = {key: value for key, value in overrides.items()
+                   if not key.startswith("hyper.")}
     if args.mode:
-        shadowed["reward.mode"] = "--mode"
-    _reject_shadowed(overrides, shadowed)
-    scenario_ov, hyper_ov = _split_hyper(overrides)
-    if args.mode:
+        _reject_shadowed(overrides, {"reward.mode": "--mode"})
         scenario_ov["reward.mode"] = '"%s"' % args.mode
-    scenario = load_scenario(args.config, scenario_ov, seed=seed)
-    return scenario, overrides, hyper_ov
+    scenario = load_scenario(args.config, scenario_ov)
+    return scenario, overrides, _build_hyper(overrides)
 
 
 def _manifest(args, command, seeds, scenario, overrides, out):
@@ -134,25 +126,26 @@ def _run_seeds(args, command, run, out=None):
 
     run(scenario, hyper, seed, seed_dir, on_episode) calls
     on_episode(row, records) with the report row and slot records of each
-    episode as it finishes.  The first seed writes manifest.json and
-    config.resolved.toml; every seed streams its episodes through a
-    runio.RunWriter, so the episodes that finished are kept also when run
-    raises.  out names a subdirectory of args.out to write into.
+    episode as it finishes.  Nothing is written before every flag checks
+    out; then manifest.json and config.resolved.toml are written, and each
+    seed streams its episodes through a runio.RunWriter, so the episodes
+    that finished are kept also when run raises.  out names a
+    subdirectory of args.out to write into.
     """
     out = os.path.join(args.out, out) if out else args.out
     seeds = _seed_list(args.seed)
+    if args.episodes < 0:
+        raise SaginError("--episodes %d is negative" % args.episodes)
+    scenario, overrides, hyper = _load(args)
+    runio.write_manifest(
+        os.path.join(runio.ensure_dir(out), "manifest.json"),
+        _manifest(args, command, seeds, scenario, overrides, out))
+    with open(os.path.join(out, "config.resolved.toml"), "w",
+              encoding="utf-8") as fh:
+        fh.write(scenario_to_text(scenario))
     failures = 0
     for seed in seeds:
-        scenario, overrides, hyper_ov = _load(args, seed)
-        hyper = _build_hyper(hyper_ov, args.episodes)
         seed_dir = runio.ensure_dir(os.path.join(out, "seed%d" % seed))
-        if seed == seeds[0]:
-            runio.write_manifest(
-                os.path.join(out, "manifest.json"),
-                _manifest(args, command, seeds, scenario, overrides, out))
-            with open(os.path.join(out, "config.resolved.toml"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(scenario_to_text(scenario))
         with runio.RunWriter(seed_dir, args.episodes) as writer:
             try:
                 run(scenario, hyper, seed, seed_dir, writer.on_episode)
@@ -165,7 +158,7 @@ def _run_seeds(args, command, run, out=None):
 def cmd_train(args):
     def run(scenario, hyper, seed, seed_dir, on_episode):
         ckpt_dir = runio.ensure_dir(os.path.join(seed_dir, "checkpoints"))
-        train(scenario, hyper, seed, on_episode=on_episode,
+        train(scenario, hyper, seed, args.episodes, on_episode=on_episode,
               ckpt_dir=ckpt_dir, progress=not args.quiet)
     return 1 if _run_seeds(args, "train", run) else 0
 
@@ -185,7 +178,7 @@ def cmd_eval(args):
             actor_widths=tuple(nets["actor"].widths[1:-1]),
             critic_widths=tuple(nets["q1"].widths[1:-1]),
             n_denoise=len(betas), beta_start=betas[0], beta_end=betas[-1])
-        agent = QagobTrainer(env, hyper, seed)
+        agent = QagobTrainer(env, hyper)
         agent.policy.denoiser.set_arrays(nets["actor"].get_arrays())
         agent.critics.q1.set_arrays(nets["q1"].get_arrays())
         agent.critics.q2.set_arrays(nets["q2"].get_arrays())
@@ -242,7 +235,7 @@ def cmd_sweep(args):
     _reject_shadowed(_parse_overrides(args.override),
                      {key: "--kind %s" % args.kind})
     seeds = _seed_list(args.seed)
-    scenario, overrides, _ = _load(args, seeds[0])
+    scenario, overrides, _ = _load(args)
     runio.ensure_dir(args.out)
     runio.write_manifest(os.path.join(args.out, "manifest.json"),
                          _manifest(args, "sweep", seeds, scenario, overrides,
@@ -251,8 +244,8 @@ def cmd_sweep(args):
     failures = 0
     for value in grid:
         def run(scenario, hyper, seed, seed_dir, on_episode):
-            rows, _ = train(scenario, hyper, seed, on_episode=on_episode,
-                            progress=not args.quiet)
+            rows, _ = train(scenario, hyper, seed, args.episodes,
+                            on_episode=on_episode, progress=not args.quiet)
             tail = rows[-min(10, len(rows)):]
             summary.append({
                 "sweep": args.kind, "value": value, "seed": seed,

@@ -134,11 +134,12 @@ def rollout(env, act, on_step=None):
 
 
 class SaginEnv:
-    """Deterministic, seedable environment over one scenario."""
+    """Deterministic environment over one scenario and one seed, which
+    roots every random stream; successive episodes continue the streams."""
 
-    def __init__(self, scenario, seed=None):
+    def __init__(self, scenario, seed):
         self.scenario = scenario
-        self.seed = scenario.seed if seed is None else int(seed)
+        self.seed = int(seed)
         self.rng = SeededRng(self.seed)
         if scenario.gd_positions is not None:
             self.gd_pos = np.asarray(scenario.gd_positions, dtype=float)
@@ -151,12 +152,10 @@ class SaginEnv:
         self.records = []
         self._episode_rain_extra = 0.0
 
-    def reset(self, seed=None):
-        """Start a fresh episode; with a seed the episode streams are
-        re-derived so two resets from the same seed replay identically.
-        GD positions are part of the world and never resampled."""
-        if seed is not None:
-            self.rng = SeededRng(int(seed))
+    def reset(self):
+        """Start a fresh episode.  The random streams run on from the
+        previous episode; GD positions are part of the world and never
+        resampled."""
         sc = self.scenario
         self.world = service.WorldState(
             aav_pos=np.asarray(sc.initial_aav_positions, dtype=float).copy(),

@@ -82,7 +82,6 @@ class RewardWeights:
 
 @dataclasses.dataclass(frozen=True)
 class Scenario:
-    seed: int = 0
     n_aavs: int = 4
     n_gds: int = 30
     aav_altitude: float = 100.0       # m
@@ -152,8 +151,6 @@ def _parse_override(dotted, raw):
 
 
 def _format_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, float):
@@ -206,11 +203,7 @@ def _coerce(field, value, where):
                            for c in value)):
             raise ConfigInvalid(name, "expected a list of %d numbers" % want)
         return tuple(float(c) for c in value)
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigInvalid(name, "expected a boolean")
-        return value
-    if isinstance(default, int) and not isinstance(default, bool):
+    if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigInvalid(name, "expected an integer")
         return value
@@ -256,8 +249,6 @@ def validate_scenario(sc):
         if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
             raise ConfigInvalid(name, "must be positive and finite")
 
-    if sc.seed < 0:
-        raise ConfigInvalid("seed", "must be non-negative")
     if sc.n_aavs < 1:
         raise ConfigInvalid("n_aavs", "need at least one AAV")
     if sc.n_gds < 1:
@@ -266,6 +257,8 @@ def validate_scenario(sc):
         raise ConfigInvalid("max_served", "need capacity of at least one GD")
     positive("aav_altitude", sc.aav_altitude)
     positive("sat_altitude", sc.sat_altitude)
+    if sc.sat_altitude <= sc.aav_altitude:
+        raise ConfigInvalid("sat_altitude", "must be above aav_altitude")
     positive("safe_distance", sc.safe_distance)
     positive("max_speed", sc.max_speed)
     positive("slot_length", sc.slot_length)
@@ -341,12 +334,11 @@ def validate_scenario(sc):
         raise ConfigInvalid("reward.mode", "expected joint, mec_only or dc_only")
 
 
-def load_scenario(path=None, overrides=None, seed=None):
+def load_scenario(path=None, overrides=None):
     """Load and validate a scenario; the defaults when path is None.
 
     overrides: optional {dotted.key: raw TOML value} applied on top of the
-    file before validation.  seed: explicit seed taking precedence over
-    the file.
+    file before validation.
     """
     doc = {"": {}}
     if path is not None:
@@ -359,8 +351,6 @@ def load_scenario(path=None, overrides=None, seed=None):
     for dotted, raw in (overrides or {}).items():
         sec, _, key = dotted.rpartition(".")
         doc.setdefault(sec, {})[key] = _parse_override(dotted, raw)
-    if seed is not None:
-        doc[""]["seed"] = int(seed)
     return scenario_from_doc(doc)
 
 

@@ -1,12 +1,12 @@
 """Online diffusion-policy training (the qagob algorithm).
 
 Per environment step: act with the sample-and-argmax behavior policy,
-store the transition in the replay buffer, then (after warmup) run one
-critic update on a replay batch and one actor update on the (state,
-action) pairs of a second replay batch, followed by soft target
-blending.  Critics are twins; TD targets bootstrap through the
-minimum of the two target critics evaluated at the target policy's
-sample-and-argmax action.
+store the transition in the replay buffer, then, once past warmup with a
+batch in the buffer, run one critic update on a replay batch and one
+actor update on the (state, action) pairs of a second replay batch,
+followed by soft target blending.  Critics are twins; TD targets
+bootstrap through the minimum of the two target critics evaluated at the
+target policy's sample-and-argmax action.
 
 Actor updates weight the denoising loss by the positive advantage
 max(Q - V, 0), with V the mean critic value over fresh policy samples,
@@ -14,6 +14,7 @@ plus an entropy term that denoises toward uniform actions.
 """
 
 import dataclasses
+import math
 import os
 import time
 
@@ -31,7 +32,6 @@ from .scenario import SeededRng
 
 @dataclasses.dataclass
 class Hyper:
-    episodes: int = 3000
     gamma: float = 0.9
     soft_rate: float = 0.005          # target blend per update
     lr_actor: float = 3.0e-4
@@ -39,8 +39,6 @@ class Hyper:
     replay_capacity: int = 1_000_000
     batch_size: int = 256
     warmup_steps: int = 1000          # env steps before updates begin
-    update_every: int = 1             # env steps per critic update
-    actor_every: int = 1              # critic updates per actor update
     n_policy_samples: int = 64        # replay rows per actor update
     n_uniform_samples: int = 16       # uniform rows per actor update
     n_value_samples: int = 8          # policy samples behind the V estimate
@@ -56,6 +54,27 @@ class Hyper:
     checkpoint_every: int = 0         # episodes; 0 keeps only the final file
 
     def __post_init__(self):
+        """Raise ConfigInvalid naming the first field out of range."""
+        for names, ok, why in (
+                ("replay_capacity batch_size n_policy_samples n_value_samples "
+                 "behavior_samples target_samples n_denoise",
+                 lambda v: v >= 1, ">= 1"),
+                ("warmup_steps n_uniform_samples checkpoint_every ent_coeff",
+                 lambda v: v >= 0, ">= 0"),
+                ("lr_actor lr_critic", lambda v: v > 0, "> 0"),
+                ("gamma", lambda v: 0 <= v <= 1, "in [0, 1]"),
+                ("soft_rate", lambda v: 0 < v <= 1, "in (0, 1]"),
+                ("beta_end", lambda v: 0 < v < 1, "in (0, 1)"),
+                ("beta_start", lambda v: 0 < v <= self.beta_end,
+                 "in (0, beta_end]")):
+            for name in names.split():
+                value = getattr(self, name)
+                if not (math.isfinite(value) and ok(value)):
+                    raise ConfigInvalid("hyper." + name,
+                                        "expected a finite value " + why)
+        for name in ("critic_widths", "actor_widths"):
+            if min(getattr(self, name), default=1) < 1:
+                raise ConfigInvalid("hyper." + name, "widths must be >= 1")
         if self.ent_variant not in ("mean", "max"):
             raise ConfigInvalid("hyper.ent_variant", "expected mean or max")
 
@@ -187,11 +206,12 @@ def actor_update(policy, critics, states, acts, hyper, rng, opt):
 
 
 class QagobTrainer:
-    def __init__(self, env, hyper=None, seed=None):
+    """The qagob agent of one environment, seeded by env.seed."""
+
+    def __init__(self, env, hyper):
         self.env = env
-        self.hyper = hyper or Hyper()
-        self.seed = env.seed if seed is None else int(seed)
-        self.rng = SeededRng(self.seed)
+        self.hyper = hyper
+        self.rng = SeededRng(env.seed)
         net_rng = self.rng.stream("net-init")
         schedule = diffusion.VarianceSchedule.linear(
             self.hyper.n_denoise, self.hyper.beta_start, self.hyper.beta_end)
@@ -209,7 +229,6 @@ class QagobTrainer:
         self.opt_q2 = Adam(self.critics.q2.params, self.hyper.lr_critic)
         self.replay = RingBuffer(self.hyper.replay_capacity)
         self.total_steps = 0
-        self.critic_updates = 0
 
     def select_action(self, state):
         return diffusion.behavior_select(
@@ -233,10 +252,8 @@ class QagobTrainer:
                              h.gamma, h.target_samples, t_rng)
         closses = critic_update(batch, targets, self.critics,
                                 self.opt_q1, self.opt_q2)
-        self.critic_updates += 1
         aloss = None
-        if (self.critic_updates % h.actor_every == 0
-                and len(self.replay) >= h.n_policy_samples):
+        if len(self.replay) >= h.n_policy_samples:
             states, acts, _, _, _ = self._batch_arrays(
                 self.replay.sample(h.n_policy_samples, t_rng))
             aloss = actor_update(self.policy, self.critics, states, acts,
@@ -258,7 +275,6 @@ class QagobTrainer:
             self.replay.push((state, action, reward, next_state, done))
             self.total_steps += 1
             if (self.total_steps > h.warmup_steps
-                    and self.total_steps % h.update_every == 0
                     and len(self.replay) >= h.batch_size):
                 closs, aloss = self.update()
                 closs_sum += closs
@@ -281,26 +297,26 @@ class QagobTrainer:
             "q1_target": self.critics.q1_target,
             "q2_target": self.critics.q2_target,
         }
-        base = {"seed": self.seed, "total_steps": self.total_steps,
+        base = {"seed": self.env.seed, "total_steps": self.total_steps,
                 "betas": list(self.policy.schedule.betas)}
         base.update(meta or {})
         save_checkpoint(path, nets, base)
 
 
-def train(scenario, hyper=None, seed=None, on_episode=None, ckpt_dir=None,
+def train(scenario, hyper, seed, episodes, on_episode=None, ckpt_dir=None,
           progress=True):
-    """Run the full training loop; returns (report rows, trainer).
+    """Train for `episodes` episodes from `seed`; returns (report rows,
+    trainer).
 
     on_episode(row, records) fires after each episode with its report row
     and slot records, so episodes finished before a mid-run crash reach
     the caller.
     """
-    hyper = hyper or Hyper()
     env = SaginEnv(scenario, seed)
-    trainer = QagobTrainer(env, hyper, seed)
+    trainer = QagobTrainer(env, hyper)
     rows = []
     start = time.time()
-    for episode in range(hyper.episodes):
+    for episode in range(episodes):
         ep_reward, closs, aloss = trainer.run_episode()
         row = episode_metrics(env, episode, ep_reward)
         row["critic_loss"] = closs
@@ -310,7 +326,7 @@ def train(scenario, hyper=None, seed=None, on_episode=None, ckpt_dir=None,
             on_episode(row, env.records)
         if progress:
             print("episode %d/%d reward %.3f (%.1fs)" % (
-                episode + 1, hyper.episodes, ep_reward, time.time() - start),
+                episode + 1, episodes, ep_reward, time.time() - start),
                 flush=True)
         if ckpt_dir and hyper.checkpoint_every > 0 \
                 and (episode + 1) % hyper.checkpoint_every == 0:
@@ -319,5 +335,5 @@ def train(scenario, hyper=None, seed=None, on_episode=None, ckpt_dir=None,
                 {"episode": episode + 1})
     if ckpt_dir:
         trainer.checkpoint(os.path.join(ckpt_dir, "final.npz"),
-                           {"episode": hyper.episodes})
+                           {"episode": episodes})
     return rows, trainer

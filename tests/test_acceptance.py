@@ -509,7 +509,7 @@ def test_accept_conservation_and_replay(tmp_path):
 # least 20% pooled over seeds 1-3, and the pursuit baseline collects at
 # least as many bits (f2) as random on average.  Budget 10 minutes.
 
-SMOKE_HYPER = Hyper(episodes=50, batch_size=128, warmup_steps=500,
+SMOKE_HYPER = Hyper(batch_size=128, warmup_steps=500,
                     n_policy_samples=64, n_uniform_samples=16,
                     n_value_samples=8, critic_widths=(128, 64),
                     actor_widths=(128, 128), n_denoise=5, lr_critic=1.0e-3)
@@ -520,7 +520,7 @@ def test_accept_learning_smoke():
     sc = load_scenario(str(CONFIGS / "toy.toml"))
     trained_tail, random_tail, greedy_f2, random_f2 = [], [], [], []
     for seed in (1, 2, 3):
-        rows, _ = train(sc, SMOKE_HYPER, seed=seed, progress=False)
+        rows, _ = train(sc, SMOKE_HYPER, seed, 50, progress=False)
         trained_tail += [r["reward"] for r in rows[-10:]]
         rnd = run_baseline(sc, "random", seed=seed, episodes=50)
         random_tail += [r["reward"] for r in rnd[-10:]]
@@ -542,7 +542,6 @@ def test_accept_learning_smoke():
 # metrics.csv and events.jsonl, for both a baseline run and a training run.
 
 TINY_CONFIG = """\
-seed = 0
 n_aavs = 2
 n_gds = 3
 max_served = 2

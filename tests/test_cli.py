@@ -16,7 +16,6 @@ from saginsim.scenario import parse_config_text
 
 TINY_CONFIG = """\
 # small scenario for command-line tests
-seed = 0
 n_aavs = 2
 n_gds = 3
 max_served = 2
@@ -132,20 +131,39 @@ def test_bad_seed_list_returns_config_error(tmp_path, config_path, seeds):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("override,flag_args,flag", [
-    ("seed=5", [], "--seed"),
-    ("hyper.episodes=7", [], "--episodes"),
+# --seed and --episodes are the only homes of the seed and the episode
+# count, so an override of either is an unknown key; --mode sets
+# reward.mode, which may then not be overridden
+@pytest.mark.parametrize("override,flag_args,named", [
+    ("seed=5", [], "seed"),
+    ("hyper.episodes=7", [], "episodes"),
     ('reward.mode="dc_only"', ["--mode", "joint"], "--mode"),
 ])
 def test_override_shadowed_by_a_flag_is_a_config_error(
-        tmp_path, config_path, capsys, override, flag_args, flag):
+        tmp_path, config_path, capsys, override, flag_args, named):
     out = str(tmp_path / "shadowed")
     code = run_cli(["baseline", "--algo", "random", "--config", config_path,
                     "--seed", "1", "--episodes", "1", "--out", out, "--quiet",
                     "--override", override] + flag_args)
     assert code == 2
-    assert flag in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("verb", ["train", "baseline"])
+def test_negative_episodes_is_a_config_error(tmp_path, config_path, capsys,
+                                             verb):
+    argv = [verb, "--config", config_path, "--seed", "0", "--quiet"] \
+        + (TINY_HYPER if verb == "train" else ["--algo", "random"])
+    out = tmp_path / "negative"
+    assert run_cli(argv + ["--episodes", "-1", "--out", str(out)]) == 2
+    assert "--episodes -1" in capsys.readouterr().err
+    assert not out.exists()
+    # zero episodes stays valid: the manifest is written, no episode
+    out = tmp_path / "zero"
+    assert run_cli(argv + ["--episodes", "0", "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+    assert not (out / "seed0" / "metrics.csv").exists()
 
 
 def test_metrics_are_a_function_of_the_event_log(tmp_path):
@@ -258,7 +276,7 @@ def test_bad_override_returns_config_error(tmp_path, config_path):
     # one override is one value: a newline cannot slip in a second key
     code = run_cli(["baseline", "--algo", "random", "--config", config_path,
                     "--seed", "0", "--episodes", "1", "--out", out, "--quiet",
-                    "--override", "horizon=4\nseed = 9"])
+                    "--override", "horizon=4\nn_gds = 3"])
     assert code == 2
 
 
@@ -271,16 +289,69 @@ def test_bad_hyper_returns_config_error(tmp_path, config_path, override):
     assert code == 2
 
 
-def test_resolved_config_records_the_seed_that_ran(tmp_path, config_path,
-                                                   monkeypatch):
-    monkeypatch.setenv("SAGIN_SEED", "5")
-    out = str(tmp_path / "seeded")
-    code = run_cli(["baseline", "--algo", "random", "--config", config_path,
-                    "--seed", "1", "--episodes", "1", "--out", out, "--quiet"])
-    assert code == 0
+@pytest.mark.parametrize("override,field", [
+    ("batch_size=0", "batch_size"),
+    ("n_policy_samples=0", "n_policy_samples"),
+    ("replay_capacity=0", "replay_capacity"),
+    ("n_denoise=0", "n_denoise"),
+    ("behavior_samples=0", "behavior_samples"),
+    ("target_samples=0", "target_samples"),
+    ("gamma=nan", "gamma"),
+    ("lr_actor=-1.0", "lr_actor"),
+])
+def test_out_of_range_hyper_is_a_config_error(tmp_path, capsys, override,
+                                              field):
+    out = tmp_path / "hyper"
+    code = run_cli(["train", "--config", str(CONFIGS / "toy.toml"),
+                    "--seed", "0", "--episodes", "2", "--out", str(out),
+                    "--quiet"] + TINY_HYPER
+                   + ["--override", "hyper." + override])
+    assert code == 2
+    assert "hyper.%s:" % field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def rerun_from_outputs(out, again):
+    """Run again from out's config.resolved.toml and manifest alone."""
+    manifest = json.loads(
+        pathlib.Path(out, "manifest.json").read_text(encoding="utf-8"))
+    argv = [manifest["command"],
+            "--config", os.path.join(out, "config.resolved.toml"),
+            "--seed", ",".join(str(seed) for seed in manifest["seeds"]),
+            "--episodes", str(manifest["episodes"]), "--out", again,
+            "--quiet"]
+    if manifest["command"] == "baseline":
+        argv += ["--algo", manifest["algo"]]
+    for key, value in manifest["overrides"].items():
+        if key.startswith("hyper."):
+            argv += ["--override", "%s=%s" % (key, value)]
+    assert run_cli(argv) == 0
+    return manifest["seeds"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["baseline", "--algo", "random", "--mode", "dc_only",
+     "--override", "horizon=7", "--override", "workload.task_rate=0.3",
+     "--seed", "2,3", "--episodes", "2"],
+    ["train", "--override", "horizon=5", "--seed", "1", "--episodes", "2"]
+    + TINY_HYPER,
+], ids=["baseline", "train"])
+def test_a_run_reproduces_from_its_outputs(tmp_path, argv):
+    argv = argv + ["--config", str(CONFIGS / "toy.toml")]
+    out, again = str(tmp_path / "first"), str(tmp_path / "again")
+    assert run_cli(argv + ["--out", out, "--quiet"]) == 0
     resolved = pathlib.Path(out, "config.resolved.toml").read_text(
         encoding="utf-8")
-    assert parse_config_text(resolved)[""]["seed"] == 1
+    assert "seed" not in parse_config_text(resolved)[""]
+    seeds = rerun_from_outputs(out, again)
+    assert seeds == [int(s) for s in argv[argv.index("--seed") + 1].split(",")]
+    assert pathlib.Path(again, "config.resolved.toml").read_text(
+        encoding="utf-8") == resolved
+    for seed in seeds:
+        for name in ("metrics.csv", "events.jsonl"):
+            first = pathlib.Path(out, "seed%d" % seed, name).read_bytes()
+            assert pathlib.Path(again, "seed%d" % seed,
+                                name).read_bytes() == first, (seed, name)
 
 
 def test_missing_checkpoint_returns_failure(tmp_path, config_path):

@@ -10,11 +10,11 @@ from saginsim.errors import EpisodeFinished
 from saginsim.scenario import RewardWeights, Scenario, load_scenario
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+SEED = 7
 
 
 def toy_scenario(**kw):
     base = dict(
-        seed=7,
         n_aavs=2,
         n_gds=5,
         max_served=2,
@@ -34,7 +34,7 @@ def test_state_dim_formula():
 
 def test_reset_state_layout():
     sc = toy_scenario()
-    env = SaginEnv(sc)
+    env = SaginEnv(sc, SEED)
     s = env.reset()
     assert s.shape == (env.state_dim,)
     # AAV coordinates normalized against the area bounds
@@ -51,7 +51,7 @@ def test_reset_state_layout():
 
 def test_time_feature_counts_down():
     sc = toy_scenario()
-    env = SaginEnv(sc)
+    env = SaginEnv(sc, SEED)
     env.reset()
     raw = np.zeros(env.action_dim)
     s1, _, _, _ = env.step(raw)
@@ -62,7 +62,7 @@ def test_time_feature_counts_down():
 
 def test_episode_terminates_at_horizon():
     sc = toy_scenario(horizon=3)
-    env = SaginEnv(sc)
+    env = SaginEnv(sc, SEED)
     env.reset()
     raw = np.zeros(env.action_dim)
     for k in range(3):
@@ -75,13 +75,14 @@ def test_episode_terminates_at_horizon():
 
 
 def test_reset_with_seed_replays_identically():
+    # two environments built from one seed play the same episode
     sc = toy_scenario()
-    env = SaginEnv(sc)
     rng = np.random.default_rng(3)
-    acts = rng.uniform(-1, 1, size=(sc.horizon, env.action_dim))
+    acts = rng.uniform(-1, 1, size=(sc.horizon, SaginEnv(sc, SEED).action_dim))
 
     def rollout():
-        env.reset(seed=123)
+        env = SaginEnv(sc, 123)
+        env.reset()
         rews, states = [], []
         for a in acts:
             s, r, done, _ = env.step(a)
@@ -98,13 +99,13 @@ def test_reset_with_seed_replays_identically():
 def test_rollout_sums_rewards_and_reports_every_step():
     sc = toy_scenario()
     acts = np.random.default_rng(4).uniform(
-        -1, 1, size=(sc.horizon, SaginEnv(sc).action_dim))
-    env = SaginEnv(sc)
+        -1, 1, size=(sc.horizon, SaginEnv(sc, SEED).action_dim))
+    env = SaginEnv(sc, SEED)
     steps = []
     total = rollout(env, lambda state: acts[len(steps)],
                     lambda *transition: steps.append(transition))
 
-    replay = SaginEnv(sc)
+    replay = SaginEnv(sc, SEED)
     state = replay.reset()
     expected = 0.0
     for t, (s, a, r, s_next, done) in enumerate(steps):
@@ -118,35 +119,40 @@ def test_rollout_sums_rewards_and_reports_every_step():
 
 
 def test_different_seeds_diverge():
-    sc = toy_scenario()
-    env = SaginEnv(sc)
-    raw = np.zeros(env.action_dim)
-    env.reset(seed=1)
-    tot1 = sum(env.step(raw)[1] for _ in range(sc.horizon))
-    env.reset(seed=2)
-    tot2 = sum(env.step(raw)[1] for _ in range(sc.horizon))
-    assert tot1 != tot2
+    # pinned GD positions: the seeds differ in arrivals and channel draws,
+    # not only in geometry
+    pts = tuple((float(100 * g - 200), float(50 * g)) for g in range(5))
+    sc = toy_scenario(gd_positions=pts)
+    totals = []
+    for seed in (1, 2):
+        env = SaginEnv(sc, seed)
+        env.reset()
+        raw = np.zeros(env.action_dim)
+        totals.append(sum(env.step(raw)[1] for _ in range(sc.horizon)))
+    assert totals[0] != totals[1]
 
 
 def test_gd_positions_fixed_across_resets():
-    env = SaginEnv(toy_scenario())
-    env.reset(seed=5)
+    env = SaginEnv(toy_scenario(), SEED)
+    env.reset()
     pos_a = env.gd_pos.copy()
-    env.reset(seed=6)
+    env.step(np.zeros(env.action_dim))
+    env.reset()
     assert np.array_equal(pos_a, env.gd_pos)
+    assert np.array_equal(pos_a, env.world.gd_pos)
 
 
 def test_gd_positions_from_config_are_used():
     pts = tuple((float(10 * g), float(-10 * g)) for g in range(5))
-    env = SaginEnv(toy_scenario(gd_positions=pts))
+    env = SaginEnv(toy_scenario(gd_positions=pts), SEED)
     env.reset()
     assert np.array_equal(env.gd_pos, np.asarray(pts))
 
 
 def test_reward_decomposition_matches_record():
     sc = toy_scenario()
-    env = SaginEnv(sc)
-    env.reset(seed=11)
+    env = SaginEnv(sc, 11)
+    env.reset()
     rng = np.random.default_rng(0)
     rw = sc.reward
     for _ in range(sc.horizon):
@@ -162,8 +168,8 @@ def test_reward_decomposition_matches_record():
 
 def _mode_rollout(mode, n=6):
     sc = toy_scenario(reward=RewardWeights(mode=mode))
-    env = SaginEnv(sc)
-    env.reset(seed=21)
+    env = SaginEnv(sc, 21)
+    env.reset()
     rng = np.random.default_rng(4)
     out = []
     for _ in range(n):
@@ -193,8 +199,8 @@ def test_reward_modes_change_only_the_scalar():
 
 def test_objectives_recount_episode():
     sc = toy_scenario()
-    env = SaginEnv(sc)
-    env.reset(seed=13)
+    env = SaginEnv(sc, 13)
+    env.reset()
     rng = np.random.default_rng(2)
     for _ in range(sc.horizon):
         env.step(rng.uniform(-1, 1, env.action_dim))
@@ -218,8 +224,8 @@ def test_objectives_empty_records():
 def test_conservation_small():
     """Bit and task conservation over a short random episode."""
     sc = toy_scenario()
-    env = SaginEnv(sc)
-    env.reset(seed=17)
+    env = SaginEnv(sc, 17)
+    env.reset()
     rng = np.random.default_rng(6)
     for _ in range(sc.horizon):
         env.step(rng.uniform(-1, 1, env.action_dim))
@@ -244,8 +250,8 @@ def test_conservation_small():
 
 def test_env_counts_boundary_events():
     sc = toy_scenario(initial_aav_positions=((-499.0, -499.0), (499.0, 499.0)))
-    env = SaginEnv(sc)
-    env.reset(seed=1)
+    env = SaginEnv(sc, 1)
+    env.reset()
     raw = np.zeros(env.action_dim)
     # both AAVs pushed further into their corners
     raw[0], raw[1] = 1.0, -0.75   # AAV 0 heading down-left
@@ -259,7 +265,7 @@ def test_env_counts_boundary_events():
 
 def test_default_config_env_smoke():
     sc = load_scenario(CONFIGS / "default.toml")
-    env = SaginEnv(sc)
+    env = SaginEnv(sc, 0)
     s = env.reset()
     assert s.shape == (129,)
     assert env.action_dim == 4 * (2 + 2 * 4)
@@ -289,8 +295,8 @@ def test_default_config_env_smoke():
 
 def test_record_values_are_plain_python():
     sc = toy_scenario()
-    env = SaginEnv(sc)
-    env.reset(seed=3)
+    env = SaginEnv(sc, 3)
+    env.reset()
     rng = np.random.default_rng(5)
     env.step(rng.uniform(-1, 1, env.action_dim))
     rec = env.records[0]
@@ -337,7 +343,7 @@ def loop_state(env):
 
 def test_state_equals_loop_reference():
     sc = toy_scenario(horizon=30)
-    env = SaginEnv(sc)
+    env = SaginEnv(sc, SEED)
     rng = np.random.default_rng(5)
     state = env.reset()
     assert state.tobytes() == loop_state(env).tobytes()

@@ -13,15 +13,15 @@ from saginsim.scenario import Scenario
 
 def toy_scenario():
     return Scenario(
-        seed=0, n_aavs=2, n_gds=4, max_served=2, horizon=6,
+        n_aavs=2, n_gds=4, max_served=2, horizon=6,
         initial_aav_positions=((-250.0, -250.0), (250.0, 250.0)),
         area_bounds=(-500.0, -500.0, 500.0, 500.0),
     )
 
 
 def finished_env(seed=5):
-    env = SaginEnv(toy_scenario())
-    env.reset(seed=seed)
+    env = SaginEnv(toy_scenario(), seed)
+    env.reset()
     rng = np.random.default_rng(seed)
     total = 0.0
     done = False

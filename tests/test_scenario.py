@@ -27,12 +27,12 @@ def test_round_trip_preserves_overridden_floats():
 def test_parse_values_and_comments():
     doc = parse_config_text(
         "# top comment\n"
-        "seed = 7   # trailing\n"
+        "n_aavs = 7   # trailing\n"
         "slot_length = 0.5\n"
         "area_bounds = [-10.0, -10, 10.0, 10]\n"
         "[radio]\n"
         'rain_model = "weibull"\n')
-    assert doc[""]["seed"] == 7
+    assert doc[""]["n_aavs"] == 7
     assert doc[""]["slot_length"] == 0.5
     assert doc["radio"]["rain_model"] == "weibull"
 
@@ -75,7 +75,8 @@ def test_unknown_section_key_rejected():
     ("area_bounds", dict(area_bounds=(10.0, -10.0, -10.0, 10.0))),
     ("initial_aav_positions", dict(n_aavs=1, initial_aav_positions=((0.0, 0.0),
                                                                     (5.0, 5.0)))),
-    ("seed", dict(seed=-1)),
+    ("sat_altitude", dict(sat_altitude=100.0)),
+    ("sat_altitude", dict(sat_altitude=50.0)),
 ])
 def test_validation_names_field(field, kwargs):
     with pytest.raises(ConfigInvalid) as err:
@@ -112,23 +113,20 @@ def test_load_scenario_with_overrides(tmp_path):
     assert sc.horizon == 12
 
 
-def test_load_scenario_seed_precedence(tmp_path, monkeypatch):
+def test_seed_is_not_a_config_key(tmp_path):
+    # the seed is a run argument (--seed), never part of a scenario
+    assert "seed" not in scenario_to_text(Scenario())
     path = tmp_path / "sc.toml"
-    path.write_text(scenario_to_text(Scenario(seed=3)))
-    assert load_scenario(path).seed == 3
-    assert load_scenario(path, seed=9).seed == 9
-    # SAGIN_SEED is not read: the explicit seed, else the file, wins
-    monkeypatch.setenv("SAGIN_SEED", "21")
-    assert load_scenario(path).seed == 3
-    assert load_scenario(path, seed=9).seed == 9
+    path.write_text("seed = 0\n" + scenario_to_text(Scenario()))
+    with pytest.raises(ConfigInvalid) as err:
+        load_scenario(path)
+    assert err.value.field == "seed"
 
 
 def test_load_scenario_without_file_starts_from_defaults():
     assert load_scenario() == Scenario()
-    sc = load_scenario(overrides={"horizon": "12", "radio.rain_model": '"weibull"'},
-                       seed=4)
-    assert sc == Scenario(seed=4, horizon=12,
-                          radio=RadioParams(rain_model="weibull"))
+    sc = load_scenario(overrides={"horizon": "12", "radio.rain_model": '"weibull"'})
+    assert sc == Scenario(horizon=12, radio=RadioParams(rain_model="weibull"))
 
 
 @pytest.mark.parametrize("raw", ["1.", ".5", "01", "twelve", "12\nseed = 9"])

@@ -5,6 +5,7 @@ import pytest
 
 from saginsim.diffusion import DiffusionPolicy, VarianceSchedule
 from saginsim.environment import SaginEnv
+from saginsim.errors import ConfigInvalid
 from saginsim.nets.mlp import Mlp, load_checkpoint
 from saginsim.nets.optim import Adam
 from saginsim.scenario import Scenario
@@ -17,7 +18,6 @@ S_DIM, A_DIM = 3, 2
 
 def toy_scenario(**kw):
     base = dict(
-        seed=0,
         n_aavs=2,
         n_gds=4,
         max_served=2,
@@ -30,12 +30,33 @@ def toy_scenario(**kw):
 
 
 def tiny_hyper(**kw):
-    base = dict(episodes=1, batch_size=4, warmup_steps=0,
+    base = dict(batch_size=4, warmup_steps=0,
                 n_policy_samples=4, n_uniform_samples=2, n_value_samples=2,
                 behavior_samples=2, target_samples=2,
                 critic_widths=(8,), actor_widths=(8,), n_denoise=3)
     base.update(kw)
     return Hyper(**base)
+
+
+@pytest.mark.parametrize("field,bad,good", [
+    ("replay_capacity", 0, 1), ("batch_size", 0, 1),
+    ("n_policy_samples", 0, 1), ("n_value_samples", 0, 1),
+    ("behavior_samples", 0, 1), ("target_samples", 0, 1),
+    ("n_denoise", 0, 1), ("warmup_steps", -1, 0),
+    ("n_uniform_samples", -1, 0), ("checkpoint_every", -1, 0),
+    ("ent_coeff", -1e-9, 0.0), ("ent_coeff", math.inf, 1.0),
+    ("critic_widths", (8, 0), (8, 1)), ("actor_widths", (0,), (1,)),
+    ("lr_actor", 0.0, 1e-9), ("lr_critic", math.inf, 1.0),
+    ("gamma", 1.0 + 1e-9, 1.0), ("gamma", -1e-9, 0.0),
+    ("gamma", math.nan, 0.5), ("soft_rate", 0.0, 1.0),
+    ("soft_rate", 1.0 + 1e-9, 1e-9), ("beta_end", 1.0, 0.5),
+    ("beta_start", 0.0, 0.02), ("beta_start", 0.03, 0.02),
+])
+def test_hyper_rejects_each_value_out_of_range(field, bad, good):
+    Hyper(**{field: good})
+    with pytest.raises(ConfigInvalid) as err:
+        Hyper(**{field: bad})
+    assert err.value.field == "hyper." + field
 
 
 class StubPolicy:
@@ -299,20 +320,25 @@ def test_actor_update_mean_variant_flat_critic_is_noop():
 
 def test_trainer_smoke_episode():
     sc = toy_scenario()
-    env = SaginEnv(sc)
-    trainer = QagobTrainer(env, tiny_hyper(), seed=1)
+    env = SaginEnv(sc, 1)
+    trainer = QagobTrainer(env, tiny_hyper())
+    critics = (trainer.critics.q1, trainer.critics.q2)
+    before = [[p.copy() for p in net.params] for net in critics]
     reward, closs, aloss = trainer.run_episode()
     assert math.isfinite(reward)
     assert trainer.total_steps == sc.horizon
     assert len(trainer.replay) == sc.horizon
     # batch_size 4 <= 5 steps, so updates ran and losses are numbers
     assert math.isfinite(closs)
-    assert trainer.critic_updates > 0
+    # n_policy_samples 4: the actor updated as well
+    assert math.isfinite(aloss)
+    for net, old in zip(critics, before):
+        assert any(not np.array_equal(a, b) for a, b in zip(old, net.params))
 
 
 def test_trainer_select_action_shape_and_range():
-    env = SaginEnv(toy_scenario())
-    trainer = QagobTrainer(env, tiny_hyper(), seed=2)
+    env = SaginEnv(toy_scenario(), 2)
+    trainer = QagobTrainer(env, tiny_hyper())
     state = env.reset()
     a = trainer.select_action(state)
     assert a.shape == (env.action_dim,)
@@ -321,16 +347,16 @@ def test_trainer_select_action_shape_and_range():
 
 def test_trainer_does_not_touch_env_scenario():
     sc = toy_scenario()
-    env = SaginEnv(sc)
-    trainer = QagobTrainer(env, tiny_hyper(), seed=3)
+    env = SaginEnv(sc, 3)
+    trainer = QagobTrainer(env, tiny_hyper())
     trainer.run_episode()
     assert env.scenario is sc
     assert sc.horizon == 5
 
 
 def test_target_nets_start_as_copies():
-    env = SaginEnv(toy_scenario())
-    trainer = QagobTrainer(env, tiny_hyper(), seed=4)
+    env = SaginEnv(toy_scenario(), 4)
+    trainer = QagobTrainer(env, tiny_hyper())
     for a, b in zip(trainer.policy.denoiser.get_arrays(),
                     trainer.policy_target.denoiser.get_arrays()):
         np.testing.assert_array_equal(a, b)
@@ -343,8 +369,8 @@ def test_target_nets_start_as_copies():
 
 
 def test_trainer_checkpoint_round_trip(tmp_path):
-    env = SaginEnv(toy_scenario())
-    trainer = QagobTrainer(env, tiny_hyper(), seed=5)
+    env = SaginEnv(toy_scenario(), 5)
+    trainer = QagobTrainer(env, tiny_hyper())
     trainer.run_episode()
     path = tmp_path / "ck.npz"
     trainer.checkpoint(path, {"note": "test"})
@@ -381,23 +407,23 @@ def rows_equal(a, b):
 
 def test_train_function_returns_rows_and_is_deterministic():
     sc = toy_scenario()
-    hyper = tiny_hyper(episodes=2)
-    rows1, tr1 = train(sc, hyper, seed=7, progress=False)
-    rows2, tr2 = train(sc, hyper, seed=7, progress=False)
+    hyper = tiny_hyper()
+    rows1, tr1 = train(sc, hyper, 7, 2, progress=False)
+    rows2, tr2 = train(sc, hyper, 7, 2, progress=False)
     assert len(rows1) == 2
     assert all(rows_equal(r1, r2) for r1, r2 in zip(rows1, rows2))
     for a, b in zip(tr1.policy.denoiser.get_arrays(),
                     tr2.policy.denoiser.get_arrays()):
         np.testing.assert_array_equal(a, b)
-    rows3, _ = train(sc, hyper, seed=8, progress=False)
+    rows3, _ = train(sc, hyper, 8, 2, progress=False)
     assert [r["reward"] for r in rows3] != [r["reward"] for r in rows1]
 
 
 def test_train_on_episode_callback_and_records(tmp_path):
     sc = toy_scenario()
-    hyper = tiny_hyper(episodes=2, checkpoint_every=1)
+    hyper = tiny_hyper(checkpoint_every=1)
     seen = []
-    rows, _ = train(sc, hyper, seed=9,
+    rows, _ = train(sc, hyper, 9, 2,
                     on_episode=lambda row, recs: seen.append((row, recs)),
                     ckpt_dir=str(tmp_path), progress=False)
     assert [row for row, _ in seen] == rows
@@ -405,7 +431,7 @@ def test_train_on_episode_callback_and_records(tmp_path):
     assert all(len(recs) == sc.horizon for _, recs in seen)
     assert (tmp_path / "ep00001.npz").exists()
     assert (tmp_path / "ep00002.npz").exists()
-    assert (tmp_path / "final.npz").exists()
+    assert load_checkpoint(tmp_path / "final.npz")[1]["episode"] == 2
     for row in rows:
         assert {"episode", "reward", "f1", "f2", "f3", "critic_loss",
                 "actor_loss"} <= set(row)
