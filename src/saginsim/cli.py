@@ -5,7 +5,7 @@ Verbs:
     eval      roll out a trained checkpoint without updates
     baseline  run the random or greedy reference policy
     export    regenerate trajectory/energy CSVs from an events.jsonl
-    sweep     train across denoising-step or serving-capacity grids
+    sweep     train once per value of one key (--grid KEY=V1,V2,...)
 
 Every run writes manifest.json (seeds, episodes, overrides) and the
 resolved scenario, config.resolved.toml, next to its outputs; --config of
@@ -14,8 +14,10 @@ reproduces the run.  The seed and the episode count are flags only.
 Overrides use dotted config keys (e.g. --override workload.task_rate=0.2);
 keys under hyper. steer the trainer (e.g. --override hyper.batch_size=64).
 No override may set what --mode, eval's --checkpoint (its network and
-schedule keys) or a sweep's --kind (max_served for capacity,
-hyper.n_denoise for denoise) sets.
+schedule keys) or a sweep's --grid (its key) sets.  A sweep point is an
+ordinary train run with --override KEY=V, written to the directory KEY=V;
+the top-level manifest records the grid.  Every flag, override, value
+and checkpoint is checked before anything is written.
 """
 
 import argparse
@@ -26,14 +28,13 @@ import traceback
 
 from . import runio
 from .baselines import run_baseline
-from .environment import SaginEnv, rollout
-from .errors import EventLogInvalid, SaginError
+from .actions import action_dim
+from .environment import SaginEnv, rollout, state_dim
+from .errors import CheckpointInvalid, EventLogInvalid, SaginError
 from .nets.mlp import load_checkpoint
 from .scenario import load_scenario, scenario_to_text
 from .trainer import Hyper, QagobTrainer, train
 
-DENOISE_GRID = (1, 5, 10, 15, 25)
-CAPACITY_GRID = (2, 3, 4, 5, 6)
 # the hyper keys that eval rebuilds from its checkpoint
 CHECKPOINT_KEYS = ("hyper.actor_widths", "hyper.critic_widths",
                    "hyper.n_denoise", "hyper.beta_start", "hyper.beta_end")
@@ -63,7 +64,7 @@ def _build_hyper(overrides):
         try:
             if isinstance(default, tuple):
                 parts = raw.strip("[]()").split(",")
-                kwargs[key] = tuple(int(x) for x in parts if x)
+                kwargs[key] = tuple(int(x) for x in parts)
             elif isinstance(default, (int, float)):
                 kwargs[key] = type(default)(raw)
             else:
@@ -92,19 +93,6 @@ def _load(args):
     return scenario, overrides, _build_hyper(overrides)
 
 
-def _manifest(args, command, seeds, scenario, overrides, out):
-    return {
-        "command": command,
-        "scenario_path": os.path.abspath(args.config) if args.config else None,
-        "algo": getattr(args, "algo", None) or command,
-        "seeds": seeds,
-        "mode": scenario.reward.mode,
-        "episodes": getattr(args, "episodes", None),
-        "overrides": overrides,
-        "out": os.path.abspath(out),
-    }
-
-
 def _seed_list(arg):
     """The distinct non-negative integer seeds of a --seed comma list."""
     try:
@@ -121,31 +109,54 @@ def _seed_list(arg):
     return seeds
 
 
-def _run_seeds(args, command, run, out=None):
+def _check(args):
+    """(seeds, scenario, overrides, hyper) of a verb's flags; raises
+    SaginError for a bad flag, override or value, and writes nothing."""
+    seeds = _seed_list(args.seed)
+    if args.episodes < 0:
+        raise SaginError("--episodes %d is negative" % args.episodes)
+    return (seeds,) + _load(args)
+
+
+def _write_run_files(args, command, checked, **extra):
+    """manifest.json and config.resolved.toml of a run, in args.out;
+    extra adds manifest entries."""
+    seeds, scenario, overrides, _ = checked
+    out = runio.ensure_dir(args.out)
+    manifest = {
+        "command": command,
+        "scenario_path": os.path.abspath(args.config) if args.config else None,
+        "algo": getattr(args, "algo", None) or command,
+        "seeds": seeds,
+        "mode": scenario.reward.mode,
+        "episodes": args.episodes,
+        "overrides": overrides,
+        "out": os.path.abspath(out),
+        **extra,
+    }
+    runio.write_manifest(os.path.join(out, "manifest.json"), manifest)
+    with open(os.path.join(out, "config.resolved.toml"), "w",
+              encoding="utf-8") as fh:
+        fh.write(scenario_to_text(scenario))
+
+
+def _run_seeds(args, command, run, checked=None):
     """Run one verb for every seed in args.seed; returns the failure count.
 
     run(scenario, hyper, seed, seed_dir, on_episode) calls
     on_episode(row, records) with the report row and slot records of each
-    episode as it finishes.  Nothing is written before every flag checks
-    out; then manifest.json and config.resolved.toml are written, and each
-    seed streams its episodes through a runio.RunWriter, so the episodes
-    that finished are kept also when run raises.  out names a
-    subdirectory of args.out to write into.
+    episode as it finishes.  checked is _check(args), if the caller has
+    it already.  Nothing is written before every flag checks out; then
+    the run files are written, and each seed streams its episodes through
+    a runio.RunWriter, so the episodes that finished are kept also when
+    run raises.
     """
-    out = os.path.join(args.out, out) if out else args.out
-    seeds = _seed_list(args.seed)
-    if args.episodes < 0:
-        raise SaginError("--episodes %d is negative" % args.episodes)
-    scenario, overrides, hyper = _load(args)
-    runio.write_manifest(
-        os.path.join(runio.ensure_dir(out), "manifest.json"),
-        _manifest(args, command, seeds, scenario, overrides, out))
-    with open(os.path.join(out, "config.resolved.toml"), "w",
-              encoding="utf-8") as fh:
-        fh.write(scenario_to_text(scenario))
+    checked = checked or _check(args)
+    _write_run_files(args, command, checked)
+    seeds, scenario, _, hyper = checked
     failures = 0
     for seed in seeds:
-        seed_dir = runio.ensure_dir(os.path.join(out, "seed%d" % seed))
+        seed_dir = runio.ensure_dir(os.path.join(args.out, "seed%d" % seed))
         with runio.RunWriter(seed_dir, args.episodes) as writer:
             try:
                 run(scenario, hyper, seed, seed_dir, writer.on_episode)
@@ -155,30 +166,55 @@ def _run_seeds(args, command, run, out=None):
     return failures
 
 
-def cmd_train(args):
+def cmd_train(args, checked=None, on_rows=lambda seed, rows: None):
+    """checked is _check(args), and on_rows(seed, rows) gets the report
+    rows of each seed that finished; a sweep passes both."""
     def run(scenario, hyper, seed, seed_dir, on_episode):
         ckpt_dir = runio.ensure_dir(os.path.join(seed_dir, "checkpoints"))
-        train(scenario, hyper, seed, args.episodes, on_episode=on_episode,
-              ckpt_dir=ckpt_dir, progress=not args.quiet)
-    return 1 if _run_seeds(args, "train", run) else 0
+        rows, _ = train(scenario, hyper, seed, args.episodes,
+                        on_episode=on_episode, ckpt_dir=ckpt_dir,
+                        progress=not args.quiet)
+        on_rows(seed, rows)
+    return 1 if _run_seeds(args, "train", run, checked) else 0
+
+
+def _load_checkpoint(path, scenario, hyper):
+    """The networks of checkpoint path and hyper with the network and
+    schedule keys they were trained with; raises CheckpointInvalid unless
+    they fit scenario's state and action widths."""
+    nets, meta = load_checkpoint(path)
+    n_state = state_dim(scenario)
+    n_action = action_dim(scenario.n_aavs, scenario.max_served)
+    for name, ends in (("actor", [n_action + n_state + 1, n_action]),
+                       ("q1", [n_state + n_action, 1]),
+                       ("q2", [n_state + n_action, 1])):
+        if name not in nets:
+            raise CheckpointInvalid(path, "no %s network" % name)
+        widths = nets[name].widths
+        if [widths[0], widths[-1]] != ends:
+            raise CheckpointInvalid(
+                path, "%s network widths %s do not fit the scenario, which "
+                "needs input %d and output %d" % (name, widths, *ends))
+    # nets must be rebuilt exactly as trained, whatever the current
+    # defaults are; the linear schedule is fixed by its length and ends
+    betas = meta["betas"]
+    return nets, dataclasses.replace(
+        hyper,
+        actor_widths=tuple(nets["actor"].widths[1:-1]),
+        critic_widths=tuple(nets["q1"].widths[1:-1]),
+        n_denoise=len(betas), beta_start=betas[0], beta_end=betas[-1])
 
 
 def cmd_eval(args):
     _reject_shadowed(_parse_overrides(args.override),
                      dict.fromkeys(CHECKPOINT_KEYS, "--checkpoint"))
+    seeds, scenario, overrides, hyper = _check(args)
+    nets, hyper = _load_checkpoint(args.checkpoint, scenario, hyper)
 
     def run(scenario, hyper, seed, seed_dir, on_episode):
         env = SaginEnv(scenario, seed)
-        nets, meta = load_checkpoint(args.checkpoint)
-        # nets must be rebuilt exactly as trained, whatever the current
-        # defaults are; the linear schedule is fixed by its length and ends
-        betas = meta["betas"]
-        hyper = dataclasses.replace(
-            hyper,
-            actor_widths=tuple(nets["actor"].widths[1:-1]),
-            critic_widths=tuple(nets["q1"].widths[1:-1]),
-            n_denoise=len(betas), beta_start=betas[0], beta_end=betas[-1])
         agent = QagobTrainer(env, hyper)
+        # set_arrays copies, so every seed starts from the same weights
         agent.policy.denoiser.set_arrays(nets["actor"].get_arrays())
         agent.critics.q1.set_arrays(nets["q1"].get_arrays())
         agent.critics.q2.set_arrays(nets["q2"].get_arrays())
@@ -186,7 +222,8 @@ def cmd_eval(args):
             ep_reward = rollout(env, agent.select_action)
             on_episode(runio.episode_metrics(env, episode, ep_reward),
                        env.records)
-    return 1 if _run_seeds(args, "eval", run) else 0
+    return 1 if _run_seeds(args, "eval", run,
+                           (seeds, scenario, overrides, hyper)) else 0
 
 
 def cmd_baseline(args):
@@ -228,35 +265,37 @@ def cmd_sweep(args):
     if args.episodes < 1:
         raise SaginError("--episodes %d: a sweep needs at least one episode"
                          % args.episodes)
-    if args.kind == "denoise":
-        grid, key = DENOISE_GRID, "hyper.n_denoise"
-    else:
-        grid, key = CAPACITY_GRID, "max_served"
-    _reject_shadowed(_parse_overrides(args.override),
-                     {key: "--kind %s" % args.kind})
-    seeds = _seed_list(args.seed)
-    scenario, overrides, _ = _load(args)
-    runio.ensure_dir(args.out)
-    runio.write_manifest(os.path.join(args.out, "manifest.json"),
-                         _manifest(args, "sweep", seeds, scenario, overrides,
-                                   args.out))
+    key, eq, values = args.grid.partition("=")
+    key, values = key.strip(), [value.strip() for value in values.split(",")]
+    if not (eq and key and all(values)):
+        raise SaginError("--grid %r is not KEY=V1,V2,..." % args.grid)
+    _reject_shadowed(_parse_overrides(args.override), {key: "--grid"})
+    checked = _check(args)
+    points = []
+    for value in values:
+        point = argparse.Namespace(**vars(args))
+        point.override = args.override + ["%s=%s" % (key, value)]
+        point.out = os.path.join(args.out, "%s=%s" % (key, value))
+        seeds, scenario, overrides, hyper = _check(point)
+        for other, _, (_, other_scenario, _, other_hyper) in points:
+            if (other_scenario, other_hyper) == (scenario, hyper):
+                raise SaginError("--grid %r repeats a value: %s and %s run "
+                                 "the same" % (args.grid, other, value))
+        points.append((value, point, (seeds, scenario, overrides, hyper)))
+    _write_run_files(args, "sweep", checked,
+                     grid={"key": key, "values": values})
     summary = []
     failures = 0
-    for value in grid:
-        def run(scenario, hyper, seed, seed_dir, on_episode):
-            rows, _ = train(scenario, hyper, seed, args.episodes,
-                            on_episode=on_episode, progress=not args.quiet)
-            tail = rows[-min(10, len(rows)):]
+    for value, point, point_checked in points:
+        def on_rows(seed, rows):
+            tail = rows[-10:]
             summary.append({
-                "sweep": args.kind, "value": value, "seed": seed,
+                "key": key, "value": value, "seed": seed,
                 "reward_tail10": sum(r["reward"] for r in tail) / len(tail),
                 "f1": rows[-1]["f1"], "f2": rows[-1]["f2"],
                 "f3": rows[-1]["f3"],
             })
-        point = argparse.Namespace(**vars(args))
-        point.override = list(args.override) + ["%s=%d" % (key, value)]
-        failures += _run_seeds(point, "sweep", run,
-                               out="%s%d" % (args.kind, value))
+        failures += cmd_train(point, point_checked, on_rows)
     if summary:
         runio.write_metrics_csv(os.path.join(args.out, "summary.csv"), summary)
     return 1 if failures else 0
@@ -299,11 +338,12 @@ def build_parser():
     p_exp.add_argument("--out", required=True)
     p_exp.set_defaults(func=cmd_export)
 
-    p_sweep = sub.add_parser("sweep", help="grid over denoise steps or capacity")
+    p_sweep = sub.add_parser(
+        "sweep", help="train once per value of one config or hyper. key")
     common(p_sweep, 10)
-    p_sweep.add_argument("--kind", required=True,
-                         choices=["denoise", "capacity"])
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.add_argument("--grid", required=True, metavar="KEY=V1,V2,...",
+                         help="the swept key and its distinct values")
+    p_sweep.set_defaults(func=cmd_sweep, algo="qagob")
     return parser
 
 

@@ -33,6 +33,19 @@ class EventLogInvalid(SaginError):
         super().__init__("%s: %s" % (path, message))
 
 
+class CheckpointInvalid(SaginError):
+    """Raised when a checkpoint cannot be used: it cannot be read, has a
+    foreign format, or holds networks whose input or output widths do not
+    fit the scenario.
+
+    Carries the checkpoint path so callers can report it.
+    """
+
+    def __init__(self, path, message):
+        self.path = path
+        super().__init__("%s: %s" % (path, message))
+
+
 class DegenerateGeometry(SaginError):
     """Zero-distance or otherwise ill-posed link geometry."""
 

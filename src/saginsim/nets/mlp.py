@@ -1,8 +1,11 @@
 """Plain fully connected networks and npz checkpoints."""
 
 import json
+import zipfile
 
 import numpy as np
+
+from ..errors import CheckpointInvalid
 
 CHECKPOINT_FORMAT = 1
 
@@ -100,17 +103,22 @@ def save_checkpoint(path, nets, meta=None):
 
 
 def load_checkpoint(path):
-    """Read back {name: Mlp} and the meta dict."""
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError("unsupported checkpoint format %r"
-                             % header.get("format"))
-        nets = {}
-        for name, widths in header["widths"].items():
-            net = Mlp(widths)
-            n_arrays = 2 * (len(widths) - 1)
-            net.set_arrays([data["%s:%d" % (name, i)]
-                            for i in range(n_arrays)])
-            nets[name] = net
+    """Read back {name: Mlp} and the meta dict; raises CheckpointInvalid
+    for a file that cannot be read as a checkpoint of this format."""
+    try:
+        with np.load(path) as data:
+            header = json.loads(bytes(data["header"]).decode("utf-8"))
+            if header.get("format") != CHECKPOINT_FORMAT:
+                raise CheckpointInvalid(path, "unsupported checkpoint format "
+                                        "%r" % header.get("format"))
+            nets = {}
+            for name, widths in header["widths"].items():
+                net = Mlp(widths)
+                n_arrays = 2 * (len(widths) - 1)
+                net.set_arrays([data["%s:%d" % (name, i)]
+                                for i in range(n_arrays)])
+                nets[name] = net
+    except (OSError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise CheckpointInvalid(path, "cannot read: %s" % exc) from None
     return nets, header["meta"]

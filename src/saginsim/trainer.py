@@ -72,6 +72,11 @@ class Hyper:
                 if not (math.isfinite(value) and ok(value)):
                     raise ConfigInvalid("hyper." + name,
                                         "expected a finite value " + why)
+        for name in ("batch_size", "n_policy_samples"):
+            if getattr(self, name) > self.replay_capacity:
+                raise ConfigInvalid("hyper." + name,
+                                    "above replay_capacity %d, so no update "
+                                    "would ever run" % self.replay_capacity)
         for name in ("critic_widths", "actor_widths"):
             if min(getattr(self, name), default=1) < 1:
                 raise ConfigInvalid("hyper." + name, "widths must be >= 1")

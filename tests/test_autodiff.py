@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from saginsim.errors import NonFiniteGradient
+from saginsim.errors import CheckpointInvalid, NonFiniteGradient
 from saginsim.nets import autodiff
 from saginsim.nets.mlp import Mlp, load_checkpoint, save_checkpoint
 from saginsim.nets.optim import Adam
@@ -201,5 +201,6 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
     payload["header"] = np.frombuffer(json.dumps(header).encode(),
                                       dtype=np.uint8)
     np.savez(path, **payload)
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckpointInvalid) as err:
         load_checkpoint(path)
+    assert err.value.path == path

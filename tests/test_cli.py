@@ -11,7 +11,7 @@ import pytest
 
 from saginsim import baselines, cli, runio
 from saginsim.environment import SaginEnv, episode_totals, rollout
-from saginsim.nets.mlp import load_checkpoint
+from saginsim.nets.mlp import Mlp, load_checkpoint, save_checkpoint
 from saginsim.scenario import parse_config_text
 
 TINY_CONFIG = """\
@@ -280,13 +280,26 @@ def test_bad_override_returns_config_error(tmp_path, config_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("override", ["hyper.ent_variant=maen",
-                                      "hyper.batch_size=many"])
-def test_bad_hyper_returns_config_error(tmp_path, config_path, override):
+@pytest.mark.parametrize("override", [
+    "hyper.ent_variant=maen", "hyper.batch_size=many",
+    # an empty widths entry is an error, not a dropped layer
+    "hyper.actor_widths=8,,8", "hyper.critic_widths=", "hyper.actor_widths=[]"])
+def test_bad_hyper_returns_config_error(tmp_path, config_path, capsys,
+                                        override):
+    out = tmp_path / "hyper"
     code = run_cli(["train", "--config", config_path, "--seed", "0",
-                    "--episodes", "1", "--out", str(tmp_path / "hyper"),
+                    "--episodes", "1", "--out", str(out),
                     "--quiet"] + TINY_HYPER + ["--override", override])
     assert code == 2
+    assert override.partition("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw,widths", [
+    ("8", (8,)), ("4,4", (4, 4)), ("256,256", (256, 256)),
+    ("[256, 256]", (256, 256))])
+def test_widths_override_spellings(raw, widths):
+    assert cli._build_hyper({"hyper.actor_widths": raw}).actor_widths == widths
 
 
 @pytest.mark.parametrize("override,field", [
@@ -298,6 +311,8 @@ def test_bad_hyper_returns_config_error(tmp_path, config_path, override):
     ("target_samples=0", "target_samples"),
     ("gamma=nan", "gamma"),
     ("lr_actor=-1.0", "lr_actor"),
+    # TINY_HYPER's batch_size is 4: a replay of 3 could never fill a batch
+    ("replay_capacity=3", "batch_size"),
 ])
 def test_out_of_range_hyper_is_a_config_error(tmp_path, capsys, override,
                                               field):
@@ -322,6 +337,9 @@ def rerun_from_outputs(out, again):
             "--quiet"]
     if manifest["command"] == "baseline":
         argv += ["--algo", manifest["algo"]]
+    if manifest["command"] == "sweep":
+        grid = manifest["grid"]
+        argv += ["--grid", "%s=%s" % (grid["key"], ",".join(grid["values"]))]
     for key, value in manifest["overrides"].items():
         if key.startswith("hyper."):
             argv += ["--override", "%s=%s" % (key, value)]
@@ -354,47 +372,127 @@ def test_a_run_reproduces_from_its_outputs(tmp_path, argv):
                                 name).read_bytes() == first, (seed, name)
 
 
-def test_missing_checkpoint_returns_failure(tmp_path, config_path):
-    out = str(tmp_path / "evalbad")
+def test_missing_checkpoint_returns_failure(tmp_path, config_path, capsys):
+    out = tmp_path / "evalbad"
+    ckpt = str(tmp_path / "nope.npz")
     code = run_cli(["eval", "--config", config_path, "--seed", "0",
-                    "--episodes", "1", "--checkpoint",
-                    str(tmp_path / "nope.npz"), "--out", out, "--quiet"])
-    assert code == 1
+                    "--episodes", "1", "--checkpoint", ckpt,
+                    "--out", str(out), "--quiet"])
+    assert code == 2
+    assert ckpt in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_sweep_writes_summary(tmp_path, config_path, monkeypatch):
-    monkeypatch.setattr(cli, "DENOISE_GRID", (2,))
+def foreign_format(path):
+    with np.load(path) as data:
+        payload = {k: data[k] for k in data.files}
+    header = json.loads(bytes(payload["header"]).decode())
+    header["format"] = 999
+    payload["header"] = np.frombuffer(json.dumps(header).encode(),
+                                      dtype=np.uint8)
+    np.savez(path, **payload)
+
+
+@pytest.mark.parametrize("spoil,config,says", [
+    (foreign_format, None, "format 999"),
+    (lambda path: pathlib.Path(path).write_text("not a checkpoint"), None,
+     "cannot read"),
+    (lambda path: save_checkpoint(path, {"n": Mlp([2, 2])}), None,
+     "no actor network"),
+    # trained on the tiny scenario, evaluated on the toy one with its 8 GDs
+    (lambda path: None, str(CONFIGS / "toy.toml"), "do not fit"),
+], ids=["foreign-format", "not-a-checkpoint", "no-actor", "other-scenario"])
+def test_unusable_checkpoint_is_a_config_error(tmp_path, config_path, capsys,
+                                               spoil, config, says):
+    ckpt = train_tiny_checkpoint(tmp_path, config_path)
+    spoil(ckpt)
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    code = run_cli(["eval", "--config", config or config_path, "--seed", "0",
+                    "--episodes", "1", "--checkpoint", ckpt,
+                    "--out", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ckpt in err and says in err
+    assert not out.exists()
+
+
+def test_sweep_writes_summary(tmp_path, config_path):
     out = str(tmp_path / "sweep")
-    code = run_cli(["sweep", "--kind", "denoise", "--config", config_path,
+    code = run_cli(["sweep", "--grid", "hyper.n_denoise=2",
+                    "--config", config_path,
                     "--seed", "0", "--episodes", "1", "--out", out, "--quiet"]
                    + tiny_hyper_without("hyper.n_denoise"))
     assert code == 0
     summary = runio.read_metrics_csv(os.path.join(out, "summary.csv"))
     assert len(summary) == 1
-    assert summary[0]["sweep"] == "denoise"
+    assert summary[0]["key"] == "hyper.n_denoise"
     assert summary[0]["value"] == 2
-    assert os.path.exists(os.path.join(out, "denoise2", "seed0",
+    assert os.path.exists(os.path.join(out, "hyper.n_denoise=2", "seed0",
                                        "metrics.csv"))
 
 
-def test_capacity_sweep_overrides_scenario(tmp_path, config_path, monkeypatch):
-    monkeypatch.setattr(cli, "CAPACITY_GRID", (1,))
+def test_capacity_sweep_overrides_scenario(tmp_path, config_path):
     out = str(tmp_path / "capsweep")
-    code = run_cli(["sweep", "--kind", "capacity", "--config", config_path,
+    code = run_cli(["sweep", "--grid", "max_served=1", "--config", config_path,
                     "--seed", "0", "--episodes", "1", "--out", out, "--quiet"]
                    + TINY_HYPER)
     assert code == 0
-    resolved = pathlib.Path(out, "manifest.json").read_text(encoding="utf-8")
-    assert json.loads(resolved)["command"] == "sweep"
-    assert os.path.exists(os.path.join(out, "capacity1", "seed0",
+    manifest = json.loads(
+        pathlib.Path(out, "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["command"] == "sweep"
+    assert manifest["grid"] == {"key": "max_served", "values": ["1"]}
+    assert os.path.exists(os.path.join(out, "max_served=1", "seed0",
                                        "metrics.csv"))
-    # each grid point records the scenario it ran
-    resolved = pathlib.Path(out, "capacity1", "config.resolved.toml").read_text(
+    # the top level records the scenario the grid varies, each grid point
+    # the scenario it ran
+    resolved = pathlib.Path(out, "config.resolved.toml").read_text(
         encoding="utf-8")
+    assert parse_config_text(resolved)[""]["max_served"] == 2
+    resolved = pathlib.Path(out, "max_served=1",
+                            "config.resolved.toml").read_text(encoding="utf-8")
     assert parse_config_text(resolved)[""]["max_served"] == 1
     grid_manifest = json.loads(pathlib.Path(
-        out, "capacity1", "manifest.json").read_text(encoding="utf-8"))
+        out, "max_served=1", "manifest.json").read_text(encoding="utf-8"))
     assert grid_manifest["overrides"]["max_served"] == "1"
+
+
+RUN_FILES = ("metrics.csv", "events.jsonl", "energy.csv", "trajectories.csv")
+
+
+def test_a_sweep_point_is_a_train_run(tmp_path, config_path):
+    argv = ["--config", config_path, "--seed", "1", "--episodes", "2",
+            "--quiet"] + TINY_HYPER
+    sweep = tmp_path / "sweep"
+    assert run_cli(["sweep", "--grid", "max_served=1,2", "--out", str(sweep)]
+                   + argv) == 0
+    plain = tmp_path / "plain"
+    assert run_cli(["train", "--override", "max_served=1", "--out", str(plain)]
+                   + argv) == 0
+    point = sweep / "max_served=1"
+    for name in ("config.resolved.toml",) + tuple(
+            os.path.join("seed1", name) for name in RUN_FILES):
+        assert (point / name).read_bytes() == (plain / name).read_bytes(), name
+    assert (point / "seed1" / "checkpoints" / "final.npz").exists()
+
+
+def test_a_sweep_reproduces_from_its_outputs(tmp_path):
+    out, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli(["sweep", "--grid", "hyper.gamma=0.5,0.9",
+                    "--config", str(CONFIGS / "toy.toml"),
+                    "--override", "horizon=5", "--mode", "dc_only",
+                    "--seed", "0,2", "--episodes", "2", "--out", str(out),
+                    "--quiet"] + TINY_HYPER) == 0
+    assert rerun_from_outputs(str(out), str(again)) == [0, 2]
+    for point in ("hyper.gamma=0.5", "hyper.gamma=0.9"):
+        names = ["config.resolved.toml"] + [
+            os.path.join("seed%d" % seed, name)
+            for seed in (0, 2) for name in RUN_FILES]
+        for name in names:
+            assert (again / point / name).read_bytes() == \
+                (out / point / name).read_bytes(), (point, name)
+    assert (again / "summary.csv").read_bytes() == \
+        (out / "summary.csv").read_bytes()
 
 
 def test_failed_eval_keeps_finished_episodes(tmp_path, config_path,
@@ -465,17 +563,36 @@ def test_eval_rejects_overrides_its_checkpoint_fixes(
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("kind,override", [
-    ("capacity", "max_served=3"), ("denoise", "hyper.n_denoise=3")])
+# every point is checked before the first one runs, so a bad value
+# anywhere in the grid, the last one included, writes nothing
+@pytest.mark.parametrize("grid,flag_args,named", [
+    ("max_served=1,2", ["--override", "max_served=3"], "max_served"),
+    ("hyper.n_denoise=1,2", ["--override", "hyper.n_denoise=3"],
+     "hyper.n_denoise"),
+    ("max_served", [], "--grid"),
+    ("=1,2", [], "--grid"),
+    ("max_served=1,,2", [], "--grid"),
+    ("max_served=", [], "--grid"),
+    ("max_served=1,2,1", [], "repeats"),
+    ("hyper.gamma=0.9,0.90", [], "repeats"),
+    ("no_such_key=1,2", [], "no_such_key"),
+    ("hyper.no_such=1,2", [], "no_such"),
+    ("max_served=1,2,0", [], "max_served"),
+    ("hyper.gamma=0.5,2.0", [], "hyper.gamma"),
+    ('reward.mode="dc_only","joint"', ["--mode", "joint"], "--mode"),
+], ids=["capacity-max_served=3", "denoise-hyper.n_denoise=3", "no-equals",
+        "empty-key", "empty-value", "no-value", "repeated-value",
+        "repeated-value-spelling",
+        "unknown-key", "unknown-hyper-key", "last-value-out-of-range",
+        "hyper-value-out-of-range", "mode-flag"])
 def test_sweep_rejects_override_of_its_swept_key(
-        tmp_path, config_path, capsys, kind, override):
+        tmp_path, config_path, capsys, grid, flag_args, named):
     out = str(tmp_path / "sweep")
-    code = run_cli(["sweep", "--kind", kind, "--config", config_path,
-                    "--seed", "0", "--episodes", "1", "--out", out, "--quiet",
-                    "--override", override]
-                   + tiny_hyper_without("hyper.n_denoise"))
+    code = run_cli(["sweep", "--grid", grid, "--config", config_path,
+                    "--seed", "0", "--episodes", "1", "--out", out, "--quiet"]
+                   + flag_args + tiny_hyper_without("hyper.n_denoise"))
     assert code == 2
-    assert override.partition("=")[0] in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -533,7 +650,7 @@ def test_export_rejects_a_malformed_log(tmp_path, capsys, text, says):
 
 def test_sweep_rejects_zero_episodes(tmp_path, capsys):
     out = tmp_path / "sweep"
-    code = run_cli(["sweep", "--kind", "capacity",
+    code = run_cli(["sweep", "--grid", "max_served=1,2",
                     "--config", str(CONFIGS / "toy.toml"), "--seed", "0",
                     "--episodes", "0", "--out", str(out), "--quiet"])
     assert code == 2

@@ -39,7 +39,7 @@ def tiny_hyper(**kw):
 
 
 @pytest.mark.parametrize("field,bad,good", [
-    ("replay_capacity", 0, 1), ("batch_size", 0, 1),
+    ("replay_capacity", 0, 256), ("batch_size", 0, 1),
     ("n_policy_samples", 0, 1), ("n_value_samples", 0, 1),
     ("behavior_samples", 0, 1), ("target_samples", 0, 1),
     ("n_denoise", 0, 1), ("warmup_steps", -1, 0),
@@ -51,6 +51,9 @@ def tiny_hyper(**kw):
     ("gamma", math.nan, 0.5), ("soft_rate", 0.0, 1.0),
     ("soft_rate", 1.0 + 1e-9, 1e-9), ("beta_end", 1.0, 0.5),
     ("beta_start", 0.0, 0.02), ("beta_start", 0.03, 0.02),
+    # no update can run with a batch above the replay's capacity
+    ("batch_size", 1_000_001, 1_000_000),
+    ("n_policy_samples", 1_000_001, 1_000_000),
 ])
 def test_hyper_rejects_each_value_out_of_range(field, bad, good):
     Hyper(**{field: good})
