@@ -9,8 +9,7 @@ import math
 
 import numpy as np
 
-from .environment import SaginEnv, rollout
-from .runio import episode_metrics
+from .environment import SaginEnv, run_episodes
 
 
 def random_action(env, rng):
@@ -42,22 +41,12 @@ _POLICIES = {"random": random_action, "greedy": greedy_action}
 
 
 def run_baseline(scenario, algo, seed, episodes, on_episode=None):
-    """Run a baseline policy; returns per-episode metric rows.
-
-    on_episode(row, records) fires after each episode with its report row
-    and slot records, so finished episodes reach the caller also when a
-    later one fails.
-    """
+    """Play a baseline policy through environment.run_episodes; returns
+    its report rows.  on_episode is run_episodes' callback."""
     if algo not in _POLICIES:
         raise ValueError("unknown baseline %r" % algo)
     policy = _POLICIES[algo]
     env = SaginEnv(scenario, seed)
     rng = env.rng.stream("policy-noise")
-    rows = []
-    for episode in range(episodes):
-        ep_reward = rollout(env, lambda _state: policy(env, rng))
-        row = episode_metrics(env, episode, ep_reward)
-        rows.append(row)
-        if on_episode is not None:
-            on_episode(row, env.records)
-    return rows
+    return run_episodes(env, lambda _state: policy(env, rng), episodes,
+                        on_episode)

@@ -24,12 +24,13 @@ import argparse
 import dataclasses
 import os
 import sys
+import time
 import traceback
 
 from . import runio
 from .baselines import run_baseline
 from .actions import action_dim
-from .environment import SaginEnv, rollout, state_dim
+from .environment import SaginEnv, run_episodes, state_dim
 from .errors import CheckpointInvalid, EventLogInvalid, SaginError
 from .nets.mlp import load_checkpoint
 from .scenario import load_scenario, scenario_to_text
@@ -141,41 +142,49 @@ def _write_run_files(args, command, checked, **extra):
 
 
 def _run_seeds(args, command, run, checked=None):
-    """Run one verb for every seed in args.seed; returns the failure count.
+    """Run one verb for every seed in args.seed; returns (the failure
+    count, {seed: report rows} of the seeds that finished).
 
-    run(scenario, hyper, seed, seed_dir, on_episode) calls
-    on_episode(row, records) with the report row and slot records of each
-    episode as it finishes.  checked is _check(args), if the caller has
-    it already.  Nothing is written before every flag checks out; then
-    the run files are written, and each seed streams its episodes through
-    a runio.RunWriter, so the episodes that finished are kept also when
-    run raises.
+    run(scenario, hyper, seed, episodes, seed_dir, on_episode) returns
+    the rows of environment.run_episodes with on_episode as its callback.
+    checked is _check(args), if the caller has it already.  Nothing is
+    written before every flag checks out.  Each seed streams its episodes
+    through a runio.RunWriter, which keeps the finished ones also when
+    run raises, and, unless args.quiet, prints a progress line for each.
     """
     checked = checked or _check(args)
     _write_run_files(args, command, checked)
     seeds, scenario, _, hyper = checked
-    failures = 0
+    failures, finished = 0, {}
     for seed in seeds:
         seed_dir = runio.ensure_dir(os.path.join(args.out, "seed%d" % seed))
         with runio.RunWriter(seed_dir, args.episodes) as writer:
+            start = time.perf_counter()
+
+            def on_episode(row, records):
+                writer.on_episode(row, records)
+                if not args.quiet:
+                    print("episode %d/%d reward %.3f (%.1fs)" % (
+                        row["episode"] + 1, args.episodes, row["reward"],
+                        time.perf_counter() - start), flush=True)
             try:
-                run(scenario, hyper, seed, seed_dir, writer.on_episode)
+                finished[seed] = run(scenario, hyper, seed, args.episodes,
+                                     seed_dir, on_episode)
             except Exception:
                 traceback.print_exc()
                 failures += 1
-    return failures
+    return failures, finished
 
 
-def cmd_train(args, checked=None, on_rows=lambda seed, rows: None):
-    """checked is _check(args), and on_rows(seed, rows) gets the report
-    rows of each seed that finished; a sweep passes both."""
-    def run(scenario, hyper, seed, seed_dir, on_episode):
-        ckpt_dir = runio.ensure_dir(os.path.join(seed_dir, "checkpoints"))
-        rows, _ = train(scenario, hyper, seed, args.episodes,
-                        on_episode=on_episode, ckpt_dir=ckpt_dir,
-                        progress=not args.quiet)
-        on_rows(seed, rows)
-    return 1 if _run_seeds(args, "train", run, checked) else 0
+def _train_seed(scenario, hyper, seed, episodes, seed_dir, on_episode):
+    """The run of one train seed for _run_seeds; its checkpoints go to
+    seed_dir/checkpoints."""
+    ckpt_dir = runio.ensure_dir(os.path.join(seed_dir, "checkpoints"))
+    return train(scenario, hyper, seed, episodes, on_episode, ckpt_dir)[0]
+
+
+def cmd_train(args):
+    return 1 if _run_seeds(args, "train", _train_seed)[0] else 0
 
 
 def _load_checkpoint(path, scenario, hyper):
@@ -211,26 +220,22 @@ def cmd_eval(args):
     seeds, scenario, overrides, hyper = _check(args)
     nets, hyper = _load_checkpoint(args.checkpoint, scenario, hyper)
 
-    def run(scenario, hyper, seed, seed_dir, on_episode):
+    def run(scenario, hyper, seed, episodes, seed_dir, on_episode):
         env = SaginEnv(scenario, seed)
         agent = QagobTrainer(env, hyper)
         # set_arrays copies, so every seed starts from the same weights
         agent.policy.denoiser.set_arrays(nets["actor"].get_arrays())
         agent.critics.q1.set_arrays(nets["q1"].get_arrays())
         agent.critics.q2.set_arrays(nets["q2"].get_arrays())
-        for episode in range(args.episodes):
-            ep_reward = rollout(env, agent.select_action)
-            on_episode(runio.episode_metrics(env, episode, ep_reward),
-                       env.records)
+        return run_episodes(env, agent.select_action, episodes, on_episode)
     return 1 if _run_seeds(args, "eval", run,
-                           (seeds, scenario, overrides, hyper)) else 0
+                           (seeds, scenario, overrides, hyper))[0] else 0
 
 
 def cmd_baseline(args):
-    def run(scenario, hyper, seed, seed_dir, on_episode):
-        run_baseline(scenario, args.algo, seed, args.episodes,
-                     on_episode=on_episode)
-    return 1 if _run_seeds(args, "baseline", run) else 0
+    def run(scenario, hyper, seed, episodes, seed_dir, on_episode):
+        return run_baseline(scenario, args.algo, seed, episodes, on_episode)
+    return 1 if _run_seeds(args, "baseline", run)[0] else 0
 
 
 def _is_xy_list(value):
@@ -287,7 +292,10 @@ def cmd_sweep(args):
     summary = []
     failures = 0
     for value, point, point_checked in points:
-        def on_rows(seed, rows):
+        point_failures, finished = _run_seeds(point, "train", _train_seed,
+                                              point_checked)
+        failures += point_failures
+        for seed, rows in finished.items():
             tail = rows[-10:]
             summary.append({
                 "key": key, "value": value, "seed": seed,
@@ -295,7 +303,6 @@ def cmd_sweep(args):
                 "f1": rows[-1]["f1"], "f2": rows[-1]["f2"],
                 "f3": rows[-1]["f3"],
             })
-        failures += cmd_train(point, point_checked, on_rows)
     if summary:
         runio.write_metrics_csv(os.path.join(args.out, "summary.csv"), summary)
     return 1 if failures else 0

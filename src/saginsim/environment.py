@@ -133,6 +133,22 @@ def rollout(env, act, on_step=None):
     return total
 
 
+def run_episodes(env, act, episodes, on_episode=None, learn=None):
+    """Play `episodes` episodes; returns their report rows, each
+    {"episode", "reward", **episode_totals(records)}.  on_episode(row,
+    records) fires after each episode and may add keys to its row; learn
+    is rollout's on_step.
+    """
+    rows = []
+    for episode in range(episodes):
+        row = {"episode": episode, "reward": float(rollout(env, act, learn))}
+        row.update(episode_totals(env.records))
+        rows.append(row)
+        if on_episode is not None:
+            on_episode(row, env.records)
+    return rows
+
+
 class SaginEnv:
     """Deterministic environment over one scenario and one seed, which
     roots every random stream; successive episodes continue the streams."""

@@ -9,17 +9,10 @@ import csv
 import json
 import os
 
-from .environment import Totals, episode_totals
+from .environment import Totals
 from .errors import EventLogInvalid
 
 EVENTS_SCHEMA = 1
-
-
-def episode_metrics(env, episode, reward):
-    """One report row for the episode the environment just finished."""
-    row = {"episode": int(episode), "reward": float(reward)}
-    row.update(episode_totals(env.records))
-    return row
 
 
 def _csv_values(row, fields):

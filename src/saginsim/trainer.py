@@ -1,5 +1,7 @@
 """Online diffusion-policy training (the qagob algorithm).
 
+environment.run_episodes plays the episodes; this module holds the
+per-step learning, QagobTrainer.learn, and the checkpoints, but no loop.
 Per environment step: act with the sample-and-argmax behavior policy,
 store the transition in the replay buffer, then, once past warmup with a
 batch in the buffer, run one critic update on a replay batch and one
@@ -16,17 +18,15 @@ plus an entropy term that denoises toward uniform actions.
 import dataclasses
 import math
 import os
-import time
 
 import numpy as np
 
 from . import diffusion
-from .environment import SaginEnv, rollout
+from .environment import SaginEnv, run_episodes
 from .errors import ConfigInvalid, NonFiniteGradient
 from .nets import autodiff
 from .nets.mlp import Mlp, save_checkpoint
 from .nets.optim import Adam
-from .runio import episode_metrics
 from .scenario import SeededRng
 
 
@@ -234,6 +234,7 @@ class QagobTrainer:
         self.opt_q2 = Adam(self.critics.q2.params, self.hyper.lr_critic)
         self.replay = RingBuffer(self.hyper.replay_capacity)
         self.total_steps = 0
+        self._loss_sums, self._loss_counts = [0.0, 0.0], [0, 0]
 
     def select_action(self, state):
         return diffusion.behavior_select(
@@ -269,29 +270,28 @@ class QagobTrainer:
         soft_update(self.critics.q2, self.critics.q2_target, h.soft_rate)
         return sum(closses) / 2.0, aloss
 
-    def run_episode(self):
-        """One environment episode with per-step updates after warmup."""
+    def learn(self, state, action, reward, next_state, done):
+        """Store one transition; past warmup, with a batch in the replay
+        buffer, run one update and add its losses to the episode's."""
         h = self.hyper
-        closs_sum, closs_n = 0.0, 0
-        aloss_sum, aloss_n = 0.0, 0
+        self.replay.push((state, action, reward, next_state, done))
+        self.total_steps += 1
+        if (self.total_steps > h.warmup_steps
+                and len(self.replay) >= h.batch_size):
+            for i, loss in enumerate(self.update()):
+                if loss is not None:
+                    self._loss_sums[i] += loss
+                    self._loss_counts[i] += 1
 
-        def learn(state, action, reward, next_state, done):
-            nonlocal closs_sum, closs_n, aloss_sum, aloss_n
-            self.replay.push((state, action, reward, next_state, done))
-            self.total_steps += 1
-            if (self.total_steps > h.warmup_steps
-                    and len(self.replay) >= h.batch_size):
-                closs, aloss = self.update()
-                closs_sum += closs
-                closs_n += 1
-                if aloss is not None:
-                    aloss_sum += aloss
-                    aloss_n += 1
-
-        ep_reward = rollout(self.env, self.select_action, learn)
-        critic_loss = closs_sum / closs_n if closs_n else float("nan")
-        actor_loss = aloss_sum / aloss_n if aloss_n else float("nan")
-        return ep_reward, critic_loss, actor_loss
+    def episode_losses(self):
+        """{"critic_loss", "actor_loss"}: the mean loss of the updates
+        since the last call, NaN where none ran; starts the next sums."""
+        losses = {name: total / count if count else float("nan")
+                  for name, total, count in zip(
+                      ("critic_loss", "actor_loss"),
+                      self._loss_sums, self._loss_counts)}
+        self._loss_sums, self._loss_counts = [0.0, 0.0], [0, 0]
+        return losses
 
     def checkpoint(self, path, meta=None):
         nets = {
@@ -308,36 +308,29 @@ class QagobTrainer:
         save_checkpoint(path, nets, base)
 
 
-def train(scenario, hyper, seed, episodes, on_episode=None, ckpt_dir=None,
-          progress=True):
+def train(scenario, hyper, seed, episodes, on_episode=None, ckpt_dir=None):
     """Train for `episodes` episodes from `seed`; returns (report rows,
     trainer).
 
-    on_episode(row, records) fires after each episode with its report row
-    and slot records, so episodes finished before a mid-run crash reach
-    the caller.
+    environment.run_episodes plays the episodes with the trainer's learn
+    step.  Each row gains the episode's critic_loss and actor_loss before
+    on_episode(row, records) gets it; then the checkpoints go to ckpt_dir.
     """
     env = SaginEnv(scenario, seed)
     trainer = QagobTrainer(env, hyper)
-    rows = []
-    start = time.time()
-    for episode in range(episodes):
-        ep_reward, closs, aloss = trainer.run_episode()
-        row = episode_metrics(env, episode, ep_reward)
-        row["critic_loss"] = closs
-        row["actor_loss"] = aloss
-        rows.append(row)
+
+    def finish(row, records):
+        row.update(trainer.episode_losses())
         if on_episode is not None:
-            on_episode(row, env.records)
-        if progress:
-            print("episode %d/%d reward %.3f (%.1fs)" % (
-                episode + 1, episodes, ep_reward, time.time() - start),
-                flush=True)
+            on_episode(row, records)
+        played = row["episode"] + 1
         if ckpt_dir and hyper.checkpoint_every > 0 \
-                and (episode + 1) % hyper.checkpoint_every == 0:
-            trainer.checkpoint(os.path.join(
-                ckpt_dir, "ep%05d.npz" % (episode + 1)),
-                {"episode": episode + 1})
+                and played % hyper.checkpoint_every == 0:
+            trainer.checkpoint(os.path.join(ckpt_dir, "ep%05d.npz" % played),
+                               {"episode": played})
+
+    rows = run_episodes(env, trainer.select_action, episodes, finish,
+                        trainer.learn)
     if ckpt_dir:
         trainer.checkpoint(os.path.join(ckpt_dir, "final.npz"),
                            {"episode": episodes})

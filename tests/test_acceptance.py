@@ -520,7 +520,7 @@ def test_accept_learning_smoke():
     sc = load_scenario(str(CONFIGS / "toy.toml"))
     trained_tail, random_tail, greedy_f2, random_f2 = [], [], [], []
     for seed in (1, 2, 3):
-        rows, _ = train(sc, SMOKE_HYPER, seed, 50, progress=False)
+        rows, _ = train(sc, SMOKE_HYPER, seed, 50)
         trained_tail += [r["reward"] for r in rows[-10:]]
         rnd = run_baseline(sc, "random", seed=seed, episodes=50)
         random_tail += [r["reward"] for r in rnd[-10:]]

@@ -4,13 +4,15 @@ import json
 import math
 import os
 import pathlib
+import re
 import weakref
 
 import numpy as np
 import pytest
 
-from saginsim import baselines, cli, runio
-from saginsim.environment import SaginEnv, episode_totals, rollout
+from saginsim import baselines, cli, environment, runio
+from saginsim.environment import (SaginEnv, episode_totals, rollout,
+                                  run_episodes)
 from saginsim.nets.mlp import Mlp, load_checkpoint, save_checkpoint
 from saginsim.scenario import parse_config_text
 
@@ -457,6 +459,26 @@ def test_capacity_sweep_overrides_scenario(tmp_path, config_path):
     assert grid_manifest["overrides"]["max_served"] == "1"
 
 
+def test_sweep_summary_is_the_tail_of_each_point(tmp_path, config_path):
+    # 12 episodes, so the summary's 10-episode tail drops two of them
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep", "--grid", "max_served=1,2", "--config",
+                    config_path, "--seed", "0,1", "--episodes", "12",
+                    "--out", str(out), "--quiet"] + TINY_HYPER) == 0
+    summary = csv_rows(out / "summary.csv")
+    assert [(row["value"], row["seed"]) for row in summary] == [
+        ("1", "0"), ("1", "1"), ("2", "0"), ("2", "1")]
+    for row in summary:
+        rows = csv_rows(out / ("max_served=" + row["value"])
+                        / ("seed" + row["seed"]) / "metrics.csv")
+        assert len(rows) == 12
+        # the builtin sum in episode order, as the sweep sums
+        tail = sum(float(r["reward"]) for r in rows[-10:]) / 10
+        assert row["reward_tail10"] == repr(tail)
+        for key in ("f1", "f2", "f3"):
+            assert row[key] == rows[-1][key], key
+
+
 RUN_FILES = ("metrics.csv", "events.jsonl", "energy.csv", "trajectories.csv")
 
 
@@ -510,7 +532,7 @@ def test_failed_eval_keeps_finished_episodes(tmp_path, config_path,
         played.append(1)
         return rollout(env, act, on_step)
 
-    monkeypatch.setattr(cli, "rollout", rollout_then_fail)
+    monkeypatch.setattr(environment, "rollout", rollout_then_fail)
     out = str(tmp_path / "eval")
     code = run_cli(["eval", "--config", config_path, "--seed", "0",
                     "--episodes", "3", "--checkpoint", ckpt, "--out", out,
@@ -546,6 +568,28 @@ def train_tiny_checkpoint(tmp_path, config_path):
                     "--episodes", "1", "--out", out, "--quiet"]
                    + TINY_HYPER) == 0
     return os.path.join(out, "seed0", "checkpoints", "final.npz")
+
+
+@pytest.mark.parametrize("verb", ["train", "eval", "baseline"])
+def test_progress_line_per_episode_unless_quiet(tmp_path, config_path,
+                                                capsys, verb):
+    extra = {"train": TINY_HYPER, "baseline": ["--algo", "random"]}.get(verb)
+    if verb == "eval":
+        extra = ["--checkpoint", train_tiny_checkpoint(tmp_path, config_path)]
+    argv = [verb, "--config", config_path, "--seed", "0,1", "--episodes",
+            "2"] + extra
+    capsys.readouterr()
+    loud = tmp_path / "loud"
+    assert run_cli(argv + ["--out", str(loud)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [row for seed in (0, 1) for row in runio.read_metrics_csv(
+        loud / ("seed%d" % seed) / "metrics.csv")]
+    assert len(lines) == len(rows) == 4
+    for line, row in zip(lines, rows):
+        assert re.fullmatch(r"episode %d/2 reward %s \(\d+\.\ds\)" % (
+            row["episode"] + 1, re.escape("%.3f" % row["reward"])), line)
+    assert run_cli(argv + ["--out", str(tmp_path / "quiet"), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("override", [
@@ -690,19 +734,21 @@ def test_finished_episodes_are_released(tmp_path, config_path):
          "0", "--episodes", "3", "--out", str(tmp_path / "base"), "--quiet"])
     refs, alive = [], []
 
-    def run(scenario, hyper, seed, seed_dir, on_episode):
+    def run(scenario, hyper, seed, episodes, seed_dir, on_episode):
         env = SaginEnv(scenario, seed)
         rng = np.random.default_rng(seed)
-        for episode in range(args.episodes):
-            reward = rollout(env,
-                             lambda _s: rng.uniform(-1, 1, env.action_dim))
-            records = Records(env.records)
+
+        def on_weak_episode(row, records):
+            records = Records(records)
             refs.append(weakref.ref(records))
-            on_episode(runio.episode_metrics(env, episode, reward), records)
+            on_episode(row, records)
+        rows = run_episodes(env, lambda _s: rng.uniform(-1, 1, env.action_dim),
+                            episodes, on_weak_episode)
         gc.collect()
         alive.extend(ref() is not None for ref in refs)
+        return rows
 
-    assert cli._run_seeds(args, "baseline", run) == 0
+    assert cli._run_seeds(args, "baseline", run)[0] == 0
     # while the seed runs, only the latest episode's records may be held
     assert alive[:-1] == [False, False]
     gc.collect()

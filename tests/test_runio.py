@@ -6,7 +6,8 @@ import pytest
 
 from saginsim import runio
 from saginsim.baselines import run_baseline
-from saginsim.environment import SaginEnv, episode_totals, objectives
+from saginsim.environment import (SaginEnv, episode_totals, objectives,
+                                  run_episodes)
 from saginsim.errors import EventLogInvalid
 from saginsim.scenario import Scenario
 
@@ -29,6 +30,15 @@ def finished_env(seed=5):
         _, r, done, _ = env.step(rng.uniform(-1, 1, env.action_dim))
         total += r
     return env, total
+
+
+def episode_row(seed=5):
+    """The report row of finished_env's episode."""
+    env = SaginEnv(toy_scenario(), seed)
+    rng = np.random.default_rng(seed)
+    [row] = run_episodes(env, lambda _s: rng.uniform(-1, 1, env.action_dim),
+                         1)
+    return row
 
 
 def energy_sums(records):
@@ -55,8 +65,12 @@ def test_offload_ratio_counts_served_tasks():
 
 
 def test_episode_metrics_fields_and_consistency():
-    env, total = finished_env()
-    row = runio.episode_metrics(env, 3, total)
+    env = SaginEnv(toy_scenario(), 5)
+    rng = np.random.default_rng(5)
+    rewards = []
+    row = run_episodes(env, lambda _s: rng.uniform(-1, 1, env.action_dim), 4,
+                       learn=lambda s, a, r, s2, d: rewards.append(r))[3]
+    total = sum(rewards[-env.scenario.horizon:])
     assert row["episode"] == 3
     assert row["reward"] == pytest.approx(total)
     f1, f2, f3 = objectives(env.records)
@@ -68,8 +82,7 @@ def test_episode_metrics_fields_and_consistency():
 
 
 def test_metrics_csv_round_trip(tmp_path):
-    env, total = finished_env()
-    rows = [runio.episode_metrics(env, 0, total)]
+    rows = [episode_row()]
     rows[0]["critic_loss"] = 1.25
     # columns are the rows' keys in first-seen order; a missing value is empty
     rows.append(dict(rows[0], actor_loss=0.5))
@@ -89,11 +102,9 @@ def test_metrics_csv_round_trip(tmp_path):
 
 
 def test_metrics_csv_bytes_identical(tmp_path):
-    env1, t1 = finished_env(seed=9)
-    env2, t2 = finished_env(seed=9)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    runio.write_metrics_csv(p1, [runio.episode_metrics(env1, 0, t1)])
-    runio.write_metrics_csv(p2, [runio.episode_metrics(env2, 0, t2)])
+    runio.write_metrics_csv(p1, [episode_row(seed=9)])
+    runio.write_metrics_csv(p2, [episode_row(seed=9)])
     assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from saginsim.diffusion import DiffusionPolicy, VarianceSchedule
-from saginsim.environment import SaginEnv
+from saginsim.environment import SaginEnv, run_episodes
 from saginsim.errors import ConfigInvalid
 from saginsim.nets.mlp import Mlp, load_checkpoint
 from saginsim.nets.optim import Adam
@@ -321,13 +321,22 @@ def test_actor_update_mean_variant_flat_critic_is_noop():
         np.testing.assert_array_equal(b, p)
 
 
+def play_episode(trainer):
+    """One episode with the trainer's learn step; (reward, critic_loss,
+    actor_loss)."""
+    [row] = run_episodes(trainer.env, trainer.select_action, 1,
+                         learn=trainer.learn)
+    losses = trainer.episode_losses()
+    return row["reward"], losses["critic_loss"], losses["actor_loss"]
+
+
 def test_trainer_smoke_episode():
     sc = toy_scenario()
     env = SaginEnv(sc, 1)
     trainer = QagobTrainer(env, tiny_hyper())
     critics = (trainer.critics.q1, trainer.critics.q2)
     before = [[p.copy() for p in net.params] for net in critics]
-    reward, closs, aloss = trainer.run_episode()
+    reward, closs, aloss = play_episode(trainer)
     assert math.isfinite(reward)
     assert trainer.total_steps == sc.horizon
     assert len(trainer.replay) == sc.horizon
@@ -337,6 +346,24 @@ def test_trainer_smoke_episode():
     assert math.isfinite(aloss)
     for net, old in zip(critics, before):
         assert any(not np.array_equal(a, b) for a, b in zip(old, net.params))
+
+
+def test_episode_losses_are_the_means_of_its_updates():
+    # horizon 5, warmup 7: no update in episode 1, three in episode 2
+    env = SaginEnv(toy_scenario(), 1)
+    trainer = QagobTrainer(env, tiny_hyper(warmup_steps=7))
+    update, seen = trainer.update, []
+    trainer.update = lambda: seen.append(update()) or seen[-1]
+    _, closs, aloss = play_episode(trainer)
+    assert seen == [] and math.isnan(closs) and math.isnan(aloss)
+    _, closs, aloss = play_episode(trainer)
+    assert len(seen) == 3
+    for mean, losses in ((closs, [c for c, _ in seen]),
+                         (aloss, [a for _, a in seen])):
+        total = 0.0
+        for loss in losses:    # a sequential sum, then one division
+            total += loss
+        assert mean == total / len(losses)
 
 
 def test_trainer_select_action_shape_and_range():
@@ -352,7 +379,7 @@ def test_trainer_does_not_touch_env_scenario():
     sc = toy_scenario()
     env = SaginEnv(sc, 3)
     trainer = QagobTrainer(env, tiny_hyper())
-    trainer.run_episode()
+    play_episode(trainer)
     assert env.scenario is sc
     assert sc.horizon == 5
 
@@ -374,7 +401,7 @@ def test_target_nets_start_as_copies():
 def test_trainer_checkpoint_round_trip(tmp_path):
     env = SaginEnv(toy_scenario(), 5)
     trainer = QagobTrainer(env, tiny_hyper())
-    trainer.run_episode()
+    play_episode(trainer)
     path = tmp_path / "ck.npz"
     trainer.checkpoint(path, {"note": "test"})
     nets, meta = load_checkpoint(path)
@@ -411,14 +438,14 @@ def rows_equal(a, b):
 def test_train_function_returns_rows_and_is_deterministic():
     sc = toy_scenario()
     hyper = tiny_hyper()
-    rows1, tr1 = train(sc, hyper, 7, 2, progress=False)
-    rows2, tr2 = train(sc, hyper, 7, 2, progress=False)
+    rows1, tr1 = train(sc, hyper, 7, 2)
+    rows2, tr2 = train(sc, hyper, 7, 2)
     assert len(rows1) == 2
     assert all(rows_equal(r1, r2) for r1, r2 in zip(rows1, rows2))
     for a, b in zip(tr1.policy.denoiser.get_arrays(),
                     tr2.policy.denoiser.get_arrays()):
         np.testing.assert_array_equal(a, b)
-    rows3, _ = train(sc, hyper, 8, 2, progress=False)
+    rows3, _ = train(sc, hyper, 8, 2)
     assert [r["reward"] for r in rows3] != [r["reward"] for r in rows1]
 
 
@@ -428,7 +455,7 @@ def test_train_on_episode_callback_and_records(tmp_path):
     seen = []
     rows, _ = train(sc, hyper, 9, 2,
                     on_episode=lambda row, recs: seen.append((row, recs)),
-                    ckpt_dir=str(tmp_path), progress=False)
+                    ckpt_dir=str(tmp_path))
     assert [row for row, _ in seen] == rows
     assert [row["episode"] for row in rows] == [0, 1]
     assert all(len(recs) == sc.horizon for _, recs in seen)
