@@ -34,7 +34,7 @@ from .environment import SaginEnv, run_episodes, state_dim
 from .errors import CheckpointInvalid, EventLogInvalid, SaginError
 from .nets.mlp import load_checkpoint
 from .scenario import load_scenario, scenario_to_text
-from .trainer import Hyper, QagobTrainer, train
+from .trainer import NET_DTYPE, Hyper, QagobTrainer, train
 
 # the hyper keys that eval rebuilds from its checkpoint
 CHECKPOINT_KEYS = ("hyper.actor_widths", "hyper.critic_widths",
@@ -141,7 +141,7 @@ def _write_run_files(args, command, checked, **extra):
         fh.write(scenario_to_text(scenario))
 
 
-def _run_seeds(args, command, run, checked=None):
+def _run_seeds(args, command, run, checked=None, point=None):
     """Run one verb for every seed in args.seed; returns (the failure
     count, {seed: report rows} of the seeds that finished).
 
@@ -150,7 +150,8 @@ def _run_seeds(args, command, run, checked=None):
     checked is _check(args), if the caller has it already.  Nothing is
     written before every flag checks out.  Each seed streams its episodes
     through a runio.RunWriter, which keeps the finished ones also when
-    run raises, and, unless args.quiet, prints a progress line for each.
+    run raises, and, unless args.quiet, prints a progress line for each,
+    which names the seed and the sweep point ("KEY=V"), if any.
     """
     checked = checked or _check(args)
     _write_run_files(args, command, checked)
@@ -158,15 +159,17 @@ def _run_seeds(args, command, run, checked=None):
     failures, finished = 0, {}
     for seed in seeds:
         seed_dir = runio.ensure_dir(os.path.join(args.out, "seed%d" % seed))
+        run_name = " ".join(filter(None, (point, "seed %d" % seed)))
         with runio.RunWriter(seed_dir, args.episodes) as writer:
             start = time.perf_counter()
 
             def on_episode(row, records):
                 writer.on_episode(row, records)
                 if not args.quiet:
-                    print("episode %d/%d reward %.3f (%.1fs)" % (
-                        row["episode"] + 1, args.episodes, row["reward"],
-                        time.perf_counter() - start), flush=True)
+                    print("%s episode %d/%d reward %.3f (%.1fs)" % (
+                        run_name, row["episode"] + 1, args.episodes,
+                        row["reward"], time.perf_counter() - start),
+                        flush=True)
             try:
                 finished[seed] = run(scenario, hyper, seed, args.episodes,
                                      seed_dir, on_episode)
@@ -190,7 +193,8 @@ def cmd_train(args):
 def _load_checkpoint(path, scenario, hyper):
     """The networks of checkpoint path and hyper with the network and
     schedule keys they were trained with; raises CheckpointInvalid unless
-    they fit scenario's state and action widths."""
+    they fit scenario's state and action widths and are of the trainer's
+    dtype, which nothing then rounds."""
     nets, meta = load_checkpoint(path)
     n_state = state_dim(scenario)
     n_action = action_dim(scenario.n_aavs, scenario.max_served)
@@ -204,6 +208,10 @@ def _load_checkpoint(path, scenario, hyper):
             raise CheckpointInvalid(
                 path, "%s network widths %s do not fit the scenario, which "
                 "needs input %d and output %d" % (name, widths, *ends))
+        if nets[name].dtype != NET_DTYPE:
+            raise CheckpointInvalid(
+                path, "%s network is %s; the trainer's networks are %s"
+                % (name, nets[name].dtype, NET_DTYPE))
     # nets must be rebuilt exactly as trained, whatever the current
     # defaults are; the linear schedule is fixed by its length and ends
     betas = meta["betas"]
@@ -278,9 +286,10 @@ def cmd_sweep(args):
     checked = _check(args)
     points = []
     for value in values:
+        setting = "%s=%s" % (key, value)
         point = argparse.Namespace(**vars(args))
-        point.override = args.override + ["%s=%s" % (key, value)]
-        point.out = os.path.join(args.out, "%s=%s" % (key, value))
+        point.override = args.override + [setting]
+        point.out = os.path.join(args.out, setting)
         seeds, scenario, overrides, hyper = _check(point)
         for other, _, (_, other_scenario, _, other_hyper) in points:
             if (other_scenario, other_hyper) == (scenario, hyper):
@@ -292,8 +301,9 @@ def cmd_sweep(args):
     summary = []
     failures = 0
     for value, point, point_checked in points:
-        point_failures, finished = _run_seeds(point, "train", _train_seed,
-                                              point_checked)
+        point_failures, finished = _run_seeds(
+            point, "train", _train_seed, point_checked,
+            "%s=%s" % (key, value))
         failures += point_failures
         for seed, rows in finished.items():
             tail = rows[-10:]

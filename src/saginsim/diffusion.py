@@ -13,6 +13,7 @@ so only actions better than the policy average pull probability mass.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -72,12 +73,16 @@ def forward_diffuse(actions, steps, noise, schedule):
 
 
 class DiffusionPolicy:
-    def __init__(self, state_dim, action_dim, hidden_widths, schedule, rng):
+    """A denoiser of the given dtype (float64 unless given); sampling runs
+    in that dtype, with every noise draw taken in float64 and then cast."""
+
+    def __init__(self, state_dim, action_dim, hidden_widths, schedule, rng,
+                 dtype=np.float64):
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.schedule = schedule
         widths = [action_dim + state_dim + 1] + list(hidden_widths) + [action_dim]
-        self.denoiser = Mlp(widths, rng)
+        self.denoiser = Mlp(widths, rng, dtype)
 
     @property
     def params(self):
@@ -101,14 +106,17 @@ class DiffusionPolicy:
         The denoiser's first layer is split by input block,
         [noisy | state | n / N] @ W + b = x W_x + (s W_s + b) + (n / N) w_n,
         and the state term, the same at every step, is computed once.
+        The schedule's coefficients are Python floats, which leave the
+        dtype of the arrays they scale as it is.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        dtype = self.denoiser.dtype
+        states = np.atleast_2d(np.asarray(states, dtype=dtype))
         batch = len(states)
         w = self.denoiser.params[0]
         a, s = self.action_dim, self.state_dim
         w_x, w_n = w[:a], w[a + s]
         state_proj = states @ w[a:a + s] + self.denoiser.params[1]
-        x = rng.standard_normal((batch, a))
+        x = rng.standard_normal((batch, a)).astype(dtype, copy=False)
         for n in range(self.schedule.n_steps, 0, -1):
             pre = x @ w_x
             pre += state_proj
@@ -116,10 +124,11 @@ class DiffusionPolicy:
             eps = self.denoiser.forward_from(pre)
             beta = self.schedule.beta(n)
             abar = self.schedule.alpha_bar(n)
-            mean = (x - beta / np.sqrt(1.0 - abar) * eps) \
-                / np.sqrt(self.schedule.alpha(n))
+            mean = (x - beta / math.sqrt(1.0 - abar) * eps) \
+                / math.sqrt(self.schedule.alpha(n))
             if n > 1:
-                x = mean + np.sqrt(beta) * rng.standard_normal(x.shape)
+                noise = rng.standard_normal(x.shape).astype(dtype, copy=False)
+                x = mean + math.sqrt(beta) * noise
             else:
                 x = mean
             if not np.all(np.isfinite(x)):

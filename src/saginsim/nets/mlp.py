@@ -7,39 +7,46 @@ import numpy as np
 
 from ..errors import CheckpointInvalid
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 class Mlp:
-    """ReLU hidden layers, linear output head, float64 parameters.
+    """ReLU hidden layers, linear output head, parameters of one dtype.
 
     widths: [input, hidden..., output].  A two-entry widths list is a
     single linear layer.  params is [W1, b1, W2, b2, ...]; every update
     writes into these arrays, so a reference to one stays current.
+    dtype (float64 unless given; the trainer asks for float32) is the
+    dtype of the parameters and of every pass: inputs are cast to it.
+    The He initialization is drawn in float64 and then cast, so a net of
+    either dtype takes the same draws from rng.
     """
 
-    def __init__(self, widths, rng=None):
+    def __init__(self, widths, rng=None, dtype=np.float64):
         if len(widths) < 2:
             raise ValueError("need at least input and output widths")
         self.widths = [int(w) for w in widths]
+        self.dtype = np.dtype(dtype)
         self.params = []
         for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
             if rng is None:
-                w = np.zeros((fan_in, fan_out))
+                w = np.zeros((fan_in, fan_out), dtype=self.dtype)
             else:
                 # He initialization for the ReLU stack
                 w = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
+                w = w.astype(self.dtype, copy=False)
             self.params.append(w)
-            self.params.append(np.zeros(fan_out))
+            self.params.append(np.zeros(fan_out, dtype=self.dtype))
 
     def forward(self, x):
         """Fast numpy pass.  x: (batch, in) or (in,)."""
-        h = np.asarray(x, dtype=np.float64) @ self.params[0]
+        h = np.asarray(x, dtype=self.dtype) @ self.params[0]
         h += self.params[1]
         return self.forward_from(h)
 
     def forward_from(self, pre):
-        """Layers 2..L from the first layer's pre-activation `pre`.
+        """Layers 2..L from the first layer's pre-activation `pre`, which
+        must be of the net's dtype.
 
         `pre` is overwritten: bias and ReLU are applied in place.
         """
@@ -54,7 +61,7 @@ class Mlp:
         """(output, tape) for a (batch, in) input; the tape holds each
         layer's input and the ReLU mask that produced it (None for x),
         which is what autodiff.backward needs."""
-        h = np.asarray(x, dtype=np.float64)
+        h = np.asarray(x, dtype=self.dtype)
         tape = []
         mask = None
         for i, (w, b) in enumerate(zip(self.params[0::2], self.params[1::2])):
@@ -72,29 +79,31 @@ class Mlp:
         return [p.copy() for p in self.params]
 
     def set_arrays(self, arrays):
-        """Copy arrays into the parameters, in place."""
+        """Copy arrays into the parameters, in place, cast to their dtype."""
         if len(arrays) != len(self.params):
             raise ValueError("parameter count mismatch")
         for p, a in zip(self.params, arrays):
-            a = np.asarray(a, dtype=np.float64)
+            a = np.asarray(a)
             if a.shape != p.shape:
                 raise ValueError("parameter shape mismatch")
             p[...] = a
 
     def clone(self):
-        other = Mlp(self.widths)
+        other = Mlp(self.widths, dtype=self.dtype)
         other.set_arrays(self.get_arrays())
         return other
 
 
 def save_checkpoint(path, nets, meta=None):
-    """Write named networks and a JSON meta blob to an npz file."""
+    """Write named networks and a JSON meta blob to an npz file; each
+    net's arrays are stored little-endian in its own dtype."""
     payload = {}
     names = {}
     for name, net in nets.items():
         names[name] = net.widths
+        stored = net.dtype.newbyteorder("<")
         for i, arr in enumerate(net.get_arrays()):
-            payload["%s:%d" % (name, i)] = arr.astype("<f8")
+            payload["%s:%d" % (name, i)] = arr.astype(stored)
     header = {"format": CHECKPOINT_FORMAT, "widths": names,
               "meta": meta or {}}
     payload["header"] = np.frombuffer(
@@ -103,8 +112,9 @@ def save_checkpoint(path, nets, meta=None):
 
 
 def load_checkpoint(path):
-    """Read back {name: Mlp} and the meta dict; raises CheckpointInvalid
-    for a file that cannot be read as a checkpoint of this format."""
+    """Read back {name: Mlp} and the meta dict; each net is rebuilt in
+    the dtype its arrays were stored in.  Raises CheckpointInvalid for a
+    file that cannot be read as a checkpoint of this format."""
     try:
         with np.load(path) as data:
             header = json.loads(bytes(data["header"]).decode("utf-8"))
@@ -113,12 +123,18 @@ def load_checkpoint(path):
                                         "%r" % header.get("format"))
             nets = {}
             for name, widths in header["widths"].items():
-                net = Mlp(widths)
-                n_arrays = 2 * (len(widths) - 1)
-                net.set_arrays([data["%s:%d" % (name, i)]
-                                for i in range(n_arrays)])
+                arrays = [data["%s:%d" % (name, i)]
+                          for i in range(2 * (len(widths) - 1))]
+                dtype = arrays[0].dtype
+                if dtype not in (np.float32, np.float64) \
+                        or any(a.dtype != dtype for a in arrays):
+                    raise CheckpointInvalid(
+                        path, "%s arrays are not all float32 or all float64"
+                        % name)
+                net = Mlp(widths, dtype=dtype)
+                net.set_arrays(arrays)
                 nets[name] = net
-    except (OSError, KeyError, TypeError, ValueError,
+    except (OSError, IndexError, KeyError, TypeError, ValueError,
             zipfile.BadZipFile) as exc:
         raise CheckpointInvalid(path, "cannot read: %s" % exc) from None
     return nets, header["meta"]

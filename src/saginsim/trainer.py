@@ -13,6 +13,14 @@ target policy's sample-and-argmax action.
 Actor updates weight the denoising loss by the positive advantage
 max(Q - V, 0), with V the mean critic value over fresh policy samples,
 plus an entropy term that denoises toward uniform actions.
+
+Precision: the six networks, their Adam moments, reverse diffusion, the
+forward and backward passes and the soft target blend run in NET_DTYPE,
+float32.  Everything else is float64: the environment, the rewards and
+replay, the critic values once they leave the net (so the TD targets,
+advantages and weights), the losses, every output, and the actions that
+select_action returns.  Every random draw is taken in float64 and then
+cast, so each stream's draws are those of a float64 run.
 """
 
 import dataclasses
@@ -28,6 +36,9 @@ from .nets import autodiff
 from .nets.mlp import Mlp, save_checkpoint
 from .nets.optim import Adam
 from .scenario import SeededRng
+
+# the dtype of the trainer's networks and of everything they compute
+NET_DTYPE = np.dtype(np.float32)
 
 
 @dataclasses.dataclass
@@ -113,10 +124,13 @@ class RingBuffer:
 
 
 class TwinCritics:
-    def __init__(self, state_dim, action_dim, widths, rng):
+    """Two critics and their targets, nets of dtype (float64 unless
+    given); min_q and min_target_q return float64 values."""
+
+    def __init__(self, state_dim, action_dim, widths, rng, dtype=np.float64):
         dims = [state_dim + action_dim] + list(widths) + [1]
-        self.q1 = Mlp(dims, rng)
-        self.q2 = Mlp(dims, rng)
+        self.q1 = Mlp(dims, rng, dtype)
+        self.q2 = Mlp(dims, rng, dtype)
         self.q1_target = self.q1.clone()
         self.q2_target = self.q2.clone()
 
@@ -127,12 +141,13 @@ class TwinCritics:
 
     def min_q(self, states, actions):
         x = self._join(states, actions)
-        return np.minimum(self.q1.forward(x), self.q2.forward(x))[:, 0]
+        return np.minimum(self.q1.forward(x),
+                          self.q2.forward(x))[:, 0].astype(np.float64)
 
     def min_target_q(self, states, actions):
         x = self._join(states, actions)
         return np.minimum(self.q1_target.forward(x),
-                          self.q2_target.forward(x))[:, 0]
+                          self.q2_target.forward(x))[:, 0].astype(np.float64)
 
 
 def soft_update(online, target, rate):
@@ -222,13 +237,14 @@ class QagobTrainer:
             self.hyper.n_denoise, self.hyper.beta_start, self.hyper.beta_end)
         self.policy = diffusion.DiffusionPolicy(
             env.state_dim, env.action_dim, self.hyper.actor_widths,
-            schedule, net_rng)
+            schedule, net_rng, NET_DTYPE)
         self.policy_target = diffusion.DiffusionPolicy(
             env.state_dim, env.action_dim, self.hyper.actor_widths,
-            schedule, None)
+            schedule, None, NET_DTYPE)
         self.policy_target.denoiser.set_arrays(self.policy.denoiser.get_arrays())
         self.critics = TwinCritics(env.state_dim, env.action_dim,
-                                   self.hyper.critic_widths, net_rng)
+                                   self.hyper.critic_widths, net_rng,
+                                   NET_DTYPE)
         self.opt_actor = Adam(self.policy.params, self.hyper.lr_actor)
         self.opt_q1 = Adam(self.critics.q1.params, self.hyper.lr_critic)
         self.opt_q2 = Adam(self.critics.q2.params, self.hyper.lr_critic)
@@ -237,9 +253,11 @@ class QagobTrainer:
         self._loss_sums, self._loss_counts = [0.0, 0.0], [0, 0]
 
     def select_action(self, state):
+        """The behavior action for state, cast up (exactly) to float64."""
         return diffusion.behavior_select(
             self.policy, state, self.critics.min_q,
-            self.hyper.behavior_samples, self.rng.stream("policy-noise"))
+            self.hyper.behavior_samples,
+            self.rng.stream("policy-noise")).astype(np.float64)
 
     def _batch_arrays(self, rows):
         states = np.stack([r[0] for r in rows])

@@ -190,6 +190,34 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded["critic"].widths == [6, 3, 1]
 
 
+def test_checkpoint_float32_round_trip_is_bit_exact(tmp_path):
+    rng = np.random.default_rng(10)
+    net = Mlp([4, 8, 2], rng=rng, dtype=np.float32)
+    for b in net.params[1::2]:
+        b[...] = rng.standard_normal(b.shape)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, {"actor": net})
+    loaded = load_checkpoint(path)[0]["actor"]
+    assert loaded.dtype == np.float32
+    for want, got in zip(net.params, loaded.params):
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtypes", [["<f4", "<f8"], ["<i8", "<i8"]],
+                         ids=["mixed", "integer"])
+def test_checkpoint_rejects_arrays_of_other_dtypes(tmp_path, dtypes):
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, {"n": Mlp([2, 2])})
+    with np.load(path) as data:
+        payload = {k: data[k] for k in data.files}
+    for i, dtype in enumerate(dtypes):
+        payload["n:%d" % i] = payload["n:%d" % i].astype(dtype)
+    np.savez(path, **payload)
+    with pytest.raises(CheckpointInvalid, match="not all float32 or all "
+                       "float64"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_unknown_format(tmp_path):
     net = Mlp([2, 2])
     path = tmp_path / "ckpt.npz"

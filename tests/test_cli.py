@@ -385,25 +385,35 @@ def test_missing_checkpoint_returns_failure(tmp_path, config_path, capsys):
     assert not out.exists()
 
 
-def foreign_format(path):
+def rewrite_checkpoint(path, fmt, dtype=None):
+    """Rewrite the checkpoint at path under header format fmt, with its
+    arrays cast to dtype if one is given."""
     with np.load(path) as data:
         payload = {k: data[k] for k in data.files}
-    header = json.loads(bytes(payload["header"]).decode())
-    header["format"] = 999
+    header = json.loads(bytes(payload.pop("header")).decode())
+    header["format"] = fmt
+    if dtype:
+        payload = {k: v.astype(dtype) for k, v in payload.items()}
     payload["header"] = np.frombuffer(json.dumps(header).encode(),
                                       dtype=np.uint8)
     np.savez(path, **payload)
 
 
 @pytest.mark.parametrize("spoil,config,says", [
-    (foreign_format, None, "format 999"),
+    (lambda path: rewrite_checkpoint(path, 999), None, "format 999"),
+    # the float64 checkpoints of the first format
+    (lambda path: rewrite_checkpoint(path, 1, "<f8"), None,
+     "unsupported checkpoint format 1"),
+    (lambda path: rewrite_checkpoint(path, 2, "<f8"), None,
+     "actor network is float64; the trainer's networks are float32"),
     (lambda path: pathlib.Path(path).write_text("not a checkpoint"), None,
      "cannot read"),
     (lambda path: save_checkpoint(path, {"n": Mlp([2, 2])}), None,
      "no actor network"),
     # trained on the tiny scenario, evaluated on the toy one with its 8 GDs
     (lambda path: None, str(CONFIGS / "toy.toml"), "do not fit"),
-], ids=["foreign-format", "not-a-checkpoint", "no-actor", "other-scenario"])
+], ids=["foreign-format", "format-1", "float64", "not-a-checkpoint",
+        "no-actor", "other-scenario"])
 def test_unusable_checkpoint_is_a_config_error(tmp_path, config_path, capsys,
                                                spoil, config, says):
     ckpt = train_tiny_checkpoint(tmp_path, config_path)
@@ -570,10 +580,13 @@ def train_tiny_checkpoint(tmp_path, config_path):
     return os.path.join(out, "seed0", "checkpoints", "final.npz")
 
 
-@pytest.mark.parametrize("verb", ["train", "eval", "baseline"])
+@pytest.mark.parametrize("verb", ["train", "eval", "baseline", "sweep"])
 def test_progress_line_per_episode_unless_quiet(tmp_path, config_path,
                                                 capsys, verb):
-    extra = {"train": TINY_HYPER, "baseline": ["--algo", "random"]}.get(verb)
+    """One line per episode, naming the seed and, in a sweep, the point,
+    so that no two lines of a run read alike."""
+    extra = {"train": TINY_HYPER, "baseline": ["--algo", "random"],
+             "sweep": ["--grid", "max_served=1,2"] + TINY_HYPER}.get(verb)
     if verb == "eval":
         extra = ["--checkpoint", train_tiny_checkpoint(tmp_path, config_path)]
     argv = [verb, "--config", config_path, "--seed", "0,1", "--episodes",
@@ -582,12 +595,18 @@ def test_progress_line_per_episode_unless_quiet(tmp_path, config_path,
     loud = tmp_path / "loud"
     assert run_cli(argv + ["--out", str(loud)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    rows = [row for seed in (0, 1) for row in runio.read_metrics_csv(
-        loud / ("seed%d" % seed) / "metrics.csv")]
-    assert len(lines) == len(rows) == 4
-    for line, row in zip(lines, rows):
-        assert re.fullmatch(r"episode %d/2 reward %s \(\d+\.\ds\)" % (
-            row["episode"] + 1, re.escape("%.3f" % row["reward"])), line)
+    points = ["max_served=1", "max_served=2"] if verb == "sweep" else [""]
+    runs = [(point, seed) for point in points for seed in (0, 1)]
+    rows = [(point, seed, row) for point, seed in runs
+            for row in runio.read_metrics_csv(
+                loud / point / ("seed%d" % seed) / "metrics.csv")]
+    assert len(lines) == len(rows) == 2 * len(runs)
+    for line, (point, seed, row) in zip(lines, rows):
+        name = (point + " " if point else "") + "seed %d" % seed
+        assert re.fullmatch(r"%s episode %d/2 reward %s \(\d+\.\ds\)" % (
+            re.escape(name), row["episode"] + 1,
+            re.escape("%.3f" % row["reward"])), line)
+    assert len({line.split(" reward ")[0] for line in lines}) == len(lines)
     assert run_cli(argv + ["--out", str(tmp_path / "quiet"), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
 

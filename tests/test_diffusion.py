@@ -165,6 +165,28 @@ def test_sampler_matches_reference_loop(state_dim, action_dim, hidden, rows):
     assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def test_float32_sampler_follows_the_float64_reference():
+    """A float32 default-scale actor takes the same draws as a float64
+    one, at init and in sampling, and its squashed actions stay within
+    1e-5 (about 84 float32 epsilons, fixed before the first run) of the
+    float64 reference chain's."""
+    init64, init32 = np.random.default_rng(40), np.random.default_rng(40)
+    sched = VarianceSchedule.linear(10)
+    p64 = DiffusionPolicy(129, 40, (256, 256), sched, init64)
+    p32 = DiffusionPolicy(129, 40, (256, 256), sched, init32, np.float32)
+    assert init32.bit_generator.state == init64.bit_generator.state
+    for want, got in zip(p64.params, p32.params):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want.astype(np.float32))
+    states = np.random.default_rng(41).standard_normal((64, 129))
+    rng64, rng32 = np.random.default_rng(42), np.random.default_rng(42)
+    got = p32.sample_batch(states, rng32)
+    want = np.tanh(reference_sample(p64, states, rng64))
+    assert got.dtype == np.float32
+    assert rng32.bit_generator.state == rng64.bit_generator.state
+    assert np.max(np.abs(got - want)) <= 1e-5
+
+
 def test_weighted_loss_zero_weights_zero_gradient():
     policy = make_policy(rng=np.random.default_rng(6))
     rng = np.random.default_rng(7)

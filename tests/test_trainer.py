@@ -6,6 +6,7 @@ import pytest
 from saginsim.diffusion import DiffusionPolicy, VarianceSchedule
 from saginsim.environment import SaginEnv, run_episodes
 from saginsim.errors import ConfigInvalid
+from saginsim.nets import autodiff
 from saginsim.nets.mlp import Mlp, load_checkpoint
 from saginsim.nets.optim import Adam
 from saginsim.scenario import Scenario
@@ -420,6 +421,43 @@ def test_trainer_checkpoint_round_trip(tmp_path):
     x = np.zeros((1, env.state_dim + env.action_dim))
     np.testing.assert_array_equal(nets["q1"].forward(x),
                                   trainer.critics.q1.forward(x))
+
+
+def test_trainer_networks_stay_float32(tmp_path, monkeypatch):
+    """Through an update, every array of the trainer's networks stays
+    float32.  A float64 operand anywhere would promote them (NEP 50)
+    without any sign that a value test could show."""
+    grads = []
+    backward = autodiff.backward
+    monkeypatch.setattr(autodiff, "backward",
+                        lambda *args: grads.append(backward(*args))
+                        or grads[-1])
+    env = SaginEnv(toy_scenario(), 6)
+    # horizon 5, batch 4, warmup 4: one update, in the last step
+    trainer = QagobTrainer(env, tiny_hyper(warmup_steps=4))
+    play_episode(trainer)
+    assert trainer.opt_q1.t == trainer.opt_actor.t == 1 and grads
+    nets = [trainer.policy.denoiser, trainer.policy_target.denoiser,
+            trainer.critics.q1, trainer.critics.q2,
+            trainer.critics.q1_target, trainer.critics.q2_target]
+    arrays = [p for net in nets for p in net.params]
+    for opt in (trainer.opt_actor, trainer.opt_q1, trainer.opt_q2):
+        arrays += opt.m + opt.v
+    arrays += [g for net_grads in grads for g in net_grads]
+    states = np.stack([env.reset()] * 3)
+    arrays.append(trainer.policy.sample_batch(
+        states, np.random.default_rng(0), squash=False))
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
+    action = trainer.select_action(env.reset())
+    assert action.dtype == np.float64
+
+    path = tmp_path / "ck.npz"
+    trainer.checkpoint(path)
+    with np.load(path) as data:
+        stored = {data[name].dtype.str for name in data.files
+                  if name != "header"}
+    assert stored == {"<f4"}
 
 
 def rows_equal(a, b):
