@@ -18,7 +18,6 @@ import math
 
 import numpy as np
 
-from .association import served_gds
 from .errors import CodecShape
 
 
@@ -40,42 +39,45 @@ def _top_positions(raws, m):
     return sorted(order[:m])
 
 
-def _softmax(values):
-    values = np.asarray(values, dtype=float)
-    shifted = values - values.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def decode(raw, association, scenario):
-    """Decode a raw vector against this slot's association matrix."""
+def decode(raw, served, scenario):
+    """Decode a raw vector against this slot's association, given as its
+    per-AAV served GD lists (association.served_gds)."""
     raw = np.asarray(raw, dtype=float)
     cap = scenario.max_served
     dim = action_dim(scenario.n_aavs, cap)
     if raw.shape != (dim,):
         raise CodecShape("expected action of shape (%d,), got %s" % (dim, raw.shape))
-    if not np.all(np.isfinite(raw)):
+    if not np.isfinite(raw).all():
         raise CodecShape("non-finite action components")
     rows = np.clip(raw, -1.0, 1.0).reshape(scenario.n_aavs, -1).tolist()
     max_step = scenario.max_step()
     displacements = []
     offload = {}
-    bandwidth = {}
-    for v, (row, served) in enumerate(zip(rows, served_gds(association))):
+    by_count = {}   # served count m -> [(aav, its m selected bandwidth raws)]
+    for v, (row, gds) in enumerate(zip(rows, served)):
         dist = (row[0] + 1.0) / 2.0 * max_step
         angle = row[1] * math.pi
         displacements.append((dist * math.cos(angle), dist * math.sin(angle)))
-        m = len(served)
+        m = len(gds)
+        if m > cap:
+            raise CodecShape("AAV %d serves %d GDs, above max_served" % (v, m))
         if m == 0:
             continue
         off_raws = row[2:2 + cap]
         bw_raws = row[2 + cap:]
-        off_idx = _top_positions(off_raws, m)
-        shares = _softmax([bw_raws[i] for i in _top_positions(bw_raws, m)]) \
-            * scenario.radio.bandwidth_aav
-        for k, g in enumerate(served):
-            offload[(v, g)] = off_raws[off_idx[k]] >= 0.0
-            bandwidth[(v, g)] = float(shares[k])
+        for g, i in zip(gds, _top_positions(off_raws, m)):
+            offload[(v, g)] = off_raws[i] >= 0.0
+        by_count.setdefault(m, []).append(
+            (v, [bw_raws[i] for i in _top_positions(bw_raws, m)]))
+    bandwidth = {}
+    # one softmax per served count: each row is reduced on its own, in the
+    # order of a 1-D softmax, with no padding to shift its summation
+    for group in by_count.values():
+        values = np.array([bw for _, bw in group])
+        e = np.exp(values - values.max(axis=1, keepdims=True))
+        shares = e / e.sum(axis=1, keepdims=True) * scenario.radio.bandwidth_aav
+        for (v, _), row in zip(group, shares.tolist()):
+            bandwidth.update(zip(((v, g) for g in served[v]), row))
     return DecodedAction(displacements=np.array(displacements),
                          offload=offload, bandwidth=bandwidth)
 

@@ -32,11 +32,14 @@ def propulsion_power(speed, params):
     return blade + induced + parasite
 
 
-def propulsion_energy(distance, slot_length, max_speed, params):
+def propulsion_energy(distance, slot_length, max_speed, cruise_power,
+                      hover_power):
     """Energy to cover `distance` meters within one slot, joules.
 
-    The AAV flies at max_speed for distance / max_speed seconds and hovers
-    for the remainder.  distance must fit in the slot.
+    The AAV flies at max_speed for distance / max_speed seconds, drawing
+    cruise_power, and hovers for the remainder, drawing hover_power: the
+    propulsion_power at max_speed and at 0, which a caller computes once.
+    distance must fit in the slot.
     """
     if distance < -1e-12:
         raise InvalidAction("negative distance")
@@ -46,8 +49,7 @@ def propulsion_energy(distance, slot_length, max_speed, params):
         raise InvalidAction("distance %r exceeds the per-slot envelope" % distance)
     move_time = min(move_time, slot_length)
     hover_time = slot_length - move_time
-    return propulsion_power(max_speed, params) * move_time \
-        + propulsion_power(0.0, params) * hover_time
+    return cruise_power * move_time + hover_power * hover_time
 
 
 def compute_energy(task_bits, cycles_per_bit, energy_per_cycle):

@@ -163,6 +163,9 @@ class SaginEnv:
             self.gd_pos = sample_gd_positions(scenario, self.rng.stream("init"))
         self.action_dim = actions.action_dim(scenario.n_aavs, scenario.max_served)
         self.state_dim = state_dim(scenario)
+        self._cruise_power = energy.propulsion_power(scenario.max_speed,
+                                                     scenario.energy)
+        self._hover_power = energy.propulsion_power(0.0, scenario.energy)
         self.world = None
         self.done = True
         self.records = []
@@ -173,13 +176,7 @@ class SaginEnv:
         previous episode; GD positions are part of the world and never
         resampled."""
         sc = self.scenario
-        self.world = service.WorldState(
-            aav_pos=np.asarray(sc.initial_aav_positions, dtype=float).copy(),
-            gd_pos=self.gd_pos,
-            gd_states=[workload.GdState(g) for g in range(sc.n_gds)],
-            dc_buffers=np.zeros(sc.n_aavs),
-            slot=0,
-        )
+        self.world = service.WorldState.start(sc, self.gd_pos)
         self.done = False
         self.records = []
         if sc.radio.rain_model == "weibull":
@@ -211,22 +208,23 @@ class SaginEnv:
 
         assoc = association.gs_associate(world.aav_pos, self.gd_pos,
                                          sc.max_served, sc.aav_altitude)
-        decoded = actions.decode(raw_action, assoc, sc)
+        served = association.served_gds(assoc)
+        decoded = actions.decode(raw_action, served, sc)
         commanded = world.aav_pos + decoded.displacements
         clamped, events = actions.clamp_and_penalize(commanded, sc)
-        moved = np.linalg.norm(clamped - world.aav_pos, axis=1)
-        move_energy = [energy.propulsion_energy(float(d), sc.slot_length,
-                                                sc.max_speed, sc.energy)
-                       for d in moved]
+        delta = clamped - world.aav_pos
+        # np.linalg.norm's own formula for one axis, without its dispatch
+        moved = np.sqrt(np.add.reduce(delta * delta, axis=1))
+        move_energy = [energy.propulsion_energy(
+            d, sc.slot_length, sc.max_speed, self._cruise_power,
+            self._hover_power) for d in moved.tolist()]
         world.aav_pos = clamped
 
-        record = service.run_slot(world, decoded, assoc, sc,
+        record = service.run_slot(world, decoded, assoc, served, sc,
                                   self._episode_rain_extra)
         record.update(
             slot=t, generated=generated, expired=expired,
-            aav_pos=clamped.tolist(),
-            assoc=association.served_gds(assoc),
-            events=events)
+            aav_pos=clamped.tolist(), assoc=served, events=events)
         record["dc"]["generated"] = dc_generated
         record["energy"]["aav_move"] = move_energy
 

@@ -49,8 +49,7 @@ def read_metrics_csv(path):
     return rows
 
 
-def _dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _write_episode(fh, episode, records):

@@ -24,27 +24,50 @@ import math
 
 import numpy as np
 
-from . import channel
-from .association import served_gds
+from . import channel, workload
 from .energy import compute_energy
 from .errors import LinkDown
 
 
 @dataclasses.dataclass
 class WorldState:
+    """One episode's world.  The positions, GD queues and stores, AAV
+    buffers and slot change as it runs; gd3, sat_center, sat_height and
+    noise_w are per-episode invariants that every slot reads."""
     aav_pos: np.ndarray      # (n_aavs, 2) ground coordinates, m
     gd_pos: np.ndarray       # (n_gds, 2)
     gd_states: list          # workload.GdState per GD
     dc_buffers: np.ndarray   # (n_aavs,) collected bits awaiting delivery
+    gd3: np.ndarray          # (n_gds, 3) GD positions on the ground, m
+    sat_center: np.ndarray   # (2,) ground point under the satellite
+    sat_height: float        # satellite height above the AAVs, m
+    noise_w: float           # noise PSD, W/Hz
     slot: int = 0
 
+    @classmethod
+    def start(cls, scenario, gd_pos):
+        """The world at slot 0: AAVs at their initial positions, GD queues,
+        GD stores and AAV buffers empty."""
+        gd_pos = np.asarray(gd_pos, dtype=float)
+        x_min, y_min, x_max, y_max = scenario.area_bounds
+        return cls(
+            aav_pos=np.array(scenario.initial_aav_positions, dtype=float),
+            gd_pos=gd_pos,
+            gd_states=[workload.GdState(g) for g in range(len(gd_pos))],
+            dc_buffers=np.zeros(scenario.n_aavs),
+            gd3=np.column_stack([gd_pos, np.zeros(len(gd_pos))]),
+            sat_center=np.array([(x_min + x_max) / 2.0,
+                                 (y_min + y_max) / 2.0]),
+            sat_height=scenario.sat_altitude - scenario.aav_altitude,
+            noise_w=channel.noise_psd_watts(scenario.radio.noise_psd))
 
-def sat_distance(aav_xy, scenario):
-    """AAV to satellite slant distance, m."""
-    x_min, y_min, x_max, y_max = scenario.area_bounds
-    center = np.array([(x_min + x_max) / 2.0, (y_min + y_max) / 2.0])
-    horiz = float(np.linalg.norm(np.asarray(aav_xy, float) - center))
-    return math.hypot(horiz, scenario.sat_altitude - scenario.aav_altitude)
+    def sat_distances(self):
+        """Slant distance from each AAV to the satellite, m, as a list."""
+        d = self.aav_pos - self.sat_center
+        # a matmul of a difference with itself is the dot product that
+        # np.linalg.norm takes of one vector, to the last bit
+        horiz = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+        return [math.hypot(h, self.sat_height) for h in horiz.tolist()]
 
 
 def task_delay(size_bits, result_ratio, offloaded, rates, sat_dist, compute):
@@ -76,9 +99,12 @@ def task_delay(size_bits, result_ratio, offloaded, rates, sat_dist, compute):
     return comps
 
 
-def run_slot(world, decisions, association, scenario, rain_extra_db=0.0):
+def run_slot(world, decisions, association, served, scenario,
+             rain_extra_db=0.0):
     """Serve tasks and collect data for one slot; mutates GD queues, GD
     stores and AAV buffers.  Positions are taken as already moved.
+    association is the slot's (n_aavs, n_gds) 0/1 matrix and served its
+    per-AAV GD lists, association.served_gds(association).
 
     Returns the service part of the slot record, in plain Python values:
     "skipped" (pending tasks left waiting for a usable uplink rate),
@@ -89,15 +115,14 @@ def run_slot(world, decisions, association, scenario, rain_extra_db=0.0):
     n_aavs, n_gds = scenario.n_aavs, scenario.n_gds
     radio = scenario.radio
     compute = scenario.compute
+    noise_w = world.noise_w
     aav3 = np.column_stack([world.aav_pos,
                             np.full(n_aavs, scenario.aav_altitude)])
-    gd3 = np.column_stack([world.gd_pos, np.zeros(n_gds)])
-    field = channel.InterferenceField(aav3, gd3, association, radio)
-    served = served_gds(association)
+    field = channel.InterferenceField(aav3, world.gd3, association, radio)
     n_connected = n_aavs
 
     tasks = []
-    busy_tx = np.zeros(n_aavs)
+    busy_tx = [0.0] * n_aavs
     gd_tx_energy = 0.0
     sat_tx_energy = 0.0
     sat_compute_energy = 0.0
@@ -105,12 +130,11 @@ def run_slot(world, decisions, association, scenario, rain_extra_db=0.0):
     skipped = 0
     r_a2s, uplink_rates = [], []
 
-    for v in range(n_aavs):
-        sat_dist = sat_distance(world.aav_pos[v], scenario)
-        up = channel.sat_link_rate(sat_dist, "up", n_connected, radio,
-                                   rain_extra_db)
-        down = channel.sat_link_rate(sat_dist, "down", n_connected, radio,
-                                     rain_extra_db)
+    for v, sat_dist in enumerate(world.sat_distances()):
+        up = channel.sat_link_rate(sat_dist, "up", n_connected, noise_w,
+                                   radio, rain_extra_db)
+        down = channel.sat_link_rate(sat_dist, "down", n_connected, noise_w,
+                                     radio, rain_extra_db)
         r_a2s.append(up)
         gains = field.gains[v].tolist()
         interference = field.at(v)
@@ -118,7 +142,7 @@ def run_slot(world, decisions, association, scenario, rain_extra_db=0.0):
         for g in served[v]:
             bw = decisions.bandwidth[(v, g)]
             gain = gains[g]
-            r_up = channel.g2a_rate(gain, bw, interference, radio)
+            r_up = channel.g2a_rate(gain, bw, interference, noise_w, radio)
             rates_v.append(r_up)
             gd = world.gd_states[g]
             task = gd.earliest_pending()
@@ -127,7 +151,8 @@ def run_slot(world, decisions, association, scenario, rain_extra_db=0.0):
             if r_up < radio.rate_floor:
                 skipped += 1
                 continue
-            rates = {"g2a": r_up, "a2g": channel.a2g_rate(gain, bw, radio)}
+            rates = {"g2a": r_up,
+                     "a2g": channel.a2g_rate(gain, bw, noise_w, radio)}
             offloaded = decisions.offload[(v, g)]
             if offloaded:
                 rates["a2s"] = up
@@ -155,10 +180,13 @@ def run_slot(world, decisions, association, scenario, rain_extra_db=0.0):
                 "success": success, "delay": delay, "components": comps})
         uplink_rates.append(rates_v)
 
-    dc_time = np.maximum(0.0, scenario.slot_length - busy_tx)
-    collected = np.zeros(n_aavs)
-    delivered = np.zeros(n_aavs)
-    collected_from_gds = np.zeros(n_gds)
+    # max() keeps a NaN as np.maximum does: it returns its first argument
+    # unless the second is larger
+    dc_time = [max(scenario.slot_length - busy, 0.0) for busy in busy_tx]
+    collected = [0.0] * n_aavs
+    delivered = [0.0] * n_aavs
+    buffers = world.dc_buffers.tolist()
+    collected_from_gds = [0.0] * n_gds
     for v in range(n_aavs):
         if dc_time[v] <= 0.0:
             continue
@@ -171,20 +199,21 @@ def run_slot(world, decisions, association, scenario, rain_extra_db=0.0):
             collected[v] += take
             collected_from_gds[g] += take
             gd_tx_energy += radio.power_gd * (take / r_up)
-        world.dc_buffers[v] += collected[v]
-        sent = min(world.dc_buffers[v], dc_time[v] * r_a2s[v])
-        world.dc_buffers[v] -= sent
+        buffers[v] += collected[v]
+        sent = min(buffers[v], dc_time[v] * r_a2s[v])
+        buffers[v] -= sent
         delivered[v] = sent
+    world.dc_buffers[:] = buffers
 
     return {
         "skipped": skipped,
         "tasks": tasks,
         "dc": {
-            "dc_time": dc_time.tolist(),
-            "collected": collected.tolist(),
-            "delivered": delivered.tolist(),
-            "from_gds": collected_from_gds.tolist(),
-            "buffers": world.dc_buffers.tolist(),
+            "dc_time": dc_time,
+            "collected": collected,
+            "delivered": delivered,
+            "from_gds": collected_from_gds,
+            "buffers": buffers,
         },
         "energy": {
             "aav_compute": aav_compute_energy,

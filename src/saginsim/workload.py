@@ -39,6 +39,13 @@ class GdState:
         return self.pending[0] if self.pending else None
 
 
+def _uniform(rng, bounds):
+    """rng.uniform(*bounds) by numpy's own formula: the same value and
+    generator state, without uniform's argument handling."""
+    low, high = bounds
+    return low + (high - low) * rng.random()
+
+
 def maybe_generate_task(gd, slot, params, slot_length, rng):
     """Spawn at most one task for this GD at the given slot.
 
@@ -52,9 +59,9 @@ def maybe_generate_task(gd, slot, params, slot_length, rng):
     size_units = 0
     while size_units < 1:
         size_units = int(rng.poisson(params.mec_poisson_rate))
-    deadline_s = rng.uniform(*params.deadline_range)
-    tolerance_s = rng.uniform(*params.tolerance_range)
-    ratio = rng.uniform(*params.result_ratio_range)
+    deadline_s = _uniform(rng, params.deadline_range)
+    tolerance_s = _uniform(rng, params.tolerance_range)
+    ratio = _uniform(rng, params.result_ratio_range)
     task = MecTask(
         gd=gd.index,
         task_id=gd.next_task_id,

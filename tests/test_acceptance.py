@@ -24,6 +24,8 @@ from saginsim.scenario import (ComputeParams, RadioParams, RewardWeights,
                                Scenario, load_scenario)
 from saginsim.trainer import Hyper, TwinCritics, soft_update, td_targets, train
 
+from test_channel import free_space_loss_db, los_probability, path_loss_db
+
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -58,28 +60,33 @@ def test_accept_formula_oracles():
         angle = math.degrees(math.atan(aav[2] / d))
         want_p = 1.0 / (1.0 + radio.los_n1
                         * math.exp(-radio.los_n2 * (angle - radio.los_n1)))
-        got_p = channel.los_probability(aav, gd, radio.los_n1, radio.los_n2)
+        got_p = los_probability(aav, gd, radio.los_n1, radio.los_n2)
         assert rel_err(got_p, want_p) <= 1e-3
         want_pl = (20.0 * math.log10(d) + 20.0 * math.log10(radio.carrier_freq)
                    + 20.0 * math.log10(4.0 * math.pi / 3.0e8)
                    + want_p * radio.excess_los + (1.0 - want_p) * radio.excess_nlos)
-        assert rel_err(channel.path_loss_db(aav, gd, radio), want_pl) <= 1e-9
+        assert rel_err(path_loss_db(aav, gd, radio), want_pl) <= 1e-9
+        gain = channel.channel_gain_matrix(aav[None], gd[None], radio)[0, 0]
+        assert rel_err(gain, 10.0 ** (-want_pl / 10.0)) <= 1e-9
 
     # spot values: overhead LoS and free-space loss at 100 m / 2 GHz
-    overhead = channel.los_probability([0.0, 0.0, 100.0], [0.0, 0.0, 0.0],
-                                       radio.los_n1, radio.los_n2)
+    overhead = los_probability([0.0, 0.0, 100.0], [0.0, 0.0, 0.0],
+                               radio.los_n1, radio.los_n2)
     assert abs(overhead - 0.9677) <= 1e-3
-    assert abs(channel.free_space_loss_db(100.0, 2.0e9) - 78.46) <= 5e-3
+    assert abs(free_space_loss_db(100.0, 2.0e9) - 78.46) <= 5e-3
 
     # AAV-GD link rates against the Shannon formula
+    noise_w = channel.noise_psd_watts(radio.noise_psd)
     for _ in range(25):
         gain = 10.0 ** rng.uniform(-13, -7)
         bw = rng.uniform(1e5, 5e6)
         inter = rng.uniform(0.0, 1e-12)
         want_up = bw * math.log2(1.0 + radio.power_gd * gain / (inter + n0 * bw))
-        assert rel_err(channel.g2a_rate(gain, bw, inter, radio), want_up) <= 1e-9
+        assert rel_err(channel.g2a_rate(gain, bw, inter, noise_w, radio),
+                       want_up) <= 1e-9
         want_down = bw * math.log2(1.0 + radio.power_aav * gain / (n0 * bw))
-        assert rel_err(channel.a2g_rate(gain, bw, radio), want_down) <= 1e-9
+        assert rel_err(channel.a2g_rate(gain, bw, noise_w, radio),
+                       want_down) <= 1e-9
 
     # satellite attenuation and both link directions, rain margin included
     for _ in range(25):
@@ -95,13 +102,14 @@ def test_accept_formula_oracles():
         att = want_att * 10.0 ** (-extra / 10.0)
         want_u = bw_s * math.log2(1.0 + radio.power_aav * att / (n0 * bw_s))
         want_d = bw_s * math.log2(1.0 + radio.power_sat * att / (n0 * bw_s))
-        assert rel_err(channel.sat_link_rate(dist, "up", n_conn, radio, extra),
-                       want_u) <= 1e-9
-        assert rel_err(channel.sat_link_rate(dist, "down", n_conn, radio, extra),
-                       want_d) <= 1e-9
+        assert rel_err(channel.sat_link_rate(dist, "up", n_conn, noise_w,
+                                             radio, extra), want_u) <= 1e-9
+        assert rel_err(channel.sat_link_rate(dist, "down", n_conn, noise_w,
+                                             radio, extra), want_d) <= 1e-9
 
     # all six delay components, local and offloaded
     sc = Scenario()
+    world = service.WorldState.start(sc, [[0.0, 0.0]])
     for _ in range(20):
         size = rng.uniform(1e5, 1e6)
         ratio = rng.uniform(0.1, 0.3)
@@ -124,7 +132,8 @@ def test_accept_formula_oracles():
         cx = (sc.area_bounds[0] + sc.area_bounds[2]) / 2.0
         cy = (sc.area_bounds[1] + sc.area_bounds[3]) / 2.0
         horiz = math.hypot(xy[0] - cx, xy[1] - cy)
-        assert rel_err(service.sat_distance(xy, sc),
+        world.aav_pos = xy[None]
+        assert rel_err(world.sat_distances()[0],
                        math.hypot(horiz,
                                   sc.sat_altitude - sc.aav_altitude)) <= 1e-9
 
@@ -140,12 +149,14 @@ def test_accept_formula_oracles():
         want = blade + induced + parasite
         assert rel_err(energy.propulsion_power(speed, ep), want) <= 1e-9
     assert rel_err(energy.propulsion_power(0.0, ep), 168.49) <= 1e-9
+    cruise = energy.propulsion_power(50.0, ep)
+    hover = energy.propulsion_power(0.0, ep)
     for _ in range(20):
         dist = rng.uniform(0.0, 50.0)
         tm = dist / 50.0
-        want = (energy.propulsion_power(50.0, ep) * tm
-                + energy.propulsion_power(0.0, ep) * (1.0 - tm))
-        assert rel_err(energy.propulsion_energy(dist, 1.0, 50.0, ep), want) <= 1e-9
+        want = cruise * tm + hover * (1.0 - tm)
+        assert rel_err(energy.propulsion_energy(dist, 1.0, 50.0, cruise, hover),
+                       want) <= 1e-9
         bits = rng.uniform(1e5, 1e6)
         assert rel_err(energy.compute_energy(bits, 1000.0, 8.2e-9),
                        8.2e-9 * 1000.0 * bits) <= 1e-9
@@ -157,7 +168,7 @@ def test_accept_formula_oracles():
         sc1 = Scenario(n_aavs=1, n_gds=cap, max_served=cap,
                        initial_aav_positions=((0.0, 0.0),))
         raw = rng.uniform(-1.0, 1.0, actions.action_dim(1, cap))
-        dec = actions.decode(raw, np.ones((1, cap), dtype=int), sc1)
+        dec = actions.decode(raw, [list(range(cap))], sc1)
         bw_raws = raw[2 + cap: 2 + 2 * cap]
         e = np.exp(bw_raws - bw_raws.max())
         want_shares = e / e.sum() * sc1.radio.bandwidth_aav

@@ -5,6 +5,7 @@ import pytest
 
 from saginsim.actions import (DecodedAction, action_dim, clamp_and_penalize,
                               decode)
+from saginsim.association import served_gds
 from saginsim.errors import CodecShape
 from saginsim.scenario import Scenario
 
@@ -36,9 +37,15 @@ def test_wrong_shape_raises():
     sc = make_scenario()
     dim = action_dim(sc.n_aavs, sc.max_served)
     with pytest.raises(CodecShape):
-        decode(np.zeros(dim - 1), empty_assoc(sc), sc)
+        decode(np.zeros(dim - 1), served_gds(empty_assoc(sc)), sc)
     with pytest.raises(CodecShape):
-        decode(np.zeros((2, dim)), empty_assoc(sc), sc)
+        decode(np.zeros((2, dim)), served_gds(empty_assoc(sc)), sc)
+    # served lists longer than max_served, such as the rows of an
+    # association matrix passed in their place
+    with pytest.raises(CodecShape):
+        decode(np.zeros(dim), empty_assoc(sc), sc)
+    with pytest.raises(CodecShape):
+        decode(np.zeros(dim), [[0, 1, 2], []], sc)
 
 
 def test_non_finite_action_raises():
@@ -47,7 +54,7 @@ def test_non_finite_action_raises():
     raw = np.zeros(dim)
     raw[3] = np.nan
     with pytest.raises(CodecShape):
-        decode(raw, empty_assoc(sc), sc)
+        decode(raw, served_gds(empty_assoc(sc)), sc)
 
 
 def test_distance_and_direction_mapping():
@@ -58,7 +65,7 @@ def test_distance_and_direction_mapping():
     raw[0] = 1.0
     raw[1] = 0.5
     raw[6] = -1.0
-    dec = decode(raw, empty_assoc(sc), sc)
+    dec = decode(raw, served_gds(empty_assoc(sc)), sc)
     step = sc.max_step()
     dx, dy = dec.displacements[0]
     assert math.isclose(np.hypot(dx, dy), step, rel_tol=1e-12)
@@ -71,7 +78,7 @@ def test_distance_and_direction_mapping():
 def test_midpoint_distance():
     sc = make_scenario()
     raw = np.zeros(action_dim(sc.n_aavs, sc.max_served))
-    dec = decode(raw, empty_assoc(sc), sc)
+    dec = decode(raw, served_gds(empty_assoc(sc)), sc)
     # raw 0 maps to half of the per-slot envelope, heading along +x
     dx, dy = dec.displacements[0]
     assert math.isclose(np.hypot(dx, dy), sc.max_step() / 2, rel_tol=1e-12)
@@ -83,7 +90,7 @@ def test_out_of_range_raw_is_clipped():
     raw = np.zeros(action_dim(sc.n_aavs, sc.max_served))
     raw[0] = 3.0
     raw[1] = -7.0
-    dec = decode(raw, empty_assoc(sc), sc)
+    dec = decode(raw, served_gds(empty_assoc(sc)), sc)
     # clipped to raw 1 and -1: a full step, heading -pi
     dx, dy = dec.displacements[0]
     assert math.isclose(np.hypot(dx, dy), sc.max_step(), rel_tol=1e-12)
@@ -100,7 +107,7 @@ def test_top_m_offload_raws_map_to_served_ascending():
     raw[2] = -0.5
     raw[3] = 0.9
     raw[4] = -0.2
-    dec = decode(raw, assoc, sc)
+    dec = decode(raw, served_gds(assoc), sc)
     # top-2 raws are 0.9 (pos 1) and -0.2 (pos 2); GD 1 gets the earlier one
     assert dec.offload[(0, 1)] is True
     assert dec.offload[(0, 3)] is False
@@ -115,7 +122,7 @@ def test_offload_tie_prefers_earlier_position():
     raw[2] = 0.7
     raw[3] = 0.7
     raw[4] = -0.3
-    dec = decode(raw, assoc, sc)
+    dec = decode(raw, served_gds(assoc), sc)
     # tied 0.7s occupy positions 0 and 1, so -0.3 never reaches a GD
     assert dec.offload[(0, 0)] is True
     assert dec.offload[(0, 2)] is True
@@ -128,7 +135,7 @@ def test_bandwidth_softmax_two_way():
     raw = np.zeros(action_dim(sc.n_aavs, sc.max_served))
     raw[4] = 1.0  # bandwidth raw paired with GD 0
     raw[5] = 0.0  # bandwidth raw paired with GD 1
-    dec = decode(raw, assoc, sc)
+    dec = decode(raw, served_gds(assoc), sc)
     b0 = dec.bandwidth[(0, 0)]
     b1 = dec.bandwidth[(0, 1)]
     total = sc.radio.bandwidth_aav
@@ -149,7 +156,7 @@ def test_bandwidth_sums_to_budget():
     dim = action_dim(sc.n_aavs, sc.max_served)
     for _ in range(20):
         raw = rng.uniform(-1, 1, size=dim)
-        dec = decode(raw, assoc, sc)
+        dec = decode(raw, served_gds(assoc), sc)
         for v in range(sc.n_aavs):
             tot = sum(b for (vv, g), b in dec.bandwidth.items() if vv == v)
             assert math.isclose(tot, sc.radio.bandwidth_aav, rel_tol=1e-9)
@@ -161,7 +168,7 @@ def test_single_served_gd_gets_full_budget():
     assoc = empty_assoc(sc)
     assoc[1, 4] = 1
     raw = np.full(action_dim(sc.n_aavs, sc.max_served), -0.25)
-    dec = decode(raw, assoc, sc)
+    dec = decode(raw, served_gds(assoc), sc)
     assert math.isclose(dec.bandwidth[(1, 4)], sc.radio.bandwidth_aav,
                         rel_tol=1e-12)
     assert dec.offload[(1, 4)] is False
@@ -170,7 +177,7 @@ def test_single_served_gd_gets_full_budget():
 def test_no_candidates_means_no_service():
     sc = make_scenario()
     raw = np.ones(action_dim(sc.n_aavs, sc.max_served))
-    dec = decode(raw, empty_assoc(sc), sc)
+    dec = decode(raw, served_gds(empty_assoc(sc)), sc)
     assert dec.bandwidth == {}
     assert dec.offload == {}
 
@@ -219,7 +226,7 @@ def test_no_events_inside_bounds():
 def test_decoded_action_is_plain_container():
     sc = make_scenario()
     dec = decode(np.zeros(action_dim(sc.n_aavs, sc.max_served)),
-                 empty_assoc(sc), sc)
+                 served_gds(empty_assoc(sc)), sc)
     assert isinstance(dec, DecodedAction)
     assert dec.displacements.shape == (sc.n_aavs, 2)
 
@@ -256,26 +263,44 @@ def loop_decode(raw, association, scenario):
     return displacements, offload, bandwidth
 
 
+def decode_cases(n_aavs, cap):
+    """Associations for the loop-reference test: every served count from
+    0 to cap on some AAV, an AAV with no GD in each, and every AAV full."""
+    n_gds = n_aavs * cap
+    counts = [[(v + k) % (cap + 1) for v in range(n_aavs)]
+              for k in range(cap + 1)]
+    counts.append([cap] * n_aavs)
+    cases = []
+    for per_aav in counts:
+        assoc = np.zeros((n_aavs, n_gds), dtype=np.int8)
+        for v, m in enumerate(per_aav):
+            # interleaved GD indices, so served lists are not contiguous
+            assoc[v, [v + n_aavs * k for k in range(m)]] = 1
+        cases.append(assoc)
+    return cases
+
+
 def test_decode_equals_loop_reference():
-    sc = make_scenario(n_aavs=3, max_served=3,
-                       initial_aav_positions=((0.0, 0.0),) * 3)
-    assoc = empty_assoc(sc)
-    assoc[0, [0, 2, 5]] = 1     # m == cap
-    assoc[1, 3] = 1             # m < cap; AAV 2 serves nobody, m == 0
-    dim = action_dim(sc.n_aavs, sc.max_served)
+    # cap 9 gives rows of 8 or more bandwidth raws, where numpy sums the
+    # softmax denominator pairwise
     rng = np.random.default_rng(11)
-    # ties, signed zeros and out-of-range raws, then plain uniform raws
-    levels = [-3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0]
-    cases = [rng.choice(levels, size=dim) for _ in range(300)]
-    cases += [rng.uniform(-1.5, 1.5, size=dim) for _ in range(300)]
-    cases += [np.full(dim, 0.5), np.full(dim, -0.0), np.zeros(dim)]
-    for raw in cases:
-        dec = decode(raw, assoc, sc)
-        displacements, offload, bandwidth = loop_decode(raw, assoc, sc)
-        assert dec.displacements.tobytes() == displacements.tobytes()
-        assert dec.offload == offload
-        assert all(type(flag) is bool for flag in dec.offload.values())
-        assert dec.bandwidth == bandwidth
+    for n_aavs, cap in ((3, 3), (4, 4), (4, 9)):
+        sc = make_scenario(n_aavs=n_aavs, n_gds=n_aavs * cap, max_served=cap,
+                           initial_aav_positions=((0.0, 0.0),) * n_aavs)
+        dim = action_dim(sc.n_aavs, sc.max_served)
+        # ties, signed zeros and out-of-range raws, then plain uniform raws
+        levels = [-3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0]
+        raws = [rng.choice(levels, size=dim) for _ in range(100)]
+        raws += [rng.uniform(-1.5, 1.5, size=dim) for _ in range(100)]
+        raws += [np.full(dim, 0.5), np.full(dim, -0.0), np.zeros(dim)]
+        for assoc in decode_cases(n_aavs, cap):
+            for raw in raws:
+                dec = decode(raw, served_gds(assoc), sc)
+                displacements, offload, bandwidth = loop_decode(raw, assoc, sc)
+                assert dec.displacements.tobytes() == displacements.tobytes()
+                assert dec.offload == offload
+                assert all(type(flag) is bool for flag in dec.offload.values())
+                assert dec.bandwidth == bandwidth
 
 
 def loop_clamp(positions, scenario):

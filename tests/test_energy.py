@@ -9,6 +9,10 @@ from saginsim.errors import InvalidAction
 from saginsim.scenario import EnergyParams
 
 
+def cruise_and_hover(max_speed, params):
+    return propulsion_power(max_speed, params), propulsion_power(0.0, params)
+
+
 def naive_power(speed, p):
     """Textbook form of the rotary-wing power curve, for cross-checking."""
     v2 = speed * speed
@@ -54,28 +58,30 @@ def test_move_then_hover_split():
     dist = 20.0
     expect = propulsion_power(vmax, p) * (dist / vmax) \
         + propulsion_power(0.0, p) * (1.0 - dist / vmax)
-    assert math.isclose(propulsion_energy(dist, slot, vmax, p), expect,
-                        rel_tol=1e-12)
+    got = propulsion_energy(dist, slot, vmax, *cruise_and_hover(vmax, p))
+    assert math.isclose(got, expect, rel_tol=1e-12)
 
 
 def test_zero_distance_is_pure_hover():
     p = EnergyParams()
-    assert math.isclose(propulsion_energy(0.0, 1.0, 50.0, p),
+    assert math.isclose(propulsion_energy(0.0, 1.0, 50.0,
+                                          *cruise_and_hover(50.0, p)),
                         propulsion_power(0.0, p), rel_tol=1e-12)
 
 
 def test_full_slot_move_is_pure_cruise():
     p = EnergyParams()
-    assert math.isclose(propulsion_energy(50.0, 1.0, 50.0, p),
+    assert math.isclose(propulsion_energy(50.0, 1.0, 50.0,
+                                          *cruise_and_hover(50.0, p)),
                         propulsion_power(50.0, p), rel_tol=1e-12)
 
 
 def test_distance_beyond_envelope_rejected():
     p = EnergyParams()
     with pytest.raises(InvalidAction):
-        propulsion_energy(50.0001, 1.0, 50.0, p)
+        propulsion_energy(50.0001, 1.0, 50.0, *cruise_and_hover(50.0, p))
     with pytest.raises(InvalidAction):
-        propulsion_energy(-0.5, 1.0, 50.0, p)
+        propulsion_energy(-0.5, 1.0, 50.0, *cruise_and_hover(50.0, p))
 
 
 def test_compute_energy_example():

@@ -5,11 +5,12 @@ import pytest
 
 from saginsim import channel
 from saginsim.actions import DecodedAction
+from saginsim.association import served_gds
 from saginsim.errors import LinkDown
 from saginsim.scenario import RadioParams, Scenario
 from saginsim.environment import episode_totals
-from saginsim.service import WorldState, run_slot, sat_distance, task_delay
-from saginsim.workload import GdState, MecTask
+from saginsim.service import WorldState, run_slot, task_delay
+from saginsim.workload import MecTask
 
 
 def make_scenario(n_aavs=1, n_gds=1, **radio_kw):
@@ -24,17 +25,17 @@ def make_scenario(n_aavs=1, n_gds=1, **radio_kw):
 
 
 def make_world(sc, aav_pos, gd_pos, tasks=(), stored=0.0):
-    gd_states = [GdState(g) for g in range(sc.n_gds)]
+    world = WorldState.start(sc, gd_pos)
+    world.aav_pos = np.asarray(aav_pos, float)
     for task in tasks:
-        gd_states[task.gd].pending.append(task)
-    for gd in gd_states:
+        world.gd_states[task.gd].pending.append(task)
+    for gd in world.gd_states:
         gd.stored_bits = stored
-    return WorldState(
-        aav_pos=np.asarray(aav_pos, float),
-        gd_pos=np.asarray(gd_pos, float),
-        gd_states=gd_states,
-        dc_buffers=np.zeros(sc.n_aavs),
-    )
+    return world
+
+
+def serve(world, decisions, assoc, sc, **kw):
+    return run_slot(world, decisions, assoc, served_gds(assoc), sc, **kw)
 
 
 def make_task(gd=0, size=6e5, ratio=0.2, max_delay=2.0):
@@ -59,6 +60,15 @@ def everyone_assoc(sc):
     return assoc
 
 
+def sat_distance(aav_xy, scenario):
+    """AAV to satellite slant distance, m; the per-AAV reference that
+    WorldState.sat_distances must equal to the last bit."""
+    x_min, y_min, x_max, y_max = scenario.area_bounds
+    center = np.array([(x_min + x_max) / 2.0, (y_min + y_max) / 2.0])
+    horiz = float(np.linalg.norm(np.asarray(aav_xy, float) - center))
+    return math.hypot(horiz, scenario.sat_altitude - scenario.aav_altitude)
+
+
 def test_sat_distance_at_center_and_corner():
     sc = make_scenario()
     d0 = sat_distance([0.0, 0.0], sc)
@@ -67,6 +77,27 @@ def test_sat_distance_at_center_and_corner():
     assert math.isclose(d1, math.hypot(500.0, sc.sat_altitude - sc.aav_altitude),
                         rel_tol=1e-12)
     assert d1 > d0
+
+
+@pytest.mark.parametrize("bounds", [(-1500.0, -1500.0, 1500.0, 1500.0),
+                                    (0.0, -200.0, 1000.0, 3000.0),
+                                    (-7.3, 11.1, 993.7, 1213.9)])
+def test_sat_distances_equal_loop_reference(bounds):
+    sc = Scenario(n_aavs=5, n_gds=1, area_bounds=bounds,
+                  initial_aav_positions=((bounds[0], bounds[1]),) * 5)
+    world = WorldState.start(sc, [[bounds[0], bounds[1]]])
+    x_min, y_min, x_max, y_max = bounds
+    center = ((x_min + x_max) / 2.0, (y_min + y_max) / 2.0)
+    corners = [(x_min, y_min), (x_min, y_max), (x_max, y_min), (x_max, y_max)]
+    rng = np.random.default_rng(31)
+    cases = [np.array([center] + corners)]
+    cases += [np.column_stack([rng.uniform(x_min, x_max, 5),
+                               rng.uniform(y_min, y_max, 5)])
+              for _ in range(200)]
+    for positions in cases:
+        world.aav_pos = positions
+        assert world.sat_distances() == [sat_distance(p, sc)
+                                          for p in positions]
 
 
 def test_task_delay_local_components():
@@ -113,8 +144,7 @@ def test_run_slot_local_task_bookkeeping():
     sc = make_scenario()
     task = make_task(size=2e5, max_delay=5.0)
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task])
-    out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
-                   sc)
+    out = serve(world, full_service_decision(sc), everyone_assoc(sc), sc)
     assert len(out["tasks"]) == 1
     rec = out["tasks"][0]
     assert rec["success"] and not rec["offloaded"]
@@ -139,8 +169,8 @@ def test_run_slot_offloaded_task_bookkeeping():
     sc = make_scenario()
     task = make_task(size=2e5, max_delay=5.0)
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task])
-    out = run_slot(world, full_service_decision(sc, offload=True),
-                   everyone_assoc(sc), sc)
+    out = serve(world, full_service_decision(sc, offload=True),
+                everyone_assoc(sc), sc)
     rec = out["tasks"][0]
     assert rec["offloaded"]
     comps = rec["components"]
@@ -163,8 +193,7 @@ def test_rate_floor_skips_task_but_not_collection():
     task = make_task()
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task],
                        stored=5e3)
-    out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
-                   sc)
+    out = serve(world, full_service_decision(sc), everyone_assoc(sc), sc)
     assert out["skipped"] == 1
     assert out["tasks"] == []
     assert len(world.gd_states[0].pending) == 1
@@ -178,8 +207,7 @@ def test_over_tolerance_task_fails_but_leaves_queue():
     sc = make_scenario()
     task = make_task(size=2e5, max_delay=1e-9)
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task])
-    out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
-                   sc)
+    out = serve(world, full_service_decision(sc), everyone_assoc(sc), sc)
     assert [t["success"] for t in out["tasks"]] == [False]
     assert world.gd_states[0].pending == []
 
@@ -190,8 +218,7 @@ def test_dc_conservation_with_busy_radio():
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]],
                        tasks=[make_task(size=2e5, max_delay=5.0)],
                        stored=stored)
-    out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
-                   sc)
+    out = serve(world, full_service_decision(sc), everyone_assoc(sc), sc)
     gd = world.gd_states[0]
     dc = out["dc"]
     assert math.isclose(stored - gd.stored_bits, dc["collected"][0],
@@ -209,8 +236,7 @@ def test_no_collection_when_radio_saturated():
     task = make_task(size=1e12, max_delay=1e9)
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task],
                        stored=1e6)
-    out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
-                   sc)
+    out = serve(world, full_service_decision(sc), everyone_assoc(sc), sc)
     comps = out["tasks"][0]["components"]
     assert comps["t_up_g2a"] + comps["t_down_a2g"] > sc.slot_length
     assert out["dc"]["dc_time"][0] == 0.0
@@ -222,8 +248,7 @@ def test_buffer_drains_without_new_collection():
     sc = make_scenario()
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]])
     world.dc_buffers[0] = 3e3
-    out = run_slot(world, full_service_decision(sc), everyone_assoc(sc),
-                   sc)
+    out = serve(world, full_service_decision(sc), everyone_assoc(sc), sc)
     assert out["dc"]["collected"][0] == 0.0
     assert out["dc"]["delivered"][0] == pytest.approx(3e3)
     assert world.dc_buffers[0] == pytest.approx(0.0)
@@ -235,7 +260,7 @@ def test_unserved_gd_keeps_its_data():
                        stored=1e3)
     assoc = np.zeros((1, 2), dtype=np.int8)
     assoc[0, 0] = 1
-    out = run_slot(world, full_service_decision(sc), assoc, sc)
+    out = serve(world, full_service_decision(sc), assoc, sc)
     assert out["dc"]["from_gds"][0] == pytest.approx(1e3)
     assert out["dc"]["from_gds"][1] == 0.0
     assert world.gd_states[1].stored_bits == pytest.approx(1e3)
@@ -251,13 +276,13 @@ def test_cross_cell_interference_slows_service():
     assoc2 = np.zeros((2, 2), dtype=np.int8)
     assoc2[0, 0] = 1
     assoc2[1, 1] = 1
-    out2 = run_slot(world2, full_service_decision(sc2), assoc2, sc2)
+    out2 = serve(world2, full_service_decision(sc2), assoc2, sc2)
 
     sc1 = make_scenario(n_aavs=1, n_gds=1)
     world1 = make_world(sc1, [pos_a[0]], [pos_g[0]],
                         tasks=[make_task(gd=0, size=6e5, max_delay=50.0)])
     assoc1 = np.ones((1, 1), dtype=np.int8)
-    out1 = run_slot(world1, full_service_decision(sc1), assoc1, sc1)
+    out1 = serve(world1, full_service_decision(sc1), assoc1, sc1)
     assert out2["tasks"][0]["delay"] > out1["tasks"][0]["delay"]
 
 
@@ -265,11 +290,11 @@ def test_rain_extra_db_slows_satellite_path():
     sc = make_scenario()
     kw = dict(tasks=[make_task(size=2e5, max_delay=50.0)])
     world_dry = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], **kw)
-    out_dry = run_slot(world_dry, full_service_decision(sc, offload=True),
-                       everyone_assoc(sc), sc)
+    out_dry = serve(world_dry, full_service_decision(sc, offload=True),
+                    everyone_assoc(sc), sc)
     world_wet = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], **kw)
-    out_wet = run_slot(world_wet, full_service_decision(sc, offload=True),
-                       everyone_assoc(sc), sc, rain_extra_db=10.0)
+    out_wet = serve(world_wet, full_service_decision(sc, offload=True),
+                    everyone_assoc(sc), sc, rain_extra_db=10.0)
     assert out_wet["tasks"][0]["delay"] > out_dry["tasks"][0]["delay"]
 
 

@@ -4,10 +4,26 @@ import numpy as np
 
 from saginsim.scenario import WorkloadParams
 from saginsim.workload import (
-    DC_SIZE_UNIT, MEC_SIZE_UNIT, GdState, accrue_dc_data, expire_overdue,
-    maybe_generate_task)
+    DC_SIZE_UNIT, MEC_SIZE_UNIT, GdState, _uniform, accrue_dc_data,
+    expire_overdue, maybe_generate_task)
 
 PARAMS = WorkloadParams()
+
+
+def test_uniform_equals_generator_uniform():
+    # the same values, and the generator left in the same state after
+    # each draw, as rng.uniform: a workload stream continues unchanged
+    bounds = [PARAMS.deadline_range, PARAMS.tolerance_range,
+              PARAMS.result_ratio_range, (10, 30), (0.5, 0.5), (1e-9, 1e9)]
+    ours, ref = np.random.default_rng(41), np.random.default_rng(41)
+    for i in range(20000):
+        low, high = bounds[i % len(bounds)]
+        assert _uniform(ours, (low, high)) == ref.uniform(low, high)
+        if i % 997 == 0:
+            assert ours.bit_generator.state == ref.bit_generator.state
+        if i % 5 == 0:
+            assert ours.poisson(6.0) == ref.poisson(6.0)
+    assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_generation_probability_matches_hazard():
