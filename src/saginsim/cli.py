@@ -232,9 +232,9 @@ def cmd_eval(args):
         env = SaginEnv(scenario, seed)
         agent = QagobTrainer(env, hyper)
         # set_arrays copies, so every seed starts from the same weights
-        agent.policy.denoiser.set_arrays(nets["actor"].get_arrays())
-        agent.critics.q1.set_arrays(nets["q1"].get_arrays())
-        agent.critics.q2.set_arrays(nets["q2"].get_arrays())
+        agent.policy.denoiser.set_arrays(nets["actor"].params)
+        agent.critics.q1.set_arrays(nets["q1"].params)
+        agent.critics.q2.set_arrays(nets["q2"].params)
         return run_episodes(env, agent.select_action, episodes, on_episode)
     return 1 if _run_seeds(args, "eval", run,
                            (seeds, scenario, overrides, hyper))[0] else 0
@@ -307,11 +307,12 @@ def cmd_sweep(args):
         failures += point_failures
         for seed, rows in finished.items():
             tail = rows[-10:]
+            mean = {column: sum(r[column] for r in tail) / len(tail)
+                    for column in ("reward", "f1", "f2", "f3")}
             summary.append({
                 "key": key, "value": value, "seed": seed,
-                "reward_tail10": sum(r["reward"] for r in tail) / len(tail),
-                "f1": rows[-1]["f1"], "f2": rows[-1]["f2"],
-                "f3": rows[-1]["f3"],
+                "reward_tail10": mean["reward"],
+                "f1": mean["f1"], "f2": mean["f2"], "f3": mean["f3"],
             })
     if summary:
         runio.write_metrics_csv(os.path.join(args.out, "summary.csv"), summary)

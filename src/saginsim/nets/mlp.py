@@ -102,8 +102,8 @@ def save_checkpoint(path, nets, meta=None):
     for name, net in nets.items():
         names[name] = net.widths
         stored = net.dtype.newbyteorder("<")
-        for i, arr in enumerate(net.get_arrays()):
-            payload["%s:%d" % (name, i)] = arr.astype(stored)
+        for i, arr in enumerate(net.params):
+            payload["%s:%d" % (name, i)] = arr.astype(stored, copy=False)
     header = {"format": CHECKPOINT_FORMAT, "widths": names,
               "meta": meta or {}}
     payload["header"] = np.frombuffer(

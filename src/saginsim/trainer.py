@@ -16,8 +16,12 @@ plus an entropy term that denoises toward uniform actions.
 
 Precision: the six networks, their Adam moments, reverse diffusion, the
 forward and backward passes and the soft target blend run in NET_DTYPE,
-float32.  Everything else is float64: the environment, the rewards and
-replay, the critic values once they leave the net (so the TD targets,
+float32.  The replay buffer stores states and actions in NET_DTYPE too,
+which is exact: replayed states only ever enter a network, which casts
+them to NET_DTYPE before any arithmetic, and replayed actions are
+float32 values that select_action cast up.
+Everything else is float64: the environment, the replayed rewards and
+dones, the critic values once they leave the net (so the TD targets,
 advantages and weights), the losses, every output, and the actions that
 select_action returns.  Every random draw is taken in float64 and then
 cast, so each stream's draws are those of a float64 run.
@@ -96,31 +100,53 @@ class Hyper:
 
 
 class RingBuffer:
-    """Fixed-capacity FIFO with uniform sampling (no replacement)."""
+    """Fixed-capacity FIFO of transitions with uniform sampling (no
+    replacement), stored as five columns, one row per transition.
+
+    columns is (states, actions, rewards, next_states, dones), the order
+    of push's arguments and of a sampled batch.  States, next states and
+    actions are stored in NET_DTYPE, rewards and dones (1.0 for a
+    terminal row) in float64; the module docstring says why that is
+    exact.  The columns grow by doubling up to capacity, so an empty
+    buffer holds no rows at all.
+    """
+
+    DTYPES = (NET_DTYPE, NET_DTYPE, np.float64, NET_DTYPE, np.float64)
 
     def __init__(self, capacity):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.items = []
+        self.columns = ()
+        self._len = 0
         self._next = 0
 
-    def push(self, item):
-        if len(self.items) < self.capacity:
-            self.items.append(item)
-        else:
-            self.items[self._next] = item
+    def push(self, state, action, reward, next_state, done):
+        """Write one transition at the ring slot, over the oldest once full."""
+        row = (state, action, reward, next_state, done)
+        rows = len(self.columns[0]) if self.columns else 0
+        if self._len == rows < self.capacity:
+            grown = [np.empty((min(2 * rows or 1, self.capacity),)
+                              + np.shape(value), dtype)
+                     for value, dtype in zip(row, self.DTYPES)]
+            for new, old in zip(grown, self.columns):
+                new[:rows] = old
+            self.columns = tuple(grown)
+        for col, value in zip(self.columns, row):
+            col[self._next] = value
+        self._len = min(self._len + 1, self.capacity)
         self._next = (self._next + 1) % self.capacity
 
     def sample(self, n, rng):
-        if n > len(self.items):
+        """n distinct rows drawn uniformly: one array per column."""
+        if n > self._len:
             raise ValueError("asked for %d items, buffer holds %d"
-                             % (n, len(self.items)))
-        idx = rng.choice(len(self.items), size=n, replace=False)
-        return [self.items[i] for i in idx]
+                             % (n, self._len))
+        idx = rng.choice(self._len, size=n, replace=False)
+        return tuple(col[idx] for col in self.columns)
 
     def __len__(self):
-        return len(self.items)
+        return self._len
 
 
 class TwinCritics:
@@ -259,27 +285,19 @@ class QagobTrainer:
             self.hyper.behavior_samples,
             self.rng.stream("policy-noise")).astype(np.float64)
 
-    def _batch_arrays(self, rows):
-        states = np.stack([r[0] for r in rows])
-        acts = np.stack([r[1] for r in rows])
-        rewards = np.array([r[2] for r in rows], dtype=np.float64)
-        next_states = np.stack([r[3] for r in rows])
-        dones = np.array([float(r[4]) for r in rows])
-        return states, acts, rewards, next_states, dones
-
     def update(self):
         """One gradient phase; returns (critic_loss_mean, actor_loss or None)."""
         h = self.hyper
         t_rng = self.rng.stream("trainer")
-        batch = self._batch_arrays(self.replay.sample(h.batch_size, t_rng))
+        batch = self.replay.sample(h.batch_size, t_rng)
         targets = td_targets(batch, self.critics, self.policy_target,
                              h.gamma, h.target_samples, t_rng)
         closses = critic_update(batch, targets, self.critics,
                                 self.opt_q1, self.opt_q2)
         aloss = None
         if len(self.replay) >= h.n_policy_samples:
-            states, acts, _, _, _ = self._batch_arrays(
-                self.replay.sample(h.n_policy_samples, t_rng))
+            states, acts, _, _, _ = self.replay.sample(h.n_policy_samples,
+                                                       t_rng)
             aloss = actor_update(self.policy, self.critics, states, acts,
                                  h, t_rng, self.opt_actor)
             soft_update(self.policy.denoiser, self.policy_target.denoiser,
@@ -292,7 +310,7 @@ class QagobTrainer:
         """Store one transition; past warmup, with a batch in the replay
         buffer, run one update and add its losses to the episode's."""
         h = self.hyper
-        self.replay.push((state, action, reward, next_state, done))
+        self.replay.push(state, action, reward, next_state, done)
         self.total_steps += 1
         if (self.total_steps > h.warmup_steps
                 and len(self.replay) >= h.batch_size):

@@ -156,6 +156,32 @@ def test_adam_two_step_reference():
     assert p.item() == pytest.approx(val, rel=1e-12)
 
 
+def test_adam_in_place_step_equals_the_formula():
+    """Five float32 steps update the parameters and moments to the last
+    bit of the out-of-place formula, evaluated in the same order."""
+    rng = np.random.default_rng(16)
+    params = [rng.standard_normal(shape).astype(np.float32)
+              for shape in ((256, 256), (256,))]
+    want = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    lr, b1, b2, eps = 3e-4, 0.9, 0.999, 1e-8
+    opt = Adam(params, lr)
+    for t in range(1, 6):
+        grads = [rng.standard_normal(p.shape).astype(np.float32)
+                 for p in params]
+        opt.step(grads)
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            m_hat = m[i] / (1.0 - b1 ** t)
+            v_hat = v[i] / (1.0 - b2 ** t)
+            want[i] = want[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    for got, expect in zip(params + opt.m + opt.v, want + m + v):
+        assert got.dtype == expect.dtype == np.float32
+        assert (got == expect).all()
+
+
 def test_adam_converges_on_quadratic():
     p = np.array([5.0])
     opt = Adam([p], lr=0.1)

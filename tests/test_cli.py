@@ -483,10 +483,10 @@ def test_sweep_summary_is_the_tail_of_each_point(tmp_path, config_path):
                         / ("seed" + row["seed"]) / "metrics.csv")
         assert len(rows) == 12
         # the builtin sum in episode order, as the sweep sums
-        tail = sum(float(r["reward"]) for r in rows[-10:]) / 10
-        assert row["reward_tail10"] == repr(tail)
-        for key in ("f1", "f2", "f3"):
-            assert row[key] == rows[-1][key], key
+        for key, column in (("reward_tail10", "reward"), ("f1", "f1"),
+                            ("f2", "f2"), ("f3", "f3")):
+            tail = sum(float(r[column]) for r in rows[-10:]) / 10
+            assert row[key] == repr(tail), key
 
 
 RUN_FILES = ("metrics.csv", "events.jsonl", "energy.csv", "trajectories.csv")

@@ -85,25 +85,98 @@ class StubCritics:
         return np.full(len(np.atleast_2d(states)), self.value)
 
 
+def transition(k, state_dim=S_DIM):
+    """A transition whose every field holds the number k."""
+    return (np.full(state_dim, k), np.full(A_DIM, k), float(k),
+            np.full(state_dim, k + 1), k % 2 == 1)
+
+
 def test_ring_buffer_fifo_eviction():
     buf = RingBuffer(3)
     for k in range(5):
-        buf.push(k)
+        buf.push(*transition(k))
     assert len(buf) == 3
-    assert sorted(buf.items) == [2, 3, 4]
+    states, actions, rewards, next_states, dones = buf.sample(
+        3, np.random.default_rng(0))
+    assert sorted(rewards) == [2.0, 3.0, 4.0]
+    # each row keeps its five fields together
+    assert (states == rewards[:, None]).all()
+    assert (actions == rewards[:, None]).all()
+    assert (next_states == rewards[:, None] + 1).all()
+    assert (dones == rewards % 2).all()
 
 
 def test_ring_buffer_sampling_without_replacement():
     buf = RingBuffer(10)
     for k in range(10):
-        buf.push(k)
+        buf.push(*transition(k))
     rng = np.random.default_rng(0)
-    got = buf.sample(10, rng)
-    assert sorted(got) == list(range(10))  # a permutation, no repeats
+    rewards = buf.sample(10, rng)[2]
+    assert sorted(rewards) == list(range(10))  # a permutation, no repeats
     with pytest.raises(ValueError):
         buf.sample(11, rng)
     with pytest.raises(ValueError):
         RingBuffer(0)
+
+
+class TupleRing:
+    """The replay as a list of transition tuples, batches stacked row by
+    row: the reference for RingBuffer's columns."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.items = []
+        self._next = 0
+
+    def push(self, *row):
+        if len(self.items) < self.capacity:
+            self.items.append(row)
+        else:
+            self.items[self._next] = row
+        self._next = (self._next + 1) % self.capacity
+
+    def sample(self, n, rng):
+        idx = rng.choice(len(self.items), size=n, replace=False)
+        rows = [self.items[i] for i in idx]
+        return (np.stack([r[0] for r in rows]),
+                np.stack([r[1] for r in rows]),
+                np.array([r[2] for r in rows], dtype=np.float64),
+                np.stack([r[3] for r in rows]),
+                np.array([float(r[4]) for r in rows]))
+
+
+@pytest.mark.parametrize("capacity", [1, 7, 64])
+def test_replay_columns_equal_the_tuple_reference(capacity):
+    """States, actions and next states come back as the float32 casts of
+    what was pushed, rewards and dones as float64, and both buffers draw
+    the same rows, also after the ring wraps."""
+    rng = np.random.default_rng(capacity)
+    buf, ref = RingBuffer(capacity), TupleRing(capacity)
+    draws, ref_draws = np.random.default_rng(5), np.random.default_rng(5)
+    for k in range(3 * capacity):
+        row = (rng.standard_normal(S_DIM), rng.standard_normal(A_DIM),
+               float(rng.standard_normal()), rng.standard_normal(S_DIM),
+               k % 3 == 2)
+        buf.push(*row)
+        ref.push(*row)
+        n = int(rng.integers(1, len(ref.items) + 1))
+        got, want = buf.sample(n, draws), ref.sample(n, ref_draws)
+        for field, dtype in enumerate((np.float32, np.float32, np.float64,
+                                       np.float32, np.float64)):
+            assert got[field].dtype == dtype
+            assert got[field].shape == want[field].shape
+            assert (got[field] == want[field].astype(dtype)).all(), field
+    assert len(buf) == len(ref.items) == capacity
+    assert draws.bit_generator.state == ref_draws.bit_generator.state
+
+
+def test_replay_grows_with_what_it_holds():
+    buf = RingBuffer(Hyper().replay_capacity)
+    assert buf.capacity == 1_000_000 and buf.columns == ()
+    for k in range(300):
+        buf.push(*transition(k, state_dim=129))
+    assert len(buf) == 300
+    assert all(300 <= len(col) <= 2 * 300 for col in buf.columns)
 
 
 def test_twin_critics_min_rule():
