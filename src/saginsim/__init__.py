@@ -1,7 +1,7 @@
 """saginsim: satellite-AAV edge computing and data collection simulator
 with a diffusion-policy reinforcement learning trainer."""
 
-from .environment import SaginEnv, objectives, state_dim
+from .environment import SaginEnv, state_dim
 from .scenario import Scenario, SeededRng, load_scenario
 from .trainer import Hyper, QagobTrainer, train
 
@@ -9,5 +9,5 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SaginEnv", "Scenario", "SeededRng", "Hyper", "QagobTrainer",
-    "load_scenario", "objectives", "state_dim", "train", "__version__",
+    "load_scenario", "state_dim", "train", "__version__",
 ]

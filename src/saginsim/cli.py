@@ -27,11 +27,14 @@ import sys
 import time
 import traceback
 
+import numpy as np
+
 from . import runio
 from .baselines import run_baseline
 from .actions import action_dim
 from .environment import SaginEnv, run_episodes, state_dim
-from .errors import CheckpointInvalid, EventLogInvalid, SaginError
+from .errors import (CheckpointInvalid, ConfigInvalid, EventLogInvalid,
+                     SaginError)
 from .nets.mlp import load_checkpoint
 from .scenario import load_scenario, scenario_to_text
 from .trainer import NET_DTYPE, Hyper, QagobTrainer, train
@@ -60,7 +63,7 @@ def _build_hyper(overrides):
             continue
         key = dotted[len("hyper."):]
         if key not in fields:
-            raise SaginError("unknown hyper field %r" % key)
+            raise ConfigInvalid(dotted, "unknown key")
         default = fields[key].default
         try:
             if isinstance(default, tuple):
@@ -213,8 +216,15 @@ def _load_checkpoint(path, scenario, hyper):
                 path, "%s network is %s; the trainer's networks are %s"
                 % (name, nets[name].dtype, NET_DTYPE))
     # nets must be rebuilt exactly as trained, whatever the current
-    # defaults are; the linear schedule is fixed by its length and ends
-    betas = meta["betas"]
+    # defaults are; a linear schedule, the only kind train writes, is
+    # fixed by its length and ends
+    betas = meta.get("betas")
+    if not (isinstance(betas, list) and betas
+            and all(isinstance(b, (int, float)) for b in betas)
+            and betas == np.linspace(betas[0], betas[-1],
+                                     len(betas)).tolist()):
+        raise CheckpointInvalid(path, "betas %r is not a nonempty linear "
+                                "schedule" % (betas,))
     return nets, dataclasses.replace(
         hyper,
         actor_widths=tuple(nets["actor"].widths[1:-1]),

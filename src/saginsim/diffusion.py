@@ -10,6 +10,9 @@ action, weight) rows, draw a uniform step n and fresh noise, form the
 forward-diffused action, and regress the predicted noise onto the true
 noise with the per-row weight.  Weights come from positive Q advantages,
 so only actions better than the policy average pull probability mass.
+
+Acting, the TD targets and the actor's V estimate all score sampled
+candidates with a Q function through sample_candidates.
 """
 
 import dataclasses
@@ -53,22 +56,15 @@ class VarianceSchedule:
         return float(self.alphas[n - 1])
 
     def alpha_bar(self, n):
-        """Cumulative signal retention; alpha_bar(0) == 1 by convention."""
-        if n == 0:
-            return 1.0
+        """Cumulative signal retention up to step n."""
         return float(self.alpha_bars[n - 1])
 
 
 def forward_diffuse(actions, steps, noise, schedule):
-    """x_n = sqrt(abar_n) a0 + sqrt(1 - abar_n) eps, rows independent."""
-    actions = np.asarray(actions, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    steps = np.asarray(steps)
-    abar = np.append(1.0, schedule.alpha_bars)[np.atleast_1d(steps)]
-    if actions.ndim == 1:
-        abar = abar[0]
-    else:
-        abar = abar[:, None]
+    """x_n = sqrt(abar_n) a0 + sqrt(1 - abar_n) eps for each row of the
+    (batch, dim) actions and noise, with steps the (batch,) array of
+    their steps in 1..n_steps."""
+    abar = schedule.alpha_bars[steps - 1][:, None]
     return np.sqrt(abar) * actions + np.sqrt(1.0 - abar) * noise
 
 
@@ -89,16 +85,9 @@ class DiffusionPolicy:
         return self.denoiser.params
 
     def _inputs(self, noisy, states, steps):
-        noisy = np.atleast_2d(np.asarray(noisy, dtype=np.float64))
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        steps = np.atleast_1d(np.asarray(steps, dtype=np.float64))
-        if len(steps) == 1 and len(noisy) > 1:
-            steps = np.full(len(noisy), steps[0])
+        """The denoiser's input rows [noisy | state | n / N]."""
         frac = (steps / self.schedule.n_steps)[:, None]
         return np.concatenate([noisy, states, frac], axis=1)
-
-    def predict_noise(self, noisy, states, steps):
-        return self.denoiser.forward(self._inputs(noisy, states, steps))
 
     def sample_batch(self, states, rng, squash=True):
         """Reverse diffusion for a batch of states; (batch, action_dim).
@@ -167,22 +156,25 @@ def weighted_denoise_loss(policy, states, actions, weights, rng):
     return loss, autodiff.backward(policy.denoiser, tape, d_pred)
 
 
-def entropy_loss(policy, states, uniform_actions, ent_coeff, eq_stats, rng):
-    """Exploration term: denoising loss toward uniform random actions.
-
-    eq_stats: per-row advantage statistics of the paired states; the row
-    weight is ent_coeff * stat so exploration pressure scales with how much
-    better than average the batch looks.  Returns (loss, gradients).
-    """
-    weights = ent_coeff * np.asarray(eq_stats, dtype=np.float64)
-    return weighted_denoise_loss(policy, states, uniform_actions, weights, rng)
-
-
 def q_weights(q_values, v_estimates):
     """Positive-part advantage max(Q - V, 0), elementwise."""
     q_values = np.asarray(q_values, dtype=np.float64)
     v_estimates = np.asarray(v_estimates, dtype=np.float64)
     return np.maximum(q_values - v_estimates, 0.0)
+
+
+def sample_candidates(policy, states, count, q_fn, rng):
+    """Sample `count` candidate actions for each row of states and score
+    them; returns (candidates, values).
+
+    candidates is (rows * count, action_dim), row i's at i * count to
+    (i + 1) * count - 1; values is q_fn(states, candidates), with each
+    state repeated count times, reshaped to (rows, count).
+    """
+    rep = np.repeat(states, count, axis=0)
+    candidates = policy.sample_batch(rep, rng)
+    values = np.asarray(q_fn(rep, candidates), dtype=np.float64)
+    return candidates, values.reshape(len(states), count)
 
 
 def behavior_select(policy, state, q_fn, count, rng):
@@ -193,7 +185,7 @@ def behavior_select(policy, state, q_fn, count, rng):
     """
     if count < 1:
         raise ValueError("need at least one candidate")
-    states = np.repeat(np.asarray(state, dtype=np.float64)[None, :], count, axis=0)
-    candidates = policy.sample_batch(states, rng)
-    values = np.asarray(q_fn(states, candidates), dtype=np.float64)
-    return candidates[int(np.argmax(values))]
+    candidates, values = sample_candidates(
+        policy, np.asarray(state, dtype=np.float64)[None, :], count, q_fn,
+        rng)
+    return candidates[int(np.argmax(values[0]))]

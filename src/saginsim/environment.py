@@ -108,40 +108,28 @@ def episode_totals(records):
     return totals.report()
 
 
-def objectives(records):
-    """(f1, f2, f3) of an episode's slot records; see episode_totals."""
-    totals = episode_totals(records)
-    return totals["f1"], totals["f2"], totals["f3"]
-
-
-def rollout(env, act, on_step=None):
-    """Play one episode; returns the summed reward.
-
-    act(state) -> raw action.  on_step(state, action, reward, next_state,
-    done), when given, fires after every step.
-    """
-    state = env.reset()
-    total = 0.0
-    done = False
-    while not done:
-        action = act(state)
-        next_state, reward, done, _ = env.step(action)
-        if on_step is not None:
-            on_step(state, action, reward, next_state, done)
-        state = next_state
-        total += reward
-    return total
-
-
 def run_episodes(env, act, episodes, on_episode=None, learn=None):
     """Play `episodes` episodes; returns their report rows, each
-    {"episode", "reward", **episode_totals(records)}.  on_episode(row,
-    records) fires after each episode and may add keys to its row; learn
-    is rollout's on_step.
+    {"episode", "reward", **episode_totals(records)}, with reward the
+    episode's summed reward.
+
+    act(state) -> raw action.  learn(state, action, reward, next_state,
+    done), when given, fires after every step, and on_episode(row,
+    records) after each episode; it may add keys to its row.
     """
     rows = []
     for episode in range(episodes):
-        row = {"episode": episode, "reward": float(rollout(env, act, learn))}
+        state = env.reset()
+        total = 0.0
+        done = False
+        while not done:
+            action = act(state)
+            next_state, reward, done, _ = env.step(action)
+            if learn is not None:
+                learn(state, action, reward, next_state, done)
+            state = next_state
+            total += reward
+        row = {"episode": episode, "reward": float(total)}
         row.update(episode_totals(env.records))
         rows.append(row)
         if on_episode is not None:

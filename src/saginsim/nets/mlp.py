@@ -134,7 +134,10 @@ def load_checkpoint(path):
                 net = Mlp(widths, dtype=dtype)
                 net.set_arrays(arrays)
                 nets[name] = net
+            meta = header["meta"]
+            if not isinstance(meta, dict):
+                raise CheckpointInvalid(path, "meta is not a JSON object")
     except (OSError, IndexError, KeyError, TypeError, ValueError,
             zipfile.BadZipFile) as exc:
         raise CheckpointInvalid(path, "cannot read: %s" % exc) from None
-    return nets, header["meta"]
+    return nets, meta

@@ -12,7 +12,9 @@ target policy's sample-and-argmax action.
 
 Actor updates weight the denoising loss by the positive advantage
 max(Q - V, 0), with V the mean critic value over fresh policy samples,
-plus an entropy term that denoises toward uniform actions.
+plus an entropy term that denoises toward uniform actions, each weighted
+by ent_coeff times the mean positive advantage of its state's fresh
+samples (after QVPO, Ding et al. 2024).
 
 Precision: the six networks, their Adam moments, reverse diffusion, the
 forward and backward passes and the soft target blend run in NET_DTYPE,
@@ -60,7 +62,6 @@ class Hyper:
     behavior_samples: int = 4         # candidates when acting
     target_samples: int = 2           # candidates inside the TD target
     ent_coeff: float = 0.02
-    ent_variant: str = "mean"         # "mean" | "max"
     critic_widths: tuple = (256, 128)
     actor_widths: tuple = (256, 256)
     n_denoise: int = 10
@@ -95,8 +96,6 @@ class Hyper:
         for name in ("critic_widths", "actor_widths"):
             if min(getattr(self, name), default=1) < 1:
                 raise ConfigInvalid("hyper." + name, "widths must be >= 1")
-        if self.ent_variant not in ("mean", "max"):
-            raise ConfigInvalid("hyper.ent_variant", "expected mean or max")
 
 
 class RingBuffer:
@@ -165,15 +164,17 @@ class TwinCritics:
         return np.concatenate([np.atleast_2d(states), np.atleast_2d(actions)],
                               axis=1)
 
+    @classmethod
+    def _min(cls, q1, q2, states, actions):
+        x = cls._join(states, actions)
+        return np.minimum(q1.forward(x),
+                          q2.forward(x))[:, 0].astype(np.float64)
+
     def min_q(self, states, actions):
-        x = self._join(states, actions)
-        return np.minimum(self.q1.forward(x),
-                          self.q2.forward(x))[:, 0].astype(np.float64)
+        return self._min(self.q1, self.q2, states, actions)
 
     def min_target_q(self, states, actions):
-        x = self._join(states, actions)
-        return np.minimum(self.q1_target.forward(x),
-                          self.q2_target.forward(x))[:, 0].astype(np.float64)
+        return self._min(self.q1_target, self.q2_target, states, actions)
 
 
 def soft_update(online, target, rate):
@@ -187,13 +188,10 @@ def soft_update(online, target, rate):
 def td_targets(batch, critics, target_policy, gamma, target_samples, rng):
     """Bootstrapped targets y = r + gamma min-target-Q(s', a*) with a* the
     target policy's best-of-target_samples action; terminal rows use r."""
-    states, actions, rewards, next_states, dones = batch
-    n = len(rewards)
-    rep = np.repeat(next_states, target_samples, axis=0)
-    candidates = target_policy.sample_batch(rep, rng)
-    values = critics.min_target_q(rep, candidates).reshape(n, target_samples)
-    best = values.max(axis=1)
-    return rewards + gamma * best * (1.0 - dones)
+    _, _, rewards, next_states, dones = batch
+    _, values = diffusion.sample_candidates(
+        target_policy, next_states, target_samples, critics.min_target_q, rng)
+    return rewards + gamma * values.max(axis=1) * (1.0 - dones)
 
 
 def critic_update(batch, targets, critics, opt1, opt2):
@@ -217,31 +215,24 @@ def critic_update(batch, targets, critics, opt1, opt2):
 
 def actor_update(policy, critics, states, acts, hyper, rng, opt):
     """Q-weighted denoising update plus the entropy term; returns the loss."""
-    n = len(states)
-
     q_vals = critics.min_q(states, acts)
-    rep = np.repeat(states, hyper.n_value_samples, axis=0)
-    samples = policy.sample_batch(rep, rng)
-    q_samples = critics.min_q(rep, samples).reshape(n, hyper.n_value_samples)
+    _, q_samples = diffusion.sample_candidates(
+        policy, states, hyper.n_value_samples, critics.min_q, rng)
     v_est = q_samples.mean(axis=1)
     weights = diffusion.q_weights(q_vals, v_est)
-    # per-state mean positive advantage of the fresh samples, for the
-    # mean-form entropy weight
+    # per-state mean positive advantage of the fresh samples, which
+    # scales the entropy term
     sample_adv = np.maximum(q_samples - v_est[:, None], 0.0).mean(axis=1)
 
     loss, grads = diffusion.weighted_denoise_loss(policy, states, acts,
                                                   weights, rng)
     if hyper.n_uniform_samples > 0 and hyper.ent_coeff > 0.0:
-        idx = rng.integers(0, n, size=hyper.n_uniform_samples)
-        u_states = states[idx]
+        idx = rng.integers(0, len(states), size=hyper.n_uniform_samples)
         u_actions = rng.uniform(-1.0, 1.0,
                                 size=(hyper.n_uniform_samples, policy.action_dim))
-        if hyper.ent_variant == "max":
-            stats = np.full(hyper.n_uniform_samples, weights.max())
-        else:
-            stats = sample_adv[idx]
-        e_loss, e_grads = diffusion.entropy_loss(
-            policy, u_states, u_actions, hyper.ent_coeff, stats, rng)
+        e_loss, e_grads = diffusion.weighted_denoise_loss(
+            policy, states[idx], u_actions, hyper.ent_coeff * sample_adv[idx],
+            rng)
         loss = loss + e_loss
         grads = [g + e for g, e in zip(grads, e_grads)]
     loss = float(loss)

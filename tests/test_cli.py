@@ -10,9 +10,8 @@ import weakref
 import numpy as np
 import pytest
 
-from saginsim import baselines, cli, environment, runio
-from saginsim.environment import (SaginEnv, episode_totals, rollout,
-                                  run_episodes)
+from saginsim import baselines, cli, runio
+from saginsim.environment import SaginEnv, episode_totals, run_episodes
 from saginsim.nets.mlp import Mlp, load_checkpoint, save_checkpoint
 from saginsim.scenario import parse_config_text
 
@@ -385,13 +384,16 @@ def test_missing_checkpoint_returns_failure(tmp_path, config_path, capsys):
     assert not out.exists()
 
 
-def rewrite_checkpoint(path, fmt, dtype=None):
+def rewrite_checkpoint(path, fmt, dtype=None, edit=None):
     """Rewrite the checkpoint at path under header format fmt, with its
-    arrays cast to dtype if one is given."""
+    arrays cast to dtype if one is given and edit(header) applied to its
+    header if one is given."""
     with np.load(path) as data:
         payload = {k: data[k] for k in data.files}
     header = json.loads(bytes(payload.pop("header")).decode())
     header["format"] = fmt
+    if edit:
+        edit(header)
     if dtype:
         payload = {k: v.astype(dtype) for k, v in payload.items()}
     payload["header"] = np.frombuffer(json.dumps(header).encode(),
@@ -412,8 +414,27 @@ def rewrite_checkpoint(path, fmt, dtype=None):
      "no actor network"),
     # trained on the tiny scenario, evaluated on the toy one with its 8 GDs
     (lambda path: None, str(CONFIGS / "toy.toml"), "do not fit"),
+    # the schedule eval rebuilds the policy with
+    (lambda path: rewrite_checkpoint(
+        path, 2, edit=lambda header: header["meta"].pop("betas")), None,
+     "betas None is not a nonempty linear schedule"),
+    (lambda path: rewrite_checkpoint(
+        path, 2, edit=lambda header: header["meta"].update(betas=[])), None,
+     "betas [] is not a nonempty linear schedule"),
+    # eval would rebuild linspace(1e-4, 0.02, 3), not these betas
+    (lambda path: rewrite_checkpoint(
+        path, 2, edit=lambda header: header["meta"].update(
+            betas=[1e-4, 0.019, 0.02])), None,
+     "betas [0.0001, 0.019, 0.02] is not a nonempty linear schedule"),
+    (lambda path: rewrite_checkpoint(
+        path, 2, edit=lambda header: header.pop("meta")), None,
+     "cannot read"),
+    (lambda path: rewrite_checkpoint(
+        path, 2, edit=lambda header: header.update(meta=[1])), None,
+     "meta is not a JSON object"),
 ], ids=["foreign-format", "format-1", "float64", "not-a-checkpoint",
-        "no-actor", "other-scenario"])
+        "no-actor", "other-scenario", "no-betas", "empty-betas",
+        "nonlinear-betas", "no-meta", "meta-not-an-object"])
 def test_unusable_checkpoint_is_a_config_error(tmp_path, config_path, capsys,
                                                spoil, config, says):
     ckpt = train_tiny_checkpoint(tmp_path, config_path)
@@ -534,15 +555,16 @@ def test_failed_eval_keeps_finished_episodes(tmp_path, config_path,
                     "--episodes", "1", "--out", train_out, "--quiet"]
                    + TINY_HYPER) == 0
     ckpt = os.path.join(train_out, "seed0", "checkpoints", "final.npz")
-    played = []
+    step = SaginEnv.step
+    steps = []
 
-    def rollout_then_fail(env, act, on_step=None):
-        if played:
+    def step_then_fail(env, action):
+        steps.append(1)
+        if len(steps) > env.scenario.horizon:
             raise RuntimeError("second episode fails")
-        played.append(1)
-        return rollout(env, act, on_step)
+        return step(env, action)
 
-    monkeypatch.setattr(environment, "rollout", rollout_then_fail)
+    monkeypatch.setattr(SaginEnv, "step", step_then_fail)
     out = str(tmp_path / "eval")
     code = run_cli(["eval", "--config", config_path, "--seed", "0",
                     "--episodes", "3", "--checkpoint", ckpt, "--out", out,

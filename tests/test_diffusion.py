@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from saginsim.diffusion import (DiffusionPolicy, VarianceSchedule,
-                                behavior_select, entropy_loss, forward_diffuse,
-                                q_weights, weighted_denoise_loss)
+                                behavior_select, forward_diffuse, q_weights,
+                                weighted_denoise_loss)
 from saginsim.errors import InvalidWeight, SamplerDiverged
+from saginsim.nets.mlp import Mlp
 
 STATE_DIM, ACTION_DIM = 3, 2
 
@@ -24,14 +25,14 @@ def test_linear_schedule_values():
     np.testing.assert_allclose(np.diff(s.betas),
                                np.full(9, (0.02 - 1e-4) / 9), rtol=1e-12)
     assert s.alpha(1) == pytest.approx(1.0 - 1e-4)
-    assert s.alpha_bar(0) == 1.0
     assert s.alpha_bar(1) == pytest.approx(0.9999)
     # nearly all signal survives the first step
     assert math.sqrt(s.alpha_bar(1)) == pytest.approx(0.99995, abs=1e-6)
     expect = np.cumprod(1.0 - s.betas)
     for n in range(1, 11):
         assert s.alpha_bar(n) == pytest.approx(expect[n - 1], rel=1e-12)
-    assert np.all(np.diff([s.alpha_bar(n) for n in range(11)]) < 0.0)
+    assert np.all(np.diff([1.0] + [s.alpha_bar(n) for n in range(1, 11)])
+                  < 0.0)
 
 
 def test_schedule_validation():
@@ -48,10 +49,10 @@ def test_schedule_validation():
 
 def test_forward_diffuse_formula():
     s = VarianceSchedule.linear(10)
-    a = np.array([0.5, -0.25])
-    eps = np.array([1.0, 2.0])
+    a = np.array([[0.5, -0.25]])
+    eps = np.array([[1.0, 2.0]])
     for n in (1, 4, 10):
-        out = forward_diffuse(a, n, eps, s)
+        out = forward_diffuse(a, np.array([n]), eps, s)
         abar = s.alpha_bar(n)
         np.testing.assert_allclose(
             out, math.sqrt(abar) * a + math.sqrt(1 - abar) * eps, rtol=1e-12)
@@ -64,9 +65,10 @@ def test_forward_diffuse_batch_rows_independent():
     eps = rng.standard_normal((4, 3))
     steps = np.array([1, 3, 7, 10])
     out = forward_diffuse(a, steps, eps, s)
-    for i, n in enumerate(steps):
-        np.testing.assert_array_equal(out[i],
-                                      forward_diffuse(a[i], n, eps[i], s))
+    for i in range(len(steps)):
+        np.testing.assert_array_equal(
+            out[i:i + 1],
+            forward_diffuse(a[i:i + 1], steps[i:i + 1], eps[i:i + 1], s))
 
 
 def test_samples_squashed_into_unit_box():
@@ -115,7 +117,7 @@ def test_denoiser_input_layout():
     policy.denoiser.set_arrays([w, np.zeros(ACTION_DIM)])
     state = np.array([[0.25, 0.5, 0.75]])
     noisy = np.array([[9.0, 9.0]])
-    out = policy.predict_noise(noisy, state, 4)
+    out = policy.denoiser.forward(policy._inputs(noisy, state, np.array([4])))
     assert out[0, 0] == pytest.approx(4 / 10)
     assert out[0, 1] == pytest.approx(0.25)
 
@@ -134,7 +136,8 @@ def reference_sample(policy, states, rng):
     sched = policy.schedule
     x = rng.standard_normal((len(states), policy.action_dim))
     for n in range(sched.n_steps, 0, -1):
-        eps = policy.denoiser.forward(policy._inputs(x, states, n))
+        eps = policy.denoiser.forward(
+            policy._inputs(x, states, np.full(len(x), n)))
         mean = (x - sched.beta(n) / np.sqrt(1.0 - sched.alpha_bar(n)) * eps) \
             / np.sqrt(sched.alpha(n))
         if n > 1:
@@ -226,7 +229,7 @@ def test_weighted_loss_matches_hand_formula():
     steps = rng2.integers(1, policy.schedule.n_steps + 1, size=5)
     noise = rng2.standard_normal(actions.shape)
     noisy = forward_diffuse(actions, steps, noise, policy.schedule)
-    pred = policy.predict_noise(noisy, states, steps)
+    pred = policy.denoiser.forward(policy._inputs(noisy, states, steps))
     expect = np.mean(w * ((noise - pred) ** 2).sum(axis=1))
     assert loss == pytest.approx(expect, rel=1e-12)
     assert np.all(steps >= 1) and np.all(steps <= policy.schedule.n_steps)
@@ -243,19 +246,6 @@ def test_invalid_weights_rejected():
         weighted_denoise_loss(policy, states, actions, np.array([1.0, np.nan, 0.0]), rng)
     with pytest.raises(InvalidWeight):
         weighted_denoise_loss(policy, states, actions, np.ones(4), rng)
-
-
-def test_entropy_loss_weight_pairing():
-    policy = make_policy(rng=np.random.default_rng(23))
-    states = np.random.default_rng(24).standard_normal((4, STATE_DIM))
-    uni = np.random.default_rng(25).uniform(-1, 1, (4, ACTION_DIM))
-    stats = np.array([1.0, 0.5, 0.0, 2.0])
-    coeff = 0.02
-    a, _ = entropy_loss(policy, states, uni, coeff, stats,
-                        np.random.default_rng(26))
-    b, _ = weighted_denoise_loss(policy, states, uni, coeff * stats,
-                                 np.random.default_rng(26))
-    assert a == pytest.approx(b, rel=1e-15)
 
 
 def test_q_weights_positive_part():
@@ -288,6 +278,44 @@ def test_behavior_select_argmax_and_tie():
     with pytest.raises(ValueError):
         behavior_select(policy, state, q_first_coord, 0,
                         np.random.default_rng(30))
+
+
+def inline_behavior_select(policy, state, q_fn, count, rng):
+    """behavior_select with the repeat, sample and score sequence written
+    inline: the loop reference."""
+    states = np.repeat(np.asarray(state, dtype=np.float64)[None, :], count,
+                       axis=0)
+    candidates = policy.sample_batch(states, rng)
+    values = np.asarray(q_fn(states, candidates), dtype=np.float64)
+    return candidates[int(np.argmax(values))]
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 16])
+@pytest.mark.parametrize("q", ["critic", "coarse", "flat"])
+def test_behavior_select_equals_the_inline_loop(count, q):
+    """A float32 policy and a float32 critic, as in the trainer: the same
+    action to the bit, from the same draws.  "coarse" rounds the values
+    so that candidates tie, and "flat" ties them all."""
+    rng = np.random.default_rng(50 + count)
+    policy = DiffusionPolicy(STATE_DIM, ACTION_DIM, (8,),
+                             VarianceSchedule.linear(4), rng, np.float32)
+    critic = Mlp([STATE_DIM + ACTION_DIM, 8, 1], rng, np.float32)
+
+    def q_fn(states, actions):
+        values = critic.forward(np.concatenate([states, actions], axis=1))
+        values = values[:, 0].astype(np.float64)
+        return {"critic": values, "coarse": np.round(values, 1),
+                "flat": np.zeros(len(values))}[q]
+
+    for k in range(5):
+        state = rng.standard_normal(STATE_DIM)
+        got_rng, want_rng = (np.random.default_rng(k),
+                             np.random.default_rng(k))
+        got = behavior_select(policy, state, q_fn, count, got_rng)
+        want = inline_behavior_select(policy, state, q_fn, count, want_rng)
+        assert got.dtype == want.dtype == np.float32
+        assert (got == want).all()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_denoise_loss_training_reduces_noise_error():

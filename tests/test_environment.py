@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from saginsim import workload
-from saginsim.environment import SaginEnv, objectives, rollout, state_dim
+from saginsim.environment import (SaginEnv, episode_totals, run_episodes,
+                                  state_dim)
 from saginsim.errors import EpisodeFinished
 from saginsim.scenario import RewardWeights, Scenario, load_scenario
 
@@ -102,8 +103,8 @@ def test_rollout_sums_rewards_and_reports_every_step():
         -1, 1, size=(sc.horizon, SaginEnv(sc, SEED).action_dim))
     env = SaginEnv(sc, SEED)
     steps = []
-    total = rollout(env, lambda state: acts[len(steps)],
-                    lambda *transition: steps.append(transition))
+    [row] = run_episodes(env, lambda state: acts[len(steps)], 1,
+                         learn=lambda *transition: steps.append(transition))
 
     replay = SaginEnv(sc, SEED)
     state = replay.reset()
@@ -115,7 +116,7 @@ def test_rollout_sums_rewards_and_reports_every_step():
         assert np.array_equal(s_next, state)
         expected += reward
     assert len(steps) == sc.horizon and steps[-1][4]
-    assert total == expected
+    assert row["reward"] == expected
 
 
 def test_different_seeds_diverge():
@@ -204,7 +205,8 @@ def test_objectives_recount_episode():
     rng = np.random.default_rng(2)
     for _ in range(sc.horizon):
         env.step(rng.uniform(-1, 1, env.action_dim))
-    f1, f2, f3 = objectives(env.records)
+    totals = episode_totals(env.records)
+    f1, f2, f3 = totals["f1"], totals["f2"], totals["f3"]
     assert f2 == pytest.approx(
         sum(sum(rec["dc"]["delivered"]) for rec in env.records))
     assert f3 == pytest.approx(
@@ -217,7 +219,8 @@ def test_objectives_recount_episode():
 
 
 def test_objectives_empty_records():
-    f1, f2, f3 = objectives([])
+    totals = episode_totals([])
+    f1, f2, f3 = totals["f1"], totals["f2"], totals["f3"]
     assert math.isnan(f1) and f2 == 0.0 and f3 == 0.0
 
 

@@ -6,8 +6,7 @@ import pytest
 
 from saginsim import runio
 from saginsim.baselines import run_baseline
-from saginsim.environment import (SaginEnv, episode_totals, objectives,
-                                  run_episodes)
+from saginsim.environment import SaginEnv, episode_totals, run_episodes
 from saginsim.errors import EventLogInvalid
 from saginsim.scenario import Scenario
 
@@ -73,9 +72,9 @@ def test_episode_metrics_fields_and_consistency():
     total = sum(rewards[-env.scenario.horizon:])
     assert row["episode"] == 3
     assert row["reward"] == pytest.approx(total)
-    f1, f2, f3 = objectives(env.records)
-    assert row["f2"] == pytest.approx(f2)
-    assert row["f3"] == pytest.approx(f3)
+    totals = episode_totals(env.records)
+    assert row["f2"] == pytest.approx(totals["f2"])
+    assert row["f3"] == pytest.approx(totals["f3"])
     assert list(row)[:5] == ["episode", "reward", "f1", "f2", "f3"]
     for key, total in energy_sums(env.records).items():
         assert row[key] == pytest.approx(total)

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from saginsim.diffusion import DiffusionPolicy, VarianceSchedule
+from saginsim.diffusion import (DiffusionPolicy, VarianceSchedule,
+                                weighted_denoise_loss)
 from saginsim.environment import SaginEnv, run_episodes
 from saginsim.errors import ConfigInvalid
 from saginsim.nets import autodiff
 from saginsim.nets.mlp import Mlp, load_checkpoint
 from saginsim.nets.optim import Adam
 from saginsim.scenario import Scenario
-from saginsim.trainer import (Hyper, QagobTrainer, RingBuffer, TwinCritics,
-                              actor_update, critic_update, soft_update,
-                              td_targets, train)
+from saginsim.trainer import (NET_DTYPE, Hyper, QagobTrainer, RingBuffer,
+                              TwinCritics, actor_update, critic_update,
+                              soft_update, td_targets, train)
 
 S_DIM, A_DIM = 3, 2
 
@@ -190,6 +191,11 @@ def test_twin_critics_min_rule():
     np.testing.assert_allclose(critics.min_q(s, a), -1.0)
     # targets were cloned before the overwrite, so they differ now
     assert not np.allclose(critics.min_target_q(s, a), -1.0)
+    # and min_target_q takes the minimum of the two targets
+    for net, bias in ((critics.q1_target, 0.5), (critics.q2_target, 3.0)):
+        net.set_arrays([np.zeros_like(a) for a in net.get_arrays()])
+        net.params[-1][...] = bias
+    np.testing.assert_allclose(critics.min_target_q(s, a), 0.5)
 
 
 def test_soft_update_endpoints_and_blend():
@@ -309,6 +315,55 @@ def test_td_targets_take_best_candidate():
     np.testing.assert_allclose(y, [1.0, 3.0])
 
 
+def inline_td_targets(batch, critics, target_policy, gamma, target_samples,
+                      rng):
+    """td_targets with the repeat, sample and score sequence written
+    inline: the loop reference."""
+    states, actions, rewards, next_states, dones = batch
+    n = len(rewards)
+    rep = np.repeat(next_states, target_samples, axis=0)
+    candidates = target_policy.sample_batch(rep, rng)
+    values = critics.min_target_q(rep, candidates).reshape(n, target_samples)
+    best = values.max(axis=1)
+    return rewards + gamma * best * (1.0 - dones)
+
+
+def float32_learner(seed, state_dim=S_DIM, action_dim=A_DIM, hidden=(8,)):
+    """A policy and twin critics of the trainer's dtype, with a target
+    policy that differs from the policy."""
+    rng = np.random.default_rng(seed)
+    sched = VarianceSchedule.linear(3)
+    policy = DiffusionPolicy(state_dim, action_dim, hidden, sched, rng,
+                             NET_DTYPE)
+    target = DiffusionPolicy(state_dim, action_dim, hidden, sched, rng,
+                             NET_DTYPE)
+    critics = TwinCritics(state_dim, action_dim, hidden, rng, NET_DTYPE)
+    soft_update(critics.q1, critics.q1_target, 0.5)
+    return policy, target, critics
+
+
+@pytest.mark.parametrize("n,samples,dims", [
+    (1, 1, (S_DIM, A_DIM, (8,))), (7, 2, (S_DIM, A_DIM, (8,))),
+    (32, 3, (129, 40, (32, 16)))])
+def test_td_targets_equal_the_inline_loop(n, samples, dims):
+    """Float32 nets and a replay batch of the buffer's dtypes, with
+    terminal rows: the same targets to the bit, from the same draws."""
+    _, target, critics = float32_learner(20 + n, *dims)
+    rng = np.random.default_rng(n)
+    buf = RingBuffer(n)
+    for k in range(n):
+        buf.push(rng.standard_normal(dims[0]),
+                 rng.uniform(-1, 1, dims[1]), float(rng.standard_normal()),
+                 rng.standard_normal(dims[0]), k % 3 == 2)
+    batch = buf.sample(n, rng)
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = td_targets(batch, critics, target, 0.9, samples, got_rng)
+    want = inline_td_targets(batch, critics, target, 0.9, samples, want_rng)
+    assert got.dtype == want.dtype == np.float64
+    assert (got == want).all()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_critic_update_converges_on_frozen_batch():
     critics = TwinCritics(S_DIM, A_DIM, (16,), np.random.default_rng(8))
     opt1 = Adam(critics.q1.params, 1e-2)
@@ -358,34 +413,17 @@ def test_actor_update_runs_and_moves_params():
                for b, p in zip(before, policy.params))
 
 
-def test_actor_update_all_negative_advantage_max_variant():
-    """A flat critic makes Q == V, so the advantage weights are exactly
-    zero; the max-variant entropy weight inherits the zero and the whole
-    update is a no-op."""
-    policy, _, states, acts = make_actor_setup(seed=11)
-
-    class FlatCritics:
-        def min_q(self, states, actions):
-            return np.zeros(len(np.atleast_2d(states)))
-
-    hyper = tiny_hyper(ent_variant="max")
-    opt = Adam(policy.params, 1e-3)
-    before = [p.copy() for p in policy.params]
-    loss = actor_update(policy, FlatCritics(), states, acts, hyper,
-                        np.random.default_rng(12), opt)
-    assert loss == 0.0
-    for b, p in zip(before, policy.params):
-        np.testing.assert_array_equal(b, p)
-
-
 def test_actor_update_mean_variant_flat_critic_is_noop():
+    """A flat critic makes Q == V, so the advantage weights are exactly
+    zero; the entropy weight, ent_coeff times the mean positive advantage
+    of the fresh samples, is zero too, and the whole update is a no-op."""
     policy, _, states, acts = make_actor_setup(seed=13)
 
     class FlatCritics:
         def min_q(self, states, actions):
             return np.zeros(len(np.atleast_2d(states)))
 
-    hyper = tiny_hyper(ent_variant="mean")
+    hyper = tiny_hyper()
     opt = Adam(policy.params, 1e-3)
     before = [p.copy() for p in policy.params]
     loss = actor_update(policy, FlatCritics(), states, acts, hyper,
@@ -393,6 +431,58 @@ def test_actor_update_mean_variant_flat_critic_is_noop():
     assert loss == 0.0
     for b, p in zip(before, policy.params):
         np.testing.assert_array_equal(b, p)
+
+
+def inline_actor_update(policy, critics, states, acts, hyper, rng, opt):
+    """actor_update in its explicit two-call form: the Q-weighted loss
+    plus an entropy loss toward uniform actions, weighted by ent_coeff
+    times the mean positive advantage of the fresh samples, with the
+    gradients summed.  The loop reference."""
+    n = len(states)
+    q_vals = critics.min_q(states, acts)
+    rep = np.repeat(states, hyper.n_value_samples, axis=0)
+    samples = policy.sample_batch(rep, rng)
+    q_samples = critics.min_q(rep, samples).reshape(n, hyper.n_value_samples)
+    v_est = q_samples.mean(axis=1)
+    weights = np.maximum(q_vals - v_est, 0.0)
+    sample_adv = np.maximum(q_samples - v_est[:, None], 0.0).mean(axis=1)
+    loss, grads = weighted_denoise_loss(policy, states, acts, weights, rng)
+    if hyper.n_uniform_samples > 0 and hyper.ent_coeff > 0.0:
+        idx = rng.integers(0, n, size=hyper.n_uniform_samples)
+        u_states = states[idx]
+        u_actions = rng.uniform(-1.0, 1.0, size=(hyper.n_uniform_samples,
+                                                 policy.action_dim))
+        stats = sample_adv[idx]
+        e_loss, e_grads = weighted_denoise_loss(
+            policy, u_states, u_actions, hyper.ent_coeff * stats, rng)
+        loss = loss + e_loss
+        grads = [g + e for g, e in zip(grads, e_grads)]
+    opt.step(grads)
+    return float(loss)
+
+
+@pytest.mark.parametrize("ent", [
+    dict(), dict(ent_coeff=0.5, n_uniform_samples=5),
+    dict(ent_coeff=0.0), dict(n_uniform_samples=0)])
+def test_actor_update_equals_the_two_call_form(ent):
+    """One step on float32 nets from replayed float32 rows: the same loss,
+    parameters, Adam moments and draws, to the bit."""
+    hyper = tiny_hyper(n_value_samples=3, **ent)
+    runs = []
+    for update in (actor_update, inline_actor_update):
+        policy, _, critics = float32_learner(31)
+        opt = Adam(policy.params, 1e-2)
+        rng = np.random.default_rng(32)
+        states = rng.standard_normal((6, S_DIM)).astype(NET_DTYPE)
+        acts = rng.uniform(-1, 1, (6, A_DIM)).astype(NET_DTYPE)
+        loss = update(policy, critics, states, acts, hyper, rng, opt)
+        runs.append((loss, policy.denoiser.get_arrays(), opt.m + opt.v,
+                     rng.bit_generator.state))
+    (loss, params, moments, state), want = runs
+    assert loss == want[0] and loss > 0.0
+    for got, expect in zip(params + moments, want[1] + want[2]):
+        assert got.dtype == NET_DTYPE and (got == expect).all()
+    assert state == want[3]
 
 
 def play_episode(trainer):
