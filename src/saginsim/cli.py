@@ -36,7 +36,8 @@ from .environment import SaginEnv, run_episodes, state_dim
 from .errors import (CheckpointInvalid, ConfigInvalid, EventLogInvalid,
                      SaginError)
 from .nets.mlp import load_checkpoint
-from .scenario import load_scenario, scenario_to_text
+from .scenario import (build_group, is_number, is_point_list, load_scenario,
+                       parse_override, scenario_to_text)
 from .trainer import NET_DTYPE, Hyper, QagobTrainer, train
 
 # the hyper keys that eval rebuilds from its checkpoint
@@ -55,27 +56,17 @@ def _parse_overrides(pairs):
 
 
 def _build_hyper(overrides):
-    """The Hyper of the hyper. overrides; Hyper checks the values."""
-    kwargs = {}
-    fields = {f.name: f for f in dataclasses.fields(Hyper)}
+    """The Hyper of the hyper. overrides, each read like a config key; a
+    list-valued key also takes a bare comma list such as 256,256."""
+    defaults = {f.name: f.default for f in dataclasses.fields(Hyper)}
+    values = {}
     for dotted, raw in overrides.items():
-        if not dotted.startswith("hyper."):
-            continue
-        key = dotted[len("hyper."):]
-        if key not in fields:
-            raise ConfigInvalid(dotted, "unknown key")
-        default = fields[key].default
-        try:
-            if isinstance(default, tuple):
-                parts = raw.strip("[]()").split(",")
-                kwargs[key] = tuple(int(x) for x in parts)
-            elif isinstance(default, (int, float)):
-                kwargs[key] = type(default)(raw)
-            else:
-                kwargs[key] = raw
-        except ValueError:
-            raise SaginError("hyper.%s: cannot parse %r" % (key, raw)) from None
-    return Hyper(**kwargs)
+        if dotted.startswith("hyper."):
+            key = dotted[len("hyper."):]
+            if isinstance(defaults.get(key), tuple) and raw[:1] != "[":
+                raw = "[%s]" % raw
+            values[key] = parse_override(dotted, raw)
+    return build_group(Hyper, values, "hyper.")
 
 
 def _reject_shadowed(overrides, shadowed):
@@ -100,12 +91,10 @@ def _load(args):
 def _seed_list(arg):
     """The distinct non-negative integer seeds of a --seed comma list."""
     try:
-        seeds = [int(s) for s in str(arg).split(",") if s.strip()]
+        seeds = [int(s) for s in str(arg).split(",")]
     except ValueError:
         raise SaginError("--seed %r is not a comma list of integers"
                          % arg) from None
-    if not seeds:
-        raise SaginError("--seed %r names no seed" % arg)
     if min(seeds) < 0:
         raise SaginError("--seed %r has a negative seed" % arg)
     if len(set(seeds)) < len(seeds):
@@ -219,17 +208,19 @@ def _load_checkpoint(path, scenario, hyper):
     # defaults are; a linear schedule, the only kind train writes, is
     # fixed by its length and ends
     betas = meta.get("betas")
-    if not (isinstance(betas, list) and betas
-            and all(isinstance(b, (int, float)) for b in betas)
+    if not (isinstance(betas, list) and betas and all(map(is_number, betas))
             and betas == np.linspace(betas[0], betas[-1],
                                      len(betas)).tolist()):
         raise CheckpointInvalid(path, "betas %r is not a nonempty linear "
                                 "schedule" % (betas,))
+    try:
+        hyper = dataclasses.replace(hyper, n_denoise=len(betas),
+                                    beta_start=betas[0], beta_end=betas[-1])
+    except ConfigInvalid as exc:
+        raise CheckpointInvalid(path, "betas %r: %s" % (betas, exc)) from None
     return nets, dataclasses.replace(
-        hyper,
-        actor_widths=tuple(nets["actor"].widths[1:-1]),
-        critic_widths=tuple(nets["q1"].widths[1:-1]),
-        n_denoise=len(betas), beta_start=betas[0], beta_end=betas[-1])
+        hyper, actor_widths=tuple(nets["actor"].widths[1:-1]),
+        critic_widths=tuple(nets["q1"].widths[1:-1]))
 
 
 def cmd_eval(args):
@@ -256,15 +247,6 @@ def cmd_baseline(args):
     return 1 if _run_seeds(args, "baseline", run)[0] else 0
 
 
-def _is_xy_list(value):
-    """True for a list of [x, y] number pairs, the form of "aav_pos"."""
-    return isinstance(value, list) and all(
-        isinstance(point, list) and len(point) == 2
-        and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                for c in point)
-        for point in value)
-
-
 def cmd_export(args):
     events = runio.iter_events_jsonl(args.events)
     next(events)  # the meta header
@@ -275,7 +257,7 @@ def cmd_export(args):
         except (AttributeError, KeyError, TypeError):
             raise EventLogInvalid(args.events, "line %d is not a slot record"
                                   % number) from None
-        if not _is_xy_list(rec["aav_pos"]):
+        if not is_point_list(rec["aav_pos"]):
             raise EventLogInvalid(args.events, "line %d: aav_pos is not a "
                                   "list of [x, y] number pairs" % number)
     if not tail.track:

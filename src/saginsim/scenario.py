@@ -8,7 +8,8 @@ they can be compared and serialized losslessly.
 Configs are TOML.  Top-level keys set scenario fields; the tables
 [radio], [compute], [workload], [energy] and [reward] set the fields of
 the matching parameter group.  Every key has a default, and unknown keys
-are rejected.
+are rejected.  build_group reads the values of one group, the trainer's
+Hyper included, and check_ranges holds a group to its RANGES.
 """
 
 import dataclasses
@@ -18,6 +19,11 @@ import tomllib
 import numpy as np
 
 from .errors import ConfigInvalid, ConfigSyntax
+
+# (test, what) of the range rules that recur; nan fails every test
+POSITIVE = (lambda v: 0 < v < math.inf, "a finite value > 0")
+NONNEGATIVE = (lambda v: 0 <= v < math.inf, "a finite value >= 0")
+AT_LEAST_ONE = (lambda v: 1 <= v < math.inf, "a finite value >= 1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,6 +45,15 @@ class RadioParams:
     rain_model: str = "fixed"        # "fixed" or "weibull"
     rate_floor: float = 1.0e6        # bit/s, minimum uplink rate to serve a task
 
+    RANGES = (
+        ("carrier_freq los_n1 los_n2 power_gd power_aav power_sat "
+         "bandwidth_aav bandwidth_sat antenna_gain_aav antenna_gain_sat "
+         "rate_floor", *POSITIVE),
+        ("noise_psd", math.isfinite, "a finite value"),
+        ("excess_los excess_nlos rain_atten", *NONNEGATIVE),
+        ("rain_model", lambda v: v in ("fixed", "weibull"),
+         "fixed or weibull"))
+
 
 @dataclasses.dataclass(frozen=True)
 class ComputeParams:
@@ -46,6 +61,9 @@ class ComputeParams:
     freq_aav: float = 8.0e9              # Hz, AAV edge server
     freq_sat: float = 2.0e10             # Hz, satellite server
     energy_per_cycle: float = 8.2e-9     # J/cycle on the AAV server
+
+    RANGES = (("cycles_per_bit freq_aav freq_sat energy_per_cycle",
+               *POSITIVE),)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,6 +74,14 @@ class WorkloadParams:
     deadline_range: tuple = (10.0, 30.0)  # s, uniform task deadline
     tolerance_range: tuple = (0.75, 1.75) # s, uniform completion tolerance
     result_ratio_range: tuple = (0.1, 0.3)  # result bits / input bits
+
+    RANGES = (
+        ("task_rate mec_poisson_rate dc_poisson_rate", *POSITIVE),
+        ("deadline_range tolerance_range",
+         lambda r: 0 < r[0] <= r[1] < math.inf, "finite 0 < low <= high"),
+        # a result cannot exceed its task
+        ("result_ratio_range", lambda r: 0 < r[0] <= r[1] <= 1,
+         "0 < low <= high <= 1"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,6 +97,10 @@ class EnergyParams:
     rotor_area: float = 0.503         # m^2
     sat_energy_per_cycle: float = 8.2e-9  # J/cycle on the satellite server
 
+    RANGES = (("blade_power induced_power tip_speed rotor_velocity "
+               "drag_ratio air_density rotor_solidity rotor_area "
+               "sat_energy_per_cycle", *POSITIVE),)
+
 
 @dataclasses.dataclass(frozen=True)
 class RewardWeights:
@@ -78,6 +108,11 @@ class RewardWeights:
     energy_weight: float = 1.0e-3 # scales joules spent by AAVs
     penalty: float = 5.0          # per boundary/collision event
     mode: str = "joint"           # "joint" | "mec_only" | "dc_only"
+
+    RANGES = (
+        ("dc_weight energy_weight penalty", *NONNEGATIVE),
+        ("mode", lambda v: v in ("joint", "mec_only", "dc_only"),
+         "joint, mec_only or dc_only"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,6 +135,15 @@ class Scenario:
     workload: WorkloadParams = dataclasses.field(default_factory=WorkloadParams)
     energy: EnergyParams = dataclasses.field(default_factory=EnergyParams)
     reward: RewardWeights = dataclasses.field(default_factory=RewardWeights)
+
+    RANGES = (
+        ("n_aavs n_gds max_served horizon", *AT_LEAST_ONE),
+        ("aav_altitude sat_altitude safe_distance max_speed slot_length",
+         *POSITIVE),
+        # finite spans keep every point of the area finite
+        ("area_bounds", lambda b: 0 < b[2] - b[0] < math.inf
+         and 0 < b[3] - b[1] < math.inf,
+         "x_min < x_max and y_min < y_max with finite spans"))
 
     def max_step(self):
         """Largest displacement an AAV can command in one slot, meters."""
@@ -138,16 +182,17 @@ def parse_config_text(text):
     return doc
 
 
-def _parse_override(dotted, raw):
-    """The TOML value of one --override; it may not span lines, so it
-    cannot smuggle in a second key."""
+def parse_override(dotted, raw):
+    """The TOML value of one --override of a config or hyper. key; it may
+    not span lines, so it cannot smuggle in a second key."""
     raw = str(raw)
     if "\n" in raw or "\r" in raw:
-        raise ConfigSyntax("override %s: value must fit on one line" % dotted)
+        raise ConfigSyntax("%s: value must fit on one line" % dotted)
     try:
         return tomllib.loads("v = " + raw)["v"]
     except tomllib.TOMLDecodeError as exc:
-        raise ConfigSyntax("override %s=%s: %s" % (dotted, raw, exc)) from None
+        raise ConfigSyntax("%s: %s is not one TOML value (%s)"
+                           % (dotted, raw, exc)) from None
 
 
 def _format_value(value):
@@ -179,94 +224,101 @@ def scenario_to_text(scenario):
     return "\n".join(lines) + "\n"
 
 
+def is_number(value):
+    """True for an int or a float; a bool is neither."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_point_list(value):
+    """True for a list of [x, y] number pairs."""
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(point, (list, tuple)) and len(point) == 2
+        and all(map(is_number, point)) for point in value)
+
+
+# what a value of each scalar field type must be: (description, test)
+_KINDS = {int: ("an integer", lambda v: is_number(v) and isinstance(v, int)),
+          float: ("a number", is_number),
+          str: ("a string", lambda v: isinstance(v, str))}
+
+
 def _coerce(field, value, where):
-    """Check a parsed value against the dataclass field type."""
+    """A parsed value as the type of its dataclass field; raises
+    ConfigInvalid naming where + field.name if it has another type.
+
+    A tuple field of floats (a range, area_bounds) takes a list of as many
+    numbers as its default, one of ints (network widths) a list of any
+    length; a section field takes a table of its group's keys.
+    """
     name = where + field.name
-    typ = field.type if isinstance(field.type, type) else None
-    default = field.default
+    if field.name in _SECTIONS:
+        if not isinstance(value, dict):
+            raise ConfigInvalid(name, "expected a table")
+        return build_group(_SECTIONS[field.name], value, name + ".")
     if field.name in ("gd_positions", "initial_aav_positions"):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigInvalid(name, "expected a list of [x, y] points")
-        pts = []
-        for pt in value:
-            if (not isinstance(pt, (list, tuple)) or len(pt) != 2
-                    or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                               for c in pt)):
-                raise ConfigInvalid(name, "expected [x, y] numeric points")
-            pts.append((float(pt[0]), float(pt[1])))
-        return tuple(pts)
-    if field.name in ("deadline_range", "tolerance_range", "result_ratio_range",
-                      "area_bounds"):
-        want = 4 if field.name == "area_bounds" else 2
-        if (not isinstance(value, (list, tuple)) or len(value) != want
-                or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                           for c in value)):
-            raise ConfigInvalid(name, "expected a list of %d numbers" % want)
-        return tuple(float(c) for c in value)
-    if isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigInvalid(name, "expected an integer")
-        return value
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigInvalid(name, "expected a number")
-        return float(value)
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigInvalid(name, "expected a string")
-        return value
-    raise ConfigInvalid(name, "unsupported field")
+        if not is_point_list(value):
+            raise ConfigInvalid(name, "expected a list of [x, y] number pairs")
+        return tuple((float(x), float(y)) for x, y in value)
+    default = field.default
+    if isinstance(default, tuple):
+        kind = type(default[0])
+        if not (isinstance(value, (list, tuple))
+                and all(map(_KINDS[kind][1], value))
+                and (kind is int or len(value) == len(default))):
+            raise ConfigInvalid(name, "expected a list of " + (
+                "integers" if kind is int else "%d numbers" % len(default)))
+        return tuple(map(kind, value))
+    what, ok = _KINDS[type(default)]
+    if not ok(value):
+        raise ConfigInvalid(name, "expected " + what)
+    return type(default)(value)
+
+
+def build_group(cls, values, where=""):
+    """cls(**values) with each value typed by _coerce; raises
+    ConfigInvalid naming where + the first key that is not a field of
+    cls or whose value has another type."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in values.items():
+        if key not in fields:
+            raise ConfigInvalid(where + key, "unknown key")
+        kwargs[key] = _coerce(fields[key], value, where)
+    return cls(**kwargs)
+
+
+def check_ranges(obj, where=""):
+    """Raise ConfigInvalid naming where + the first field of obj that
+    fails its rule in type(obj).RANGES, whose (names, test, what) rows
+    say that test(value) holds for each field of names."""
+    for names, test, what in type(obj).RANGES:
+        for name in names.split():
+            if not test(getattr(obj, name)):
+                raise ConfigInvalid(where + name, "expected " + what)
 
 
 def scenario_from_doc(doc):
-    """Build a Scenario from a parsed {section: {key: value}} document."""
-    top_kwargs = {}
+    """Build a Scenario from a parsed {section: {key: value}} document.
+    A group is set by its table alone, so that no key replaces it."""
+    values = {sec: table for sec, table in doc.items() if sec}
     for key, value in doc.get("", {}).items():
-        if key not in _TOP_FIELDS:
+        if key in _SECTIONS:
             raise ConfigInvalid(key, "unknown key")
-        top_kwargs[key] = _coerce(_TOP_FIELDS[key], value, "")
-    for sec, cls in _SECTIONS.items():
-        if sec not in doc:
-            continue
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        sub_kwargs = {}
-        for key, value in doc[sec].items():
-            if key not in fields:
-                raise ConfigInvalid(sec + "." + key, "unknown key")
-            sub_kwargs[key] = _coerce(fields[key], value, sec + ".")
-        top_kwargs[sec] = cls(**sub_kwargs)
-    unknown = set(doc) - set(_SECTIONS) - {""}
-    if unknown:
-        raise ConfigInvalid(sorted(unknown)[0], "unknown section")
-    scenario = Scenario(**top_kwargs)
+        values[key] = value
+    scenario = build_group(Scenario, values)
     validate_scenario(scenario)
     return scenario
 
 
 def validate_scenario(sc):
-    """Raise ConfigInvalid naming the first field that fails validation."""
-    def positive(name, value):
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-            raise ConfigInvalid(name, "must be positive and finite")
-
-    if sc.n_aavs < 1:
-        raise ConfigInvalid("n_aavs", "need at least one AAV")
-    if sc.n_gds < 1:
-        raise ConfigInvalid("n_gds", "need at least one GD")
-    if sc.max_served < 1:
-        raise ConfigInvalid("max_served", "need capacity of at least one GD")
-    positive("aav_altitude", sc.aav_altitude)
-    positive("sat_altitude", sc.sat_altitude)
+    """Raise ConfigInvalid naming the first field that fails its range
+    rule, or a rule that compares it with another field."""
+    check_ranges(sc)
+    for sec in _SECTIONS:
+        check_ranges(getattr(sc, sec), sec + ".")
     if sc.sat_altitude <= sc.aav_altitude:
         raise ConfigInvalid("sat_altitude", "must be above aav_altitude")
-    positive("safe_distance", sc.safe_distance)
-    positive("max_speed", sc.max_speed)
-    positive("slot_length", sc.slot_length)
-    if sc.horizon < 1:
-        raise ConfigInvalid("horizon", "need at least one slot")
     x_min, y_min, x_max, y_max = sc.area_bounds
-    if not (x_min < x_max and y_min < y_max):
-        raise ConfigInvalid("area_bounds", "min bound must be below max bound")
     if len(sc.initial_aav_positions) != sc.n_aavs:
         raise ConfigInvalid("initial_aav_positions",
                             "expected %d points" % sc.n_aavs)
@@ -289,50 +341,6 @@ def validate_scenario(sc):
                 raise ConfigInvalid("gd_positions",
                                     "point %d outside the area" % i)
 
-    r = sc.radio
-    for name in ("carrier_freq", "los_n1", "los_n2", "power_gd", "power_aav",
-                 "power_sat", "bandwidth_aav", "bandwidth_sat",
-                 "antenna_gain_aav", "antenna_gain_sat", "rate_floor"):
-        positive("radio." + name, getattr(r, name))
-    if not math.isfinite(r.noise_psd):
-        raise ConfigInvalid("radio.noise_psd", "must be finite")
-    for name in ("excess_los", "excess_nlos", "rain_atten"):
-        value = getattr(r, name)
-        if not (math.isfinite(value) and value >= 0):
-            raise ConfigInvalid("radio." + name, "must be nonnegative")
-    if r.rain_model not in ("fixed", "weibull"):
-        raise ConfigInvalid("radio.rain_model", "expected fixed or weibull")
-
-    c = sc.compute
-    for name in ("cycles_per_bit", "freq_aav", "freq_sat", "energy_per_cycle"):
-        positive("compute." + name, getattr(c, name))
-
-    w = sc.workload
-    for name in ("task_rate", "mec_poisson_rate", "dc_poisson_rate"):
-        positive("workload." + name, getattr(w, name))
-    for name in ("deadline_range", "tolerance_range", "result_ratio_range"):
-        lo, hi = getattr(w, name)
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
-            raise ConfigInvalid("workload." + name,
-                                "expected 0 < low <= high")
-    if w.result_ratio_range[1] > 1.0:
-        raise ConfigInvalid("workload.result_ratio_range",
-                            "result cannot exceed the task size")
-
-    e = sc.energy
-    for name in ("blade_power", "induced_power", "tip_speed", "rotor_velocity",
-                 "drag_ratio", "air_density", "rotor_solidity", "rotor_area",
-                 "sat_energy_per_cycle"):
-        positive("energy." + name, getattr(e, name))
-
-    rw = sc.reward
-    for name in ("dc_weight", "energy_weight", "penalty"):
-        value = getattr(rw, name)
-        if not (math.isfinite(value) and value >= 0):
-            raise ConfigInvalid("reward." + name, "must be nonnegative")
-    if rw.mode not in ("joint", "mec_only", "dc_only"):
-        raise ConfigInvalid("reward.mode", "expected joint, mec_only or dc_only")
-
 
 def load_scenario(path=None, overrides=None):
     """Load and validate a scenario; the defaults when path is None.
@@ -350,7 +358,7 @@ def load_scenario(path=None, overrides=None):
         doc = parse_config_text(text)
     for dotted, raw in (overrides or {}).items():
         sec, _, key = dotted.rpartition(".")
-        doc.setdefault(sec, {})[key] = _parse_override(dotted, raw)
+        doc.setdefault(sec, {})[key] = parse_override(dotted, raw)
     return scenario_from_doc(doc)
 
 

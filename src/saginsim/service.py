@@ -35,7 +35,6 @@ class WorldState:
     buffers and slot change as it runs; gd3, sat_center, sat_height and
     noise_w are per-episode invariants that every slot reads."""
     aav_pos: np.ndarray      # (n_aavs, 2) ground coordinates, m
-    gd_pos: np.ndarray       # (n_gds, 2)
     gd_states: list          # workload.GdState per GD
     dc_buffers: np.ndarray   # (n_aavs,) collected bits awaiting delivery
     gd3: np.ndarray          # (n_gds, 3) GD positions on the ground, m
@@ -52,7 +51,6 @@ class WorldState:
         x_min, y_min, x_max, y_max = scenario.area_bounds
         return cls(
             aav_pos=np.array(scenario.initial_aav_positions, dtype=float),
-            gd_pos=gd_pos,
             gd_states=[workload.GdState(g) for g in range(len(gd_pos))],
             dc_buffers=np.zeros(scenario.n_aavs),
             gd3=np.column_stack([gd_pos, np.zeros(len(gd_pos))]),

@@ -30,7 +30,6 @@ cast, so each stream's draws are those of a float64 run.
 """
 
 import dataclasses
-import math
 import os
 
 import numpy as np
@@ -41,7 +40,7 @@ from .errors import ConfigInvalid, NonFiniteGradient
 from .nets import autodiff
 from .nets.mlp import Mlp, save_checkpoint
 from .nets.optim import Adam
-from .scenario import SeededRng
+from .scenario import AT_LEAST_ONE, NONNEGATIVE, POSITIVE, check_ranges
 
 # the dtype of the trainer's networks and of everything they compute
 NET_DTYPE = np.dtype(np.float32)
@@ -69,33 +68,29 @@ class Hyper:
     beta_end: float = 0.02
     checkpoint_every: int = 0         # episodes; 0 keeps only the final file
 
+    RANGES = (
+        ("replay_capacity batch_size n_policy_samples n_value_samples "
+         "behavior_samples target_samples n_denoise", *AT_LEAST_ONE),
+        ("warmup_steps n_uniform_samples checkpoint_every ent_coeff",
+         *NONNEGATIVE),
+        ("lr_actor lr_critic", *POSITIVE),
+        ("gamma", lambda v: 0 <= v <= 1, "a value in [0, 1]"),
+        ("soft_rate", lambda v: 0 < v <= 1, "a value in (0, 1]"),
+        ("beta_start beta_end", lambda v: 0 < v < 1, "a value in (0, 1)"),
+        ("critic_widths actor_widths", lambda w: min(w, default=0) >= 1,
+         "a nonempty list of widths >= 1"))
+
     def __post_init__(self):
         """Raise ConfigInvalid naming the first field out of range."""
-        for names, ok, why in (
-                ("replay_capacity batch_size n_policy_samples n_value_samples "
-                 "behavior_samples target_samples n_denoise",
-                 lambda v: v >= 1, ">= 1"),
-                ("warmup_steps n_uniform_samples checkpoint_every ent_coeff",
-                 lambda v: v >= 0, ">= 0"),
-                ("lr_actor lr_critic", lambda v: v > 0, "> 0"),
-                ("gamma", lambda v: 0 <= v <= 1, "in [0, 1]"),
-                ("soft_rate", lambda v: 0 < v <= 1, "in (0, 1]"),
-                ("beta_end", lambda v: 0 < v < 1, "in (0, 1)"),
-                ("beta_start", lambda v: 0 < v <= self.beta_end,
-                 "in (0, beta_end]")):
-            for name in names.split():
-                value = getattr(self, name)
-                if not (math.isfinite(value) and ok(value)):
-                    raise ConfigInvalid("hyper." + name,
-                                        "expected a finite value " + why)
+        check_ranges(self, "hyper.")
+        if self.beta_start > self.beta_end:
+            raise ConfigInvalid("hyper.beta_start",
+                                "above beta_end %r" % self.beta_end)
         for name in ("batch_size", "n_policy_samples"):
             if getattr(self, name) > self.replay_capacity:
                 raise ConfigInvalid("hyper." + name,
                                     "above replay_capacity %d, so no update "
                                     "would ever run" % self.replay_capacity)
-        for name in ("critic_widths", "actor_widths"):
-            if min(getattr(self, name), default=1) < 1:
-                raise ConfigInvalid("hyper." + name, "widths must be >= 1")
 
 
 class RingBuffer:
@@ -243,13 +238,14 @@ def actor_update(policy, critics, states, acts, hyper, rng, opt):
 
 
 class QagobTrainer:
-    """The qagob agent of one environment, seeded by env.seed."""
+    """The qagob agent of one environment; it draws from env.rng's
+    net-init, policy-noise and trainer streams, which the environment
+    never draws from."""
 
     def __init__(self, env, hyper):
         self.env = env
         self.hyper = hyper
-        self.rng = SeededRng(env.seed)
-        net_rng = self.rng.stream("net-init")
+        net_rng = env.rng.stream("net-init")
         schedule = diffusion.VarianceSchedule.linear(
             self.hyper.n_denoise, self.hyper.beta_start, self.hyper.beta_end)
         self.policy = diffusion.DiffusionPolicy(
@@ -274,12 +270,12 @@ class QagobTrainer:
         return diffusion.behavior_select(
             self.policy, state, self.critics.min_q,
             self.hyper.behavior_samples,
-            self.rng.stream("policy-noise")).astype(np.float64)
+            self.env.rng.stream("policy-noise")).astype(np.float64)
 
     def update(self):
         """One gradient phase; returns (critic_loss_mean, actor_loss or None)."""
         h = self.hyper
-        t_rng = self.rng.stream("trainer")
+        t_rng = self.env.rng.stream("trainer")
         batch = self.replay.sample(h.batch_size, t_rng)
         targets = td_targets(batch, self.critics, self.policy_target,
                              h.gamma, h.target_samples, t_rng)

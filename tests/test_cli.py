@@ -122,7 +122,9 @@ def test_baseline_greedy_and_mode_override(tmp_path, config_path):
         assert manifest["mode"] == "dc_only"
 
 
-@pytest.mark.parametrize("seeds", [",", "1,1", "x", "-1", "1,-2"])
+# an empty entry is an error, as it is in --grid and in a widths list
+@pytest.mark.parametrize("seeds", [",", "1,1", "x", "-1", "1,-2", "1,,2",
+                                   "1,"])
 def test_bad_seed_list_returns_config_error(tmp_path, config_path, seeds):
     out = str(tmp_path / "seeds")
     code = run_cli(["baseline", "--algo", "random", "--config", config_path,
@@ -264,6 +266,21 @@ def test_works_without_config_file(tmp_path):
     assert len(rows) == 1
 
 
+# an infinite bound, or a span beyond the largest float, would overflow
+# the GD drop once the run's files were written
+@pytest.mark.parametrize("bounds", ["[-inf, -500.0, 500.0, 500.0]",
+                                    "[-1e308, -500.0, 1e308, 500.0]"])
+def test_non_finite_area_bounds_are_a_config_error(tmp_path, capsys, bounds):
+    out = tmp_path / "bounds"
+    code = run_cli(["baseline", "--algo", "random",
+                    "--config", str(CONFIGS / "toy.toml"), "--seed", "0",
+                    "--episodes", "1", "--out", str(out), "--quiet",
+                    "--override", "area_bounds=" + bounds])
+    assert code == 2
+    assert "area_bounds:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_override_returns_config_error(tmp_path, config_path):
     out = str(tmp_path / "bad")
     code = run_cli(["baseline", "--algo", "random", "--config", config_path,
@@ -284,7 +301,10 @@ def test_bad_override_returns_config_error(tmp_path, config_path):
 @pytest.mark.parametrize("override", [
     "hyper.ent_variant=maen", "hyper.batch_size=many",
     # an empty widths entry is an error, not a dropped layer
-    "hyper.actor_widths=8,,8", "hyper.critic_widths=", "hyper.actor_widths=[]"])
+    "hyper.actor_widths=8,,8", "hyper.critic_widths=", "hyper.actor_widths=[]",
+    # a hyper. value is one TOML value, as a config key's is
+    "hyper.lr_actor=.5", "hyper.lr_actor=1.", "hyper.batch_size=01",
+    "hyper.actor_widths=(256,256)"])
 def test_bad_hyper_returns_config_error(tmp_path, config_path, capsys,
                                         override):
     out = tmp_path / "hyper"
@@ -426,6 +446,14 @@ def rewrite_checkpoint(path, fmt, dtype=None, edit=None):
         path, 2, edit=lambda header: header["meta"].update(
             betas=[1e-4, 0.019, 0.02])), None,
      "betas [0.0001, 0.019, 0.02] is not a nonempty linear schedule"),
+    # linear, but outside (0, 1); a bool is no number
+    (lambda path: rewrite_checkpoint(
+        path, 2, edit=lambda header: header["meta"].update(
+            betas=[0.5, 1.5])), None, "betas [0.5, 1.5]: hyper.beta_end"),
+    (lambda path: rewrite_checkpoint(
+        path, 2, edit=lambda header: header["meta"].update(
+            betas=[True, True])), None,
+     "betas [True, True] is not a nonempty linear schedule"),
     (lambda path: rewrite_checkpoint(
         path, 2, edit=lambda header: header.pop("meta")), None,
      "cannot read"),
@@ -434,7 +462,8 @@ def rewrite_checkpoint(path, fmt, dtype=None, edit=None):
      "meta is not a JSON object"),
 ], ids=["foreign-format", "format-1", "float64", "not-a-checkpoint",
         "no-actor", "other-scenario", "no-betas", "empty-betas",
-        "nonlinear-betas", "no-meta", "meta-not-an-object"])
+        "nonlinear-betas", "betas-out-of-range", "bool-betas", "no-meta",
+        "meta-not-an-object"])
 def test_unusable_checkpoint_is_a_config_error(tmp_path, config_path, capsys,
                                                spoil, config, says):
     ckpt = train_tiny_checkpoint(tmp_path, config_path)

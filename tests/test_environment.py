@@ -140,7 +140,7 @@ def test_gd_positions_fixed_across_resets():
     env.step(np.zeros(env.action_dim))
     env.reset()
     assert np.array_equal(pos_a, env.gd_pos)
-    assert np.array_equal(pos_a, env.world.gd_pos)
+    assert np.array_equal(pos_a, env.world.gd3[:, :2])
 
 
 def test_gd_positions_from_config_are_used():

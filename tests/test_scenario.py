@@ -1,10 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from saginsim.cli import _build_hyper
 from saginsim.errors import ConfigInvalid, ConfigSyntax
 from saginsim.scenario import (
     RadioParams, Scenario, SeededRng, load_scenario, parse_config_text,
     sample_gd_positions, scenario_from_doc, scenario_to_text, validate_scenario)
+from saginsim.trainer import Hyper
+
+# every group of run values and the prefix of its keys
+GROUPS = [(Scenario, "")] + [
+    (f.type, f.name + ".") for f in dataclasses.fields(Scenario)
+    if dataclasses.is_dataclass(f.type)] + [(Hyper, "hyper.")]
+NUMERIC_KEYS = [(cls, where + f.name) for cls, where in GROUPS
+                for f in dataclasses.fields(cls) if f.type in (int, float)]
 
 
 def test_defaults_validate():
@@ -82,6 +93,20 @@ def test_validation_names_field(field, kwargs):
     with pytest.raises(ConfigInvalid) as err:
         validate_scenario(Scenario(**kwargs))
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("cls,key", NUMERIC_KEYS,
+                         ids=[key for _, key in NUMERIC_KEYS])
+def test_every_numeric_field_has_one_range_rule(cls, key):
+    name = key.rpartition(".")[2]
+    rules = [names for names, _, _ in cls.RANGES if name in names.split()]
+    assert len(rules) == 1, rules
+    with pytest.raises(ConfigInvalid) as err:
+        if cls is Hyper:
+            _build_hyper({key: "nan"})
+        else:
+            load_scenario(overrides={key: "nan"})
+    assert err.value.field == key
 
 
 def test_initial_positions_respect_safe_distance():
