@@ -13,8 +13,8 @@ that file with the manifest's seeds, episodes and hyper. overrides
 reproduces the run.  The seed and the episode count are flags only.
 Overrides use dotted config keys (e.g. --override workload.task_rate=0.2);
 keys under hyper. steer the trainer (e.g. --override hyper.batch_size=64).
-No override may set what --mode, eval's --checkpoint (its network and
-schedule keys) or a sweep's --grid (its key) sets.  A sweep point is an
+No override may set what eval's --checkpoint (its network and schedule
+keys) or a sweep's --grid (its key) sets.  A sweep point is an
 ordinary train run with --override KEY=V, written to the directory KEY=V;
 the top-level manifest records the grid.  Every flag, override, value
 and checkpoint is checked before anything is written.
@@ -69,25 +69,6 @@ def _build_hyper(overrides):
     return build_group(Hyper, values, "hyper.")
 
 
-def _reject_shadowed(overrides, shadowed):
-    """shadowed: {config key: the flag that sets it}."""
-    for key, flag in shadowed.items():
-        if key in overrides:
-            raise SaginError("--override %s: %s sets it" % (key, flag))
-
-
-def _load(args):
-    """The scenario, the overrides and the Hyper of a command's flags."""
-    overrides = _parse_overrides(args.override)
-    scenario_ov = {key: value for key, value in overrides.items()
-                   if not key.startswith("hyper.")}
-    if args.mode:
-        _reject_shadowed(overrides, {"reward.mode": "--mode"})
-        scenario_ov["reward.mode"] = '"%s"' % args.mode
-    scenario = load_scenario(args.config, scenario_ov)
-    return scenario, overrides, _build_hyper(overrides)
-
-
 def _seed_list(arg):
     """The distinct non-negative integer seeds of a --seed comma list."""
     try:
@@ -102,13 +83,24 @@ def _seed_list(arg):
     return seeds
 
 
-def _check(args):
+def _check(args, shadowed=None):
     """(seeds, scenario, overrides, hyper) of a verb's flags; raises
-    SaginError for a bad flag, override or value, and writes nothing."""
+    SaginError for a bad flag, override or value, and writes nothing.
+
+    shadowed: {config key: the flag that sets it}; no override may set
+    such a key.
+    """
     seeds = _seed_list(args.seed)
     if args.episodes < 0:
         raise SaginError("--episodes %d is negative" % args.episodes)
-    return (seeds,) + _load(args)
+    overrides = _parse_overrides(args.override)
+    for key, flag in (shadowed or {}).items():
+        if key in overrides:
+            raise SaginError("--override %s: %s sets it" % (key, flag))
+    scenario = load_scenario(args.config, {
+        key: value for key, value in overrides.items()
+        if not key.startswith("hyper.")})
+    return seeds, scenario, overrides, _build_hyper(overrides)
 
 
 def _write_run_files(args, command, checked, **extra):
@@ -119,7 +111,7 @@ def _write_run_files(args, command, checked, **extra):
     manifest = {
         "command": command,
         "scenario_path": os.path.abspath(args.config) if args.config else None,
-        "algo": getattr(args, "algo", None) or command,
+        "algo": args.algo,
         "seeds": seeds,
         "mode": scenario.reward.mode,
         "episodes": args.episodes,
@@ -224,9 +216,8 @@ def _load_checkpoint(path, scenario, hyper):
 
 
 def cmd_eval(args):
-    _reject_shadowed(_parse_overrides(args.override),
-                     dict.fromkeys(CHECKPOINT_KEYS, "--checkpoint"))
-    seeds, scenario, overrides, hyper = _check(args)
+    seeds, scenario, overrides, hyper = _check(
+        args, dict.fromkeys(CHECKPOINT_KEYS, "--checkpoint"))
     nets, hyper = _load_checkpoint(args.checkpoint, scenario, hyper)
 
     def run(scenario, hyper, seed, episodes, seed_dir, on_episode):
@@ -274,8 +265,7 @@ def cmd_sweep(args):
     key, values = key.strip(), [value.strip() for value in values.split(",")]
     if not (eq and key and all(values)):
         raise SaginError("--grid %r is not KEY=V1,V2,..." % args.grid)
-    _reject_shadowed(_parse_overrides(args.override), {key: "--grid"})
-    checked = _check(args)
+    checked = _check(args, {key: "--grid"})
     points = []
     for value in values:
         setting = "%s=%s" % (key, value)
@@ -321,8 +311,6 @@ def build_parser():
         p.add_argument("--config", default=None, help="scenario config path")
         p.add_argument("--seed", default="0",
                        help="non-negative seed or comma list")
-        p.add_argument("--mode", default=None,
-                       choices=["joint", "mec_only", "dc_only"])
         p.add_argument("--episodes", type=int, default=episodes_default)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--override", action="append", default=[],

@@ -75,8 +75,8 @@ def write_events_jsonl(path, meta, episode_records):
 
 def _decode_event(path, number, line):
     try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
+        return json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise EventLogInvalid(path, "line %d: %s" % (number, exc)) from None
 
 
@@ -85,10 +85,10 @@ def iter_events_jsonl(path):
     event log: its meta header first, then its slot records.
 
     Raises EventLogInvalid for a log that cannot be opened, an empty log,
-    a foreign schema or a line that is not JSON.
+    a foreign schema or a line that is not UTF-8 JSON.
     """
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise EventLogInvalid(path, exc.strerror) from None
     with fh:

@@ -162,26 +162,6 @@ _TOP_FIELDS = {f.name: f for f in dataclasses.fields(Scenario)
                if f.name not in _SECTIONS}
 
 
-def parse_config_text(text):
-    """Parse a TOML config document into {section: {key: value}}.
-
-    Top-level scalars land under the "" section and tables become
-    sections.  Raises ConfigSyntax on malformed TOML, repeated keys
-    included.
-    """
-    try:
-        parsed = tomllib.loads(text)
-    except tomllib.TOMLDecodeError as exc:
-        raise ConfigSyntax(str(exc)) from None
-    doc = {"": {}}
-    for key, value in parsed.items():
-        if isinstance(value, dict):
-            doc[key] = value
-        else:
-            doc[""][key] = value
-    return doc
-
-
 def parse_override(dotted, raw):
     """The TOML value of one --override of a config or hyper. key; it may
     not span lines, so it cannot smuggle in a second key."""
@@ -208,7 +188,8 @@ def _format_value(value):
 
 
 def scenario_to_text(scenario):
-    """Serialize a scenario as a TOML config.  parse round-trips."""
+    """Serialize a scenario as a TOML config; load_scenario reads it
+    back equal."""
     lines = ["# scenario"]
     for name in _TOP_FIELDS:
         value = getattr(scenario, name)
@@ -297,19 +278,6 @@ def check_ranges(obj, where=""):
                 raise ConfigInvalid(where + name, "expected " + what)
 
 
-def scenario_from_doc(doc):
-    """Build a Scenario from a parsed {section: {key: value}} document.
-    A group is set by its table alone, so that no key replaces it."""
-    values = {sec: table for sec, table in doc.items() if sec}
-    for key, value in doc.get("", {}).items():
-        if key in _SECTIONS:
-            raise ConfigInvalid(key, "unknown key")
-        values[key] = value
-    scenario = build_group(Scenario, values)
-    validate_scenario(scenario)
-    return scenario
-
-
 def validate_scenario(sc):
     """Raise ConfigInvalid naming the first field that fails its range
     rule, or a rule that compares it with another field."""
@@ -346,20 +314,29 @@ def load_scenario(path=None, overrides=None):
     """Load and validate a scenario; the defaults when path is None.
 
     overrides: optional {dotted.key: raw TOML value} applied on top of the
-    file before validation.
+    file before validation; sec.key sets key in table sec.  A group is set
+    by its table alone, so that no key replaces it.
     """
-    doc = {"": {}}
+    values = {}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                values = tomllib.load(fh)
         except OSError as exc:
             raise ConfigSyntax("cannot read %s: %s" % (path, exc))
-        doc = parse_config_text(text)
+        except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigSyntax("%s: %s" % (path, exc)) from None
     for dotted, raw in (overrides or {}).items():
         sec, _, key = dotted.rpartition(".")
-        doc.setdefault(sec, {})[key] = parse_override(dotted, raw)
-    return scenario_from_doc(doc)
+        if not sec and key in _SECTIONS:
+            raise ConfigInvalid(key, "override its keys, not the table")
+        table = values.setdefault(sec, {}) if sec else values
+        if not isinstance(table, dict):
+            raise ConfigInvalid(sec, "expected a table")
+        table[key] = parse_override(dotted, raw)
+    scenario = build_group(Scenario, values)
+    validate_scenario(scenario)
+    return scenario
 
 
 def sample_gd_positions(scenario, rng):

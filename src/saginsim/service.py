@@ -190,7 +190,7 @@ def run_slot(world, decisions, association, served, scenario,
             continue
         for g, r_up in zip(served[v], uplink_rates[v]):
             gd = world.gd_states[g]
-            if gd.stored_bits <= 0.0:
+            if gd.stored_bits <= 0.0 or r_up <= 0.0:
                 continue
             take = min(gd.stored_bits, dc_time[v] * r_up)
             gd.stored_bits -= take

@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import re
+import tomllib
 import weakref
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 from saginsim import baselines, cli, runio
 from saginsim.environment import SaginEnv, episode_totals, run_episodes
 from saginsim.nets.mlp import Mlp, load_checkpoint, save_checkpoint
-from saginsim.scenario import parse_config_text
 
 TINY_CONFIG = """\
 # small scenario for command-line tests
@@ -105,21 +105,50 @@ def test_baseline_command(tmp_path, config_path):
 
 
 def test_baseline_greedy_and_mode_override(tmp_path, config_path):
-    # the manifest records the mode that ran, however it was set
-    for name, mode_args in (("flag", ["--mode", "dc_only"]),
-                            ("override",
-                             ["--override", 'reward.mode="dc_only"'])):
-        out = str(tmp_path / name)
-        code = run_cli(["baseline", "--algo", "greedy", "--config",
-                        config_path, "--seed", "3", "--episodes", "1",
-                        "--out", out, "--quiet"] + mode_args)
-        assert code == 0
-        resolved = pathlib.Path(out, "config.resolved.toml").read_text(
-            encoding="utf-8")
-        assert 'mode = "dc_only"' in resolved
-        manifest = json.loads(
-            pathlib.Path(out, "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["mode"] == "dc_only"
+    # the manifest records the mode that ran
+    out = str(tmp_path / "override")
+    code = run_cli(["baseline", "--algo", "greedy", "--config", config_path,
+                    "--seed", "3", "--episodes", "1", "--out", out, "--quiet",
+                    "--override", 'reward.mode="dc_only"'])
+    assert code == 0
+    resolved = pathlib.Path(out, "config.resolved.toml").read_text(
+        encoding="utf-8")
+    assert tomllib.loads(resolved)["reward"]["mode"] == "dc_only"
+    manifest = json.loads(
+        pathlib.Path(out, "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["mode"] == "dc_only"
+
+
+def test_mode_is_a_config_key_not_a_flag(tmp_path, config_path):
+    out = tmp_path / "mode"
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(["baseline", "--algo", "greedy", "--config", config_path,
+                 "--mode", "dc_only", "--out", str(out), "--quiet"])
+    assert exit_.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["greedy", "random"])
+def test_a_gd_beyond_radio_range_is_not_served(tmp_path, algo):
+    # the AAVs' GDs lie so far apart that some uplink rates underflow to 0
+    out = tmp_path / algo
+    assert run_cli(["baseline", "--algo", algo,
+                    "--config", str(CONFIGS / "toy.toml"),
+                    "--override", "area_bounds=[-1e13, -500.0, 1e13, 500.0]",
+                    "--episodes", "1", "--out", str(out), "--quiet"]) == 0
+    [row] = csv_rows(out / "seed0" / "metrics.csv")
+    assert all(math.isfinite(float(row[key]))
+               for key in ("reward", "f1", "f2", "f3", "gd_tx"))
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "bad.toml"
+    config.write_bytes(b"n_aavs = 2\n\xff\n")
+    out = tmp_path / "bad"
+    assert run_cli(["baseline", "--algo", "greedy", "--config", str(config),
+                    "--out", str(out), "--quiet"]) == 2
+    assert str(config) in capsys.readouterr().err
+    assert not out.exists()
 
 
 # an empty entry is an error, as it is in --grid and in a widths list
@@ -135,12 +164,10 @@ def test_bad_seed_list_returns_config_error(tmp_path, config_path, seeds):
 
 
 # --seed and --episodes are the only homes of the seed and the episode
-# count, so an override of either is an unknown key; --mode sets
-# reward.mode, which may then not be overridden
+# count, so an override of either is an unknown key
 @pytest.mark.parametrize("override,flag_args,named", [
     ("seed=5", [], "seed"),
     ("hyper.episodes=7", [], "episodes"),
-    ('reward.mode="dc_only"', ["--mode", "joint"], "--mode"),
 ])
 def test_override_shadowed_by_a_flag_is_a_config_error(
         tmp_path, config_path, capsys, override, flag_args, named):
@@ -369,7 +396,7 @@ def rerun_from_outputs(out, again):
 
 
 @pytest.mark.parametrize("argv", [
-    ["baseline", "--algo", "random", "--mode", "dc_only",
+    ["baseline", "--algo", "random", "--override", 'reward.mode="dc_only"',
      "--override", "horizon=7", "--override", "workload.task_rate=0.3",
      "--seed", "2,3", "--episodes", "2"],
     ["train", "--override", "horizon=5", "--seed", "1", "--episodes", "2"]
@@ -381,7 +408,7 @@ def test_a_run_reproduces_from_its_outputs(tmp_path, argv):
     assert run_cli(argv + ["--out", out, "--quiet"]) == 0
     resolved = pathlib.Path(out, "config.resolved.toml").read_text(
         encoding="utf-8")
-    assert "seed" not in parse_config_text(resolved)[""]
+    assert "seed" not in tomllib.loads(resolved)
     seeds = rerun_from_outputs(out, again)
     assert seeds == [int(s) for s in argv[argv.index("--seed") + 1].split(",")]
     assert pathlib.Path(again, "config.resolved.toml").read_text(
@@ -510,10 +537,10 @@ def test_capacity_sweep_overrides_scenario(tmp_path, config_path):
     # the scenario it ran
     resolved = pathlib.Path(out, "config.resolved.toml").read_text(
         encoding="utf-8")
-    assert parse_config_text(resolved)[""]["max_served"] == 2
+    assert tomllib.loads(resolved)["max_served"] == 2
     resolved = pathlib.Path(out, "max_served=1",
                             "config.resolved.toml").read_text(encoding="utf-8")
-    assert parse_config_text(resolved)[""]["max_served"] == 1
+    assert tomllib.loads(resolved)["max_served"] == 1
     grid_manifest = json.loads(pathlib.Path(
         out, "max_served=1", "manifest.json").read_text(encoding="utf-8"))
     assert grid_manifest["overrides"]["max_served"] == "1"
@@ -562,7 +589,8 @@ def test_a_sweep_reproduces_from_its_outputs(tmp_path):
     out, again = tmp_path / "first", tmp_path / "again"
     assert run_cli(["sweep", "--grid", "hyper.gamma=0.5,0.9",
                     "--config", str(CONFIGS / "toy.toml"),
-                    "--override", "horizon=5", "--mode", "dc_only",
+                    "--override", "horizon=5",
+                    "--override", 'reward.mode="dc_only"',
                     "--seed", "0,2", "--episodes", "2", "--out", str(out),
                     "--quiet"] + TINY_HYPER) == 0
     assert rerun_from_outputs(str(out), str(again)) == [0, 2]
@@ -693,12 +721,13 @@ def test_eval_rejects_overrides_its_checkpoint_fixes(
     ("hyper.no_such=1,2", [], "no_such"),
     ("max_served=1,2,0", [], "max_served"),
     ("hyper.gamma=0.5,2.0", [], "hyper.gamma"),
-    ('reward.mode="dc_only","joint"', ["--mode", "joint"], "--mode"),
+    ('reward.mode="dc_only","joint"', ["--override", 'reward.mode="joint"'],
+     "reward.mode"),
 ], ids=["capacity-max_served=3", "denoise-hyper.n_denoise=3", "no-equals",
         "empty-key", "empty-value", "no-value", "repeated-value",
         "repeated-value-spelling",
         "unknown-key", "unknown-hyper-key", "last-value-out-of-range",
-        "hyper-value-out-of-range", "mode-flag"])
+        "hyper-value-out-of-range", "mode-override"])
 def test_sweep_rejects_override_of_its_swept_key(
         tmp_path, config_path, capsys, grid, flag_args, named):
     out = str(tmp_path / "sweep")
@@ -748,13 +777,14 @@ SLOT_LINE = ('{"slot":0,"generated":0,"tasks":[],'
     ('{"episodes":1,"schema":1}\n' + SLOT_LINE % "[[1.0]]", "line 2: aav_pos"),
     ('{"episodes":1,"schema":1}\n' + SLOT_LINE % "[[0.0, 0.0]]"
      + SLOT_LINE % '[["1.0", 0.0]]', "line 3: aav_pos"),
+    (b'{"episodes":1,"schema":1}\n\xff\n', "line 2"),
 ], ids=["empty", "foreign-schema", "undecodable-line", "header-only",
         "not-a-slot-record", "missing", "aav-pos-not-a-pair",
-        "aav-pos-not-a-number"])
+        "aav-pos-not-a-number", "not-utf8-line"])
 def test_export_rejects_a_malformed_log(tmp_path, capsys, text, says):
     log = tmp_path / "events.jsonl"
     if text is not None:
-        log.write_text(text)
+        log.write_bytes(text.encode() if isinstance(text, str) else text)
     out = tmp_path / "export"
     assert run_cli(["export", "--events", str(log), "--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -6,8 +6,8 @@ import pytest
 from saginsim.cli import _build_hyper
 from saginsim.errors import ConfigInvalid, ConfigSyntax
 from saginsim.scenario import (
-    RadioParams, Scenario, SeededRng, load_scenario, parse_config_text,
-    sample_gd_positions, scenario_from_doc, scenario_to_text, validate_scenario)
+    RadioParams, Scenario, SeededRng, load_scenario, sample_gd_positions,
+    scenario_to_text, validate_scenario)
 from saginsim.trainer import Hyper
 
 # every group of run values and the prefix of its keys
@@ -18,39 +18,47 @@ NUMERIC_KEYS = [(cls, where + f.name) for cls, where in GROUPS
                 for f in dataclasses.fields(cls) if f.type in (int, float)]
 
 
+def load_text(tmp_path, text):
+    """load_scenario of a config file holding text, str or bytes."""
+    path = tmp_path / "sc.toml"
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
+    return load_scenario(path)
+
+
 def test_defaults_validate():
     validate_scenario(Scenario())
 
 
-def test_serialize_parse_round_trip():
+def test_serialize_parse_round_trip(tmp_path):
     sc = Scenario()
-    text = scenario_to_text(sc)
-    assert scenario_from_doc(parse_config_text(text)) == sc
+    assert load_text(tmp_path, scenario_to_text(sc)) == sc
 
 
-def test_round_trip_preserves_overridden_floats():
+def test_round_trip_preserves_overridden_floats(tmp_path):
     sc = Scenario(max_speed=33.337, horizon=42)
-    again = scenario_from_doc(parse_config_text(scenario_to_text(sc)))
+    again = load_text(tmp_path, scenario_to_text(sc))
     assert again.max_speed == 33.337
     assert again.horizon == 42
 
 
-def test_parse_values_and_comments():
-    doc = parse_config_text(
-        "# top comment\n"
-        "n_aavs = 7   # trailing\n"
-        "slot_length = 0.5\n"
-        "area_bounds = [-10.0, -10, 10.0, 10]\n"
-        "[radio]\n"
-        'rain_model = "weibull"\n')
-    assert doc[""]["n_aavs"] == 7
-    assert doc[""]["slot_length"] == 0.5
-    assert doc["radio"]["rain_model"] == "weibull"
+def test_parse_values_and_comments(tmp_path):
+    sc = load_text(tmp_path,
+                   "# top comment\n"
+                   "n_gds = 7   # trailing\n"
+                   "slot_length = 0.5\n"
+                   "area_bounds = [-1000.0, -1000, 1000.0, 1000]\n"
+                   "[radio]\n"
+                   'rain_model = "weibull"\n')
+    assert sc.n_gds == 7
+    assert sc.slot_length == 0.5
+    assert sc.area_bounds == (-1000.0, -1000.0, 1000.0, 1000.0)
+    assert sc.radio.rain_model == "weibull"
 
 
-def test_nested_point_lists():
-    doc = parse_config_text("initial_aav_positions = [[0.0, 1.0], [2.0, 3.0]]\n")
-    assert doc[""]["initial_aav_positions"] == [[0.0, 1.0], [2.0, 3.0]]
+def test_nested_point_lists(tmp_path):
+    sc = load_text(tmp_path, "n_aavs = 2\n"
+                   "initial_aav_positions = [[0.0, 100.0], [200.0, 300.0]]\n")
+    assert sc.initial_aav_positions == ((0.0, 100.0), (200.0, 300.0))
 
 
 @pytest.mark.parametrize("bad", [
@@ -61,22 +69,43 @@ def test_nested_point_lists():
     "x = [1, 2\n",
     'name = "open\n',
     "seed = 1\nseed = 2\n",
+    b"n_aavs = 2\n\xff\n",
 ])
-def test_syntax_errors(bad):
-    with pytest.raises(ConfigSyntax):
-        parse_config_text(bad)
+def test_syntax_errors(tmp_path, bad):
+    with pytest.raises(ConfigSyntax) as err:
+        load_text(tmp_path, bad)
+    assert str(tmp_path / "sc.toml") in str(err.value)
 
 
-def test_unknown_key_rejected():
+def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigInvalid) as err:
-        scenario_from_doc({"": {"warp_drive": 1}})
+        load_text(tmp_path, "warp_drive = 1\n")
     assert err.value.field == "warp_drive"
 
 
-def test_unknown_section_key_rejected():
+def test_unknown_section_key_rejected(tmp_path):
     with pytest.raises(ConfigInvalid) as err:
-        scenario_from_doc({"radio": {"volume": 11}})
+        load_text(tmp_path, "[radio]\nvolume = 11\n")
     assert err.value.field == "radio.volume"
+
+
+# a group is set by its table alone, in a file or by an override, and a
+# dotted override sets a key of a table, never of a scalar
+@pytest.mark.parametrize("text,overrides,field", [
+    ("radio = 5\n", {}, "radio"),
+    ("", {"radio": "5"}, "radio"),
+    ("[radio]\n", {"radio": '{rain_model = "weibull"}'}, "radio"),
+    ("radio = 5\n", {"radio.rain_model": '"weibull"'}, "radio"),
+    ("horizon = 5\n", {"horizon.x": "1"}, "horizon"),
+], ids=["file", "override", "inline-table", "key-of-a-scalar-group",
+        "key-of-a-scalar"])
+def test_no_key_replaces_a_table_or_a_scalar(tmp_path, text, overrides,
+                                             field):
+    path = tmp_path / "sc.toml"
+    path.write_text(text)
+    with pytest.raises(ConfigInvalid) as err:
+        load_scenario(path, overrides)
+    assert err.value.field == field
 
 
 @pytest.mark.parametrize("field,kwargs", [
