@@ -37,15 +37,15 @@ def greedy_action(env, rng):
     return raw
 
 
-_POLICIES = {"random": random_action, "greedy": greedy_action}
+POLICIES = {"random": random_action, "greedy": greedy_action}
 
 
 def run_baseline(scenario, algo, seed, episodes, on_episode=None):
     """Play a baseline policy through environment.run_episodes; returns
     its report rows.  on_episode is run_episodes' callback."""
-    if algo not in _POLICIES:
+    if algo not in POLICIES:
         raise ValueError("unknown baseline %r" % algo)
-    policy = _POLICIES[algo]
+    policy = POLICIES[algo]
     env = SaginEnv(scenario, seed)
     rng = env.rng.stream("policy-noise")
     return run_episodes(env, lambda _state: policy(env, rng), episodes,

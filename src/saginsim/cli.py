@@ -27,22 +27,13 @@ import sys
 import time
 import traceback
 
-import numpy as np
-
 from . import runio
-from .baselines import run_baseline
-from .actions import action_dim
-from .environment import SaginEnv, run_episodes, state_dim
-from .errors import (CheckpointInvalid, ConfigInvalid, EventLogInvalid,
-                     SaginError)
-from .nets.mlp import load_checkpoint
-from .scenario import (build_group, is_number, is_point_list, load_scenario,
+from .baselines import POLICIES, run_baseline
+from .environment import SaginEnv, run_episodes
+from .errors import EventLogInvalid, SaginError
+from .scenario import (build_group, is_point_list, load_scenario,
                        parse_override, scenario_to_text)
-from .trainer import NET_DTYPE, Hyper, QagobTrainer, train
-
-# the hyper keys that eval rebuilds from its checkpoint
-CHECKPOINT_KEYS = ("hyper.actor_widths", "hyper.critic_widths",
-                   "hyper.n_denoise", "hyper.beta_start", "hyper.beta_end")
+from .trainer import CHECKPOINT_KEYS, Hyper, QagobTrainer, train
 
 
 def _parse_overrides(pairs):
@@ -174,62 +165,18 @@ def cmd_train(args):
     return 1 if _run_seeds(args, "train", _train_seed)[0] else 0
 
 
-def _load_checkpoint(path, scenario, hyper):
-    """The networks of checkpoint path and hyper with the network and
-    schedule keys they were trained with; raises CheckpointInvalid unless
-    they fit scenario's state and action widths and are of the trainer's
-    dtype, which nothing then rounds."""
-    nets, meta = load_checkpoint(path)
-    n_state = state_dim(scenario)
-    n_action = action_dim(scenario.n_aavs, scenario.max_served)
-    for name, ends in (("actor", [n_action + n_state + 1, n_action]),
-                       ("q1", [n_state + n_action, 1]),
-                       ("q2", [n_state + n_action, 1])):
-        if name not in nets:
-            raise CheckpointInvalid(path, "no %s network" % name)
-        widths = nets[name].widths
-        if [widths[0], widths[-1]] != ends:
-            raise CheckpointInvalid(
-                path, "%s network widths %s do not fit the scenario, which "
-                "needs input %d and output %d" % (name, widths, *ends))
-        if nets[name].dtype != NET_DTYPE:
-            raise CheckpointInvalid(
-                path, "%s network is %s; the trainer's networks are %s"
-                % (name, nets[name].dtype, NET_DTYPE))
-    # nets must be rebuilt exactly as trained, whatever the current
-    # defaults are; a linear schedule, the only kind train writes, is
-    # fixed by its length and ends
-    betas = meta.get("betas")
-    if not (isinstance(betas, list) and betas and all(map(is_number, betas))
-            and betas == np.linspace(betas[0], betas[-1],
-                                     len(betas)).tolist()):
-        raise CheckpointInvalid(path, "betas %r is not a nonempty linear "
-                                "schedule" % (betas,))
-    try:
-        hyper = dataclasses.replace(hyper, n_denoise=len(betas),
-                                    beta_start=betas[0], beta_end=betas[-1])
-    except ConfigInvalid as exc:
-        raise CheckpointInvalid(path, "betas %r: %s" % (betas, exc)) from None
-    return nets, dataclasses.replace(
-        hyper, actor_widths=tuple(nets["actor"].widths[1:-1]),
-        critic_widths=tuple(nets["q1"].widths[1:-1]))
-
-
 def cmd_eval(args):
-    seeds, scenario, overrides, hyper = _check(
-        args, dict.fromkeys(CHECKPOINT_KEYS, "--checkpoint"))
-    nets, hyper = _load_checkpoint(args.checkpoint, scenario, hyper)
+    checked = _check(args, dict.fromkeys(CHECKPOINT_KEYS, "--checkpoint"))
+    seeds, scenario, _, hyper = checked
+    # the checkpoint is read and checked once, before anything is written
+    trained = QagobTrainer.from_checkpoint(
+        args.checkpoint, SaginEnv(scenario, seeds[0]), hyper)
 
     def run(scenario, hyper, seed, episodes, seed_dir, on_episode):
         env = SaginEnv(scenario, seed)
-        agent = QagobTrainer(env, hyper)
-        # set_arrays copies, so every seed starts from the same weights
-        agent.policy.denoiser.set_arrays(nets["actor"].params)
-        agent.critics.q1.set_arrays(nets["q1"].params)
-        agent.critics.q2.set_arrays(nets["q2"].params)
-        return run_episodes(env, agent.select_action, episodes, on_episode)
-    return 1 if _run_seeds(args, "eval", run,
-                           (seeds, scenario, overrides, hyper))[0] else 0
+        return run_episodes(env, trained.acting_in(env).select_action,
+                            episodes, on_episode)
+    return 1 if _run_seeds(args, "eval", run, checked)[0] else 0
 
 
 def cmd_baseline(args):
@@ -328,7 +275,7 @@ def build_parser():
 
     p_base = sub.add_parser("baseline", help="run a reference policy")
     common(p_base, 1)
-    p_base.add_argument("--algo", required=True, choices=["random", "greedy"])
+    p_base.add_argument("--algo", required=True, choices=list(POLICIES))
     p_base.set_defaults(func=cmd_baseline)
 
     p_exp = sub.add_parser("export", help="re-export plots data from a log")

@@ -35,8 +35,8 @@ class EventLogInvalid(SaginError):
 
 class CheckpointInvalid(SaginError):
     """Raised when a checkpoint cannot be used: it cannot be read, has a
-    foreign format, or holds networks whose input or output widths do not
-    fit the scenario.
+    foreign format, or lacks the linear betas or a network of the widths
+    and the dtype that the agent for the scenario builds.
 
     Carries the checkpoint path so callers can report it.
     """

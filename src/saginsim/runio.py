@@ -10,7 +10,7 @@ import json
 import os
 
 from .environment import Totals
-from .errors import EventLogInvalid
+from .errors import EventLogInvalid, SaginError
 
 EVENTS_SCHEMA = 1
 
@@ -224,5 +224,9 @@ def write_manifest(path, manifest):
 
 
 def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
+    """path, made with its parents if missing; SaginError if it cannot be."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise SaginError("cannot make %s: %s" % (path, exc.strerror)) from None
     return path

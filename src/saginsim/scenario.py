@@ -287,13 +287,14 @@ def validate_scenario(sc):
     if sc.sat_altitude <= sc.aav_altitude:
         raise ConfigInvalid("sat_altitude", "must be above aav_altitude")
     x_min, y_min, x_max, y_max = sc.area_bounds
-    if len(sc.initial_aav_positions) != sc.n_aavs:
-        raise ConfigInvalid("initial_aav_positions",
-                            "expected %d points" % sc.n_aavs)
-    for i, (x, y) in enumerate(sc.initial_aav_positions):
-        if not (x_min <= x <= x_max and y_min <= y <= y_max):
-            raise ConfigInvalid("initial_aav_positions",
-                                "point %d outside the area" % i)
+    for name, count in (("initial_aav_positions", sc.n_aavs),
+                        ("gd_positions", sc.n_gds)):
+        points = getattr(sc, name)
+        if points is not None and len(points) != count:
+            raise ConfigInvalid(name, "expected %d points" % count)
+        for i, (x, y) in enumerate(points or ()):
+            if not (x_min <= x <= x_max and y_min <= y <= y_max):
+                raise ConfigInvalid(name, "point %d outside the area" % i)
     pos = np.asarray(sc.initial_aav_positions, dtype=float)
     for i in range(sc.n_aavs):
         for j in range(i + 1, sc.n_aavs):
@@ -301,13 +302,6 @@ def validate_scenario(sc):
                 raise ConfigInvalid("initial_aav_positions",
                                     "points %d and %d closer than the safe "
                                     "distance" % (i, j))
-    if sc.gd_positions is not None:
-        if len(sc.gd_positions) != sc.n_gds:
-            raise ConfigInvalid("gd_positions", "expected %d points" % sc.n_gds)
-        for i, (x, y) in enumerate(sc.gd_positions):
-            if not (x_min <= x <= x_max and y_min <= y <= y_max):
-                raise ConfigInvalid("gd_positions",
-                                    "point %d outside the area" % i)
 
 
 def load_scenario(path=None, overrides=None):

@@ -1,7 +1,7 @@
 """Online diffusion-policy training (the qagob algorithm).
 
 environment.run_episodes plays the episodes; this module holds the
-per-step learning, QagobTrainer.learn, and the checkpoints, but no loop.
+per-step learning, QagobTrainer.learn, and all checkpoint I/O, but no loop.
 Per environment step: act with the sample-and-argmax behavior policy,
 store the transition in the replay buffer, then, once past warmup with a
 batch in the buffer, run one critic update on a replay batch and one
@@ -29,6 +29,7 @@ select_action returns.  Every random draw is taken in float64 and then
 cast, so each stream's draws are those of a float64 run.
 """
 
+import copy
 import dataclasses
 import os
 
@@ -36,14 +37,22 @@ import numpy as np
 
 from . import diffusion
 from .environment import SaginEnv, run_episodes
-from .errors import ConfigInvalid, NonFiniteGradient
+from .errors import CheckpointInvalid, ConfigInvalid, NonFiniteGradient
 from .nets import autodiff
-from .nets.mlp import Mlp, save_checkpoint
+from .nets.mlp import Mlp, load_checkpoint, save_checkpoint
 from .nets.optim import Adam
-from .scenario import AT_LEAST_ONE, NONNEGATIVE, POSITIVE, check_ranges
+from .scenario import (AT_LEAST_ONE, NONNEGATIVE, POSITIVE, check_ranges,
+                       is_number)
 
 # the dtype of the trainer's networks and of everything they compute
 NET_DTYPE = np.dtype(np.float32)
+
+# a checkpoint holds the networks select_action plays, and no targets, as
+# it cannot resume training anyway (no Adam moments, replay or RNG state);
+# from_checkpoint takes these hyper keys from it
+CHECKPOINT_NETS = ("actor", "q1", "q2")
+CHECKPOINT_KEYS = ("hyper.actor_widths", "hyper.critic_widths",
+                   "hyper.n_denoise", "hyper.beta_start", "hyper.beta_end")
 
 
 @dataclasses.dataclass
@@ -251,10 +260,7 @@ class QagobTrainer:
         self.policy = diffusion.DiffusionPolicy(
             env.state_dim, env.action_dim, self.hyper.actor_widths,
             schedule, net_rng, NET_DTYPE)
-        self.policy_target = diffusion.DiffusionPolicy(
-            env.state_dim, env.action_dim, self.hyper.actor_widths,
-            schedule, None, NET_DTYPE)
-        self.policy_target.denoiser.set_arrays(self.policy.denoiser.get_arrays())
+        self.policy_target = copy.deepcopy(self.policy)
         self.critics = TwinCritics(env.state_dim, env.action_dim,
                                    self.hyper.critic_widths, net_rng,
                                    NET_DTYPE)
@@ -316,19 +322,61 @@ class QagobTrainer:
         self._loss_sums, self._loss_counts = [0.0, 0.0], [0, 0]
         return losses
 
+    def acting_nets(self):
+        """{name: network} of the CHECKPOINT_NETS."""
+        return dict(zip(CHECKPOINT_NETS, (self.policy.denoiser,
+                                          self.critics.q1, self.critics.q2)))
+
     def checkpoint(self, path, meta=None):
-        nets = {
-            "actor": self.policy.denoiser,
-            "actor_target": self.policy_target.denoiser,
-            "q1": self.critics.q1,
-            "q2": self.critics.q2,
-            "q1_target": self.critics.q1_target,
-            "q2_target": self.critics.q2_target,
-        }
-        base = {"seed": self.env.seed, "total_steps": self.total_steps,
-                "betas": list(self.policy.schedule.betas)}
-        base.update(meta or {})
-        save_checkpoint(path, nets, base)
+        save_checkpoint(path, self.acting_nets(), {
+            "seed": self.env.seed, "total_steps": self.total_steps,
+            "betas": list(self.policy.schedule.betas), **(meta or {})})
+
+    @classmethod
+    def from_checkpoint(cls, path, env, hyper):
+        """The agent for env with checkpoint path's CHECKPOINT_KEYS and
+        networks; raises CheckpointInvalid unless its betas are linear and
+        each acting network has the agent's widths and dtype (no rounding)."""
+        nets, meta = load_checkpoint(path)
+        for name in CHECKPOINT_NETS:
+            if name not in nets:
+                raise CheckpointInvalid(path, "no %s network" % name)
+        betas = meta.get("betas")
+        not_linear = CheckpointInvalid(
+            path, "betas %r is not a nonempty linear schedule" % (betas,))
+        if not (isinstance(betas, list) and betas
+                and all(map(is_number, betas))):
+            raise not_linear
+        try:
+            hyper = dataclasses.replace(
+                hyper, n_denoise=len(betas), beta_start=betas[0],
+                beta_end=betas[-1],
+                actor_widths=tuple(nets["actor"].widths[1:-1]),
+                critic_widths=tuple(nets["q1"].widths[1:-1]))
+        except ConfigInvalid as exc:
+            what = "betas %r" % (betas,) if "beta" in exc.field else "widths"
+            raise CheckpointInvalid(path, "%s: %s" % (what, exc)) from None
+        agent = cls(env, hyper)
+        if agent.policy.schedule.betas.tolist() != betas:
+            raise not_linear
+        for name, net in agent.acting_nets().items():
+            if nets[name].widths != net.widths:
+                raise CheckpointInvalid(
+                    path, "%s network widths %s do not fit the scenario and "
+                    "the actor and q1 hidden widths, which give %s"
+                    % (name, nets[name].widths, net.widths))
+            if nets[name].dtype != net.dtype:
+                raise CheckpointInvalid(
+                    path, "%s network is %s; the trainer's networks are %s"
+                    % (name, nets[name].dtype, net.dtype))
+            net.set_arrays(nets[name].params)
+        return agent
+
+    def acting_in(self, env):
+        """This agent acting in env: a shallow copy, which shares all else."""
+        agent = copy.copy(self)
+        agent.env = env
+        return agent
 
 
 def train(scenario, hyper, seed, episodes, on_episode=None, ckpt_dir=None):

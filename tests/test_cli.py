@@ -14,6 +14,8 @@ import pytest
 from saginsim import baselines, cli, runio
 from saginsim.environment import SaginEnv, episode_totals, run_episodes
 from saginsim.nets.mlp import Mlp, load_checkpoint, save_checkpoint
+from saginsim.scenario import load_scenario
+from saginsim.trainer import Hyper, QagobTrainer
 
 TINY_CONFIG = """\
 # small scenario for command-line tests
@@ -216,7 +218,7 @@ def test_metrics_are_a_function_of_the_event_log(tmp_path):
         assert metrics[key] == repr(value), key
 
 
-def test_train_eval_export_pipeline(tmp_path, config_path, monkeypatch):
+def test_train_eval_export_pipeline(tmp_path, config_path):
     train_out = str(tmp_path / "train")
     code = run_cli(["train", "--config", config_path, "--seed", "0",
                     "--episodes", "1", "--out", train_out, "--quiet"]
@@ -230,14 +232,6 @@ def test_train_eval_export_pipeline(tmp_path, config_path, monkeypatch):
     assert "critic_loss" in rows[0] and "actor_loss" in rows[0]
 
     eval_out = str(tmp_path / "eval")
-    agents = []
-    build_agent = cli.QagobTrainer
-
-    def keep_agent(*args):
-        agents.append(build_agent(*args))
-        return agents[-1]
-
-    monkeypatch.setattr(cli, "QagobTrainer", keep_agent)
     # no hyper overrides on purpose: eval must rebuild the nets and the
     # schedule from the checkpoint, not from defaults
     code = run_cli(["eval", "--config", config_path, "--seed", "0",
@@ -246,7 +240,8 @@ def test_train_eval_export_pipeline(tmp_path, config_path, monkeypatch):
     assert code == 0
     check_run_outputs(eval_out, [0], 1)
     nets, meta = load_checkpoint(ckpt)
-    [agent] = agents
+    agent = QagobTrainer.from_checkpoint(
+        ckpt, SaginEnv(load_scenario(config_path), 0), Hyper())
     assert len(meta["betas"]) == 2           # TINY_HYPER's n_denoise
     assert agent.policy.schedule.betas.tolist() == meta["betas"]
     for name, net in (("actor", agent.policy.denoiser),
@@ -448,6 +443,17 @@ def rewrite_checkpoint(path, fmt, dtype=None, edit=None):
     np.savez(path, **payload)
 
 
+def replace_net(path, name, hidden):
+    """Rewrite the checkpoint at path with network name replaced by a
+    float32 one of the same input and output widths and these hidden
+    widths."""
+    nets, meta = load_checkpoint(path)
+    widths = nets[name].widths
+    nets[name] = Mlp([widths[0], *hidden, widths[-1]],
+                     np.random.default_rng(0), np.float32)
+    save_checkpoint(path, nets, meta)
+
+
 @pytest.mark.parametrize("spoil,config,says", [
     (lambda path: rewrite_checkpoint(path, 999), None, "format 999"),
     # the float64 checkpoints of the first format
@@ -487,10 +493,13 @@ def rewrite_checkpoint(path, fmt, dtype=None, edit=None):
     (lambda path: rewrite_checkpoint(
         path, 2, edit=lambda header: header.update(meta=[1])), None,
      "meta is not a JSON object"),
+    # q2's hidden widths are not q1's, which eval builds both critics with
+    (lambda path: replace_net(path, "q2", [5, 5]), None,
+     "q2 network widths"),
 ], ids=["foreign-format", "format-1", "float64", "not-a-checkpoint",
         "no-actor", "other-scenario", "no-betas", "empty-betas",
         "nonlinear-betas", "betas-out-of-range", "bool-betas", "no-meta",
-        "meta-not-an-object"])
+        "meta-not-an-object", "q2-widths"])
 def test_unusable_checkpoint_is_a_config_error(tmp_path, config_path, capsys,
                                                spoil, config, says):
     ckpt = train_tiny_checkpoint(tmp_path, config_path)
@@ -504,6 +513,72 @@ def test_unusable_checkpoint_is_a_config_error(tmp_path, config_path, capsys,
     err = capsys.readouterr().err
     assert ckpt in err and says in err
     assert not out.exists()
+
+
+def test_checkpoint_with_target_networks_evaluates_alike(
+        tmp_path, config_path):
+    """train writes the three networks eval plays.  The six-network
+    checkpoints of earlier versions, which add the targets, still load,
+    and their targets change nothing."""
+    ckpt = train_tiny_checkpoint(tmp_path, config_path)
+    nets, meta = load_checkpoint(ckpt)
+    assert list(nets) == ["actor", "q1", "q2"]
+    rng = np.random.default_rng(1)
+    six = str(tmp_path / "six.npz")
+    save_checkpoint(six, {**nets, **{
+        name + "_target": Mlp(net.widths, rng, np.float32)
+        for name, net in nets.items()}}, meta)
+    outs = []
+    for path in (ckpt, six):
+        outs.append(tmp_path / ("eval-" + os.path.basename(path)))
+        assert run_cli(["eval", "--config", config_path, "--seed", "0,1",
+                        "--episodes", "2", "--checkpoint", path,
+                        "--out", str(outs[-1]), "--quiet"]) == 0
+    # and a seed plays alike alone and after another seed
+    alone = tmp_path / "eval-seed1"
+    assert run_cli(["eval", "--config", config_path, "--seed", "1",
+                    "--episodes", "2", "--checkpoint", ckpt,
+                    "--out", str(alone), "--quiet"]) == 0
+    for seed in ("seed0", "seed1"):
+        for name in ("metrics.csv", "events.jsonl"):
+            first = (outs[0] / seed / name).read_bytes()
+            assert (outs[1] / seed / name).read_bytes() == first, (seed, name)
+            if seed == "seed1":
+                assert (alone / seed / name).read_bytes() == first, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["baseline", "--algo", "random", "--seed", "0", "--quiet"],
+    ["export"],
+], ids=["baseline", "export"])
+def test_out_that_is_a_file_is_a_config_error(tmp_path, config_path, capsys,
+                                              argv):
+    """An --out that names a file exits 2, names it and writes nothing."""
+    events = tmp_path / "run" / "seed0" / "events.jsonl"
+    assert run_cli(["baseline", "--algo", "random", "--config", config_path,
+                    "--out", str(tmp_path / "run"), "--quiet"]) == 0
+    out = tmp_path / "out.txt"
+    out.write_text("not a directory")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    extra = ["--events", str(events)] if argv == ["export"] else \
+        ["--config", config_path]
+    assert run_cli(argv + extra + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot make %s: " % out in err
+    assert out.read_text() == "not a directory"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_seed_directory_that_is_a_file_is_a_config_error(
+        tmp_path, config_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "seed0").write_text("not a directory")
+    code = run_cli(["baseline", "--algo", "random", "--config", config_path,
+                    "--out", str(out), "--quiet"])
+    assert code == 2
+    assert str(out / "seed0") in capsys.readouterr().err
 
 
 def test_sweep_writes_summary(tmp_path, config_path):
@@ -641,7 +716,7 @@ def test_failed_baseline_keeps_finished_episodes(tmp_path, config_path,
             raise RuntimeError("second episode fails")
         return baselines.random_action(env, rng)
 
-    monkeypatch.setitem(baselines._POLICIES, "random", fail_in_second_episode)
+    monkeypatch.setitem(baselines.POLICIES, "random", fail_in_second_episode)
     out = str(tmp_path / "base")
     code = run_cli(["baseline", "--algo", "random", "--config", config_path,
                     "--seed", "0", "--episodes", "3", "--out", out,

@@ -569,8 +569,7 @@ def test_trainer_checkpoint_round_trip(tmp_path):
     path = tmp_path / "ck.npz"
     trainer.checkpoint(path, {"note": "test"})
     nets, meta = load_checkpoint(path)
-    assert set(nets) == {"actor", "actor_target", "q1", "q2",
-                         "q1_target", "q2_target"}
+    assert set(nets) == {"actor", "q1", "q2"}
     assert meta["seed"] == 5
     assert meta["total_steps"] == trainer.total_steps
     assert meta["note"] == "test"
