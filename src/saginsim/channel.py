@@ -85,26 +85,19 @@ def sat_attenuation(distance, radio):
     return free * gains * 10.0 ** (-radio.rain_atten / 10.0)
 
 
-def sat_link_rate(distance, direction, n_connected, noise_w, radio,
-                  rain_extra_db=0.0):
-    """Rate of the AAV-satellite link, bit/s.
-
-    direction: "up" (AAV transmits) or "down" (satellite transmits).  The
-    satellite bandwidth is split evenly over the n_connected AAVs holding a
-    link.  noise_w is noise_psd_watts(radio.noise_psd).  rain_extra_db adds
+def sat_link_rates(distance, n_connected, noise_w, radio, rain_extra_db=0.0):
+    """(up, down) rates of one AAV's satellite link over one attenuation,
+    bit/s: the AAV transmits up, the satellite down.  The satellite
+    bandwidth is split evenly over the n_connected AAVs holding a link.
+    noise_w is noise_psd_watts(radio.noise_psd).  rain_extra_db adds
     episode-level attenuation on top of the configured margin.
     """
     if n_connected < 1:
         raise InvalidAllocation("need at least one connected AAV")
-    if direction == "up":
-        power = radio.power_aav
-    elif direction == "down":
-        power = radio.power_sat
-    else:
-        raise InvalidAllocation("direction must be 'up' or 'down'")
     bandwidth = radio.bandwidth_sat / n_connected
     atten = sat_attenuation(distance, radio) * 10.0 ** (-rain_extra_db / 10.0)
-    return shannon_rate(power, atten, bandwidth, 0.0, noise_w)
+    return (shannon_rate(radio.power_aav, atten, bandwidth, 0.0, noise_w),
+            shannon_rate(radio.power_sat, atten, bandwidth, 0.0, noise_w))
 
 
 class InterferenceField:
@@ -129,7 +122,3 @@ class InterferenceField:
         self.gains = gains
         self.power = [radio.power_gd * float(row[mask].sum())
                       for row, mask in zip(gains, foreign)]
-
-    def at(self, aav):
-        """Interference power at the given AAV, watts."""
-        return self.power[aav]

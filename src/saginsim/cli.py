@@ -116,6 +116,15 @@ def _write_run_files(args, command, checked, **extra):
         fh.write(scenario_to_text(scenario))
 
 
+def _make_seed_dirs(args, seeds, command):
+    """Make OUT/seedN, with checkpoints/ in a train run, for every seed."""
+    seed_dirs = [os.path.join(args.out, "seed%d" % seed) for seed in seeds]
+    for seed_dir in seed_dirs:
+        runio.ensure_dir(os.path.join(seed_dir, "checkpoints")
+                         if command == "train" else seed_dir)
+    return seed_dirs
+
+
 def _run_seeds(args, command, run, checked=None, point=None):
     """Run one verb for every seed in args.seed; returns (the failure
     count, {seed: report rows} of the seeds that finished).
@@ -132,8 +141,7 @@ def _run_seeds(args, command, run, checked=None, point=None):
     _write_run_files(args, command, checked)
     seeds, scenario, _, hyper = checked
     failures, finished = 0, {}
-    for seed in seeds:
-        seed_dir = runio.ensure_dir(os.path.join(args.out, "seed%d" % seed))
+    for seed, seed_dir in zip(seeds, _make_seed_dirs(args, seeds, command)):
         run_name = " ".join(filter(None, (point, "seed %d" % seed)))
         with runio.RunWriter(seed_dir, args.episodes) as writer:
             start = time.perf_counter()
@@ -155,9 +163,8 @@ def _run_seeds(args, command, run, checked=None, point=None):
 
 
 def _train_seed(scenario, hyper, seed, episodes, seed_dir, on_episode):
-    """The run of one train seed for _run_seeds; its checkpoints go to
-    seed_dir/checkpoints."""
-    ckpt_dir = runio.ensure_dir(os.path.join(seed_dir, "checkpoints"))
+    """The run of one train seed for _run_seeds."""
+    ckpt_dir = os.path.join(seed_dir, "checkpoints")
     return train(scenario, hyper, seed, episodes, on_episode, ckpt_dir)[0]
 
 
@@ -227,6 +234,8 @@ def cmd_sweep(args):
         points.append((value, point, (seeds, scenario, overrides, hyper)))
     _write_run_files(args, "sweep", checked,
                      grid={"key": key, "values": values})
+    for _, point, point_checked in points:
+        _make_seed_dirs(point, point_checked[0], "train")
     summary = []
     failures = 0
     for value, point, point_checked in points:

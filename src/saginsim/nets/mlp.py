@@ -88,11 +88,6 @@ class Mlp:
                 raise ValueError("parameter shape mismatch")
             p[...] = a
 
-    def clone(self):
-        other = Mlp(self.widths, dtype=self.dtype)
-        other.set_arrays(self.get_arrays())
-        return other
-
 
 def save_checkpoint(path, nets, meta=None):
     """Write named networks and a JSON meta blob to an npz file; each

@@ -1,8 +1,8 @@
 """Run artifacts: metrics CSV, event logs, and plot-ready exports.
 
 Events are written as JSON Lines with a meta header line (schema and the
-requested episode count) followed by one record per slot.  All floats are
-serialized via repr/json so identical runs produce identical bytes.
+requested episode count) followed by one record per slot.  The json and
+csv modules write a float as its repr, so equal runs give equal bytes.
 """
 
 import csv
@@ -15,20 +15,13 @@ from .errors import EventLogInvalid, SaginError
 EVENTS_SCHEMA = 1
 
 
-def _csv_values(row, fields):
-    """The row's values in field order: floats by repr, missing ones empty."""
-    return [repr(value) if isinstance(value, float) else str(value)
-            for value in (row.get(key, "") for key in fields)]
-
-
 def write_metrics_csv(path, rows):
     """One column per key of the rows, in first-seen order."""
     fields = list(dict.fromkeys(key for row in rows for key in row))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow(_csv_values(row, fields))
+        writer = csv.DictWriter(fh, fields)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def read_metrics_csv(path):
@@ -123,7 +116,7 @@ def export_trajectories(track, out_path):
         writer.writerow(["slot", "aav", "x", "y", "is_start", "is_end"])
         for rec in track:
             for v, (x, y) in enumerate(rec["aav_pos"]):
-                writer.writerow([rec["slot"], v, repr(float(x)), repr(float(y)),
+                writer.writerow([rec["slot"], v, float(x), float(y),
                                  int(rec["slot"] == first),
                                  int(rec["slot"] == last)])
 
@@ -136,7 +129,7 @@ def export_energy_breakdown(totals, out_path):
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
-        writer.writerow([repr(totals[k]) for k in fields])
+        writer.writerow([totals[k] for k in fields])
 
 
 class RunTail:
@@ -172,14 +165,14 @@ class RunWriter:
     once folded into the RunTail.  energy.csv and trajectories.csv are
     written on exit, also when the run raised, if any episode finished.
     The events.jsonl header records the requested episode count; the lines
-    show how many episodes finished.
+    show how many episodes finished.  A row with a key that the first row
+    lacks raises ValueError before any of it is written.
     """
 
     def __init__(self, seed_dir, episodes):
         self.seed_dir = seed_dir
         self.episodes = int(episodes)
         self.tail = RunTail()
-        self.fields = None
         self._metrics = self._events = self._csv = None
 
     def __enter__(self):
@@ -188,21 +181,16 @@ class RunWriter:
     def _open(self, fields):
         self._metrics = open(os.path.join(self.seed_dir, "metrics.csv"), "w",
                              newline="", encoding="utf-8")
-        self._csv = csv.writer(self._metrics)
-        self._csv.writerow(fields)
+        self._csv = csv.DictWriter(self._metrics, fields)
+        self._csv.writeheader()
         self._events = open(os.path.join(self.seed_dir, "events.jsonl"), "w",
                             encoding="utf-8")
         self._events.write(_events_header({"episodes": self.episodes}))
-        self.fields = fields
 
     def on_episode(self, row, records):
-        if self.fields is None:
+        if self._csv is None:
             self._open(list(row))
-        extra = [key for key in row if key not in self.fields]
-        if extra:
-            raise ValueError("metrics row has keys %s that the header %s "
-                             "lacks" % (extra, self.fields))
-        self._csv.writerow(_csv_values(row, self.fields))
+        self._csv.writerow(row)
         self._metrics.flush()
         _write_episode(self._events, row["episode"], records)
         self._events.flush()

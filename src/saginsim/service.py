@@ -129,13 +129,11 @@ def run_slot(world, decisions, association, served, scenario,
     r_a2s, uplink_rates = [], []
 
     for v, sat_dist in enumerate(world.sat_distances()):
-        up = channel.sat_link_rate(sat_dist, "up", n_connected, noise_w,
-                                   radio, rain_extra_db)
-        down = channel.sat_link_rate(sat_dist, "down", n_connected, noise_w,
-                                     radio, rain_extra_db)
+        up, down = channel.sat_link_rates(sat_dist, n_connected, noise_w,
+                                          radio, rain_extra_db)
         r_a2s.append(up)
         gains = field.gains[v].tolist()
-        interference = field.at(v)
+        interference = field.power[v]
         rates_v = []
         for g in served[v]:
             bw = decisions.bandwidth[(v, g)]

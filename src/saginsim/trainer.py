@@ -160,8 +160,7 @@ class TwinCritics:
         dims = [state_dim + action_dim] + list(widths) + [1]
         self.q1 = Mlp(dims, rng, dtype)
         self.q2 = Mlp(dims, rng, dtype)
-        self.q1_target = self.q1.clone()
-        self.q2_target = self.q2.clone()
+        self.q1_target, self.q2_target = copy.deepcopy((self.q1, self.q2))
 
     @staticmethod
     def _join(states, actions):

@@ -102,10 +102,9 @@ def test_accept_formula_oracles():
         att = want_att * 10.0 ** (-extra / 10.0)
         want_u = bw_s * math.log2(1.0 + radio.power_aav * att / (n0 * bw_s))
         want_d = bw_s * math.log2(1.0 + radio.power_sat * att / (n0 * bw_s))
-        assert rel_err(channel.sat_link_rate(dist, "up", n_conn, noise_w,
-                                             radio, extra), want_u) <= 1e-9
-        assert rel_err(channel.sat_link_rate(dist, "down", n_conn, noise_w,
-                                             radio, extra), want_d) <= 1e-9
+        up, down = channel.sat_link_rates(dist, n_conn, noise_w, radio, extra)
+        assert rel_err(up, want_u) <= 1e-9
+        assert rel_err(down, want_d) <= 1e-9
 
     # all six delay components, local and offloaded
     sc = Scenario()

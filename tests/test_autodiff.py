@@ -110,16 +110,6 @@ def test_he_init_scale():
     assert np.all(net.params[1] == 0.0)
 
 
-def test_clone_is_deep():
-    rng = np.random.default_rng(7)
-    net = Mlp([2, 3, 1], rng=rng)
-    other = net.clone()
-    x = np.ones(2)
-    np.testing.assert_allclose(net.forward(x), other.forward(x))
-    other.params[0] += 1.0
-    assert not np.allclose(net.forward(x), other.forward(x))
-
-
 def test_set_arrays_validates():
     net = Mlp([2, 2])
     with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ import pytest
 from saginsim import baselines, cli, runio
 from saginsim.environment import SaginEnv, episode_totals, run_episodes
 from saginsim.nets.mlp import Mlp, load_checkpoint, save_checkpoint
-from saginsim.scenario import load_scenario
+from saginsim.scenario import SeededRng, load_scenario
 from saginsim.trainer import Hyper, QagobTrainer
 
 TINY_CONFIG = """\
@@ -289,9 +289,10 @@ def test_works_without_config_file(tmp_path):
 
 
 # an infinite bound, or a span beyond the largest float, would overflow
-# the GD drop once the run's files were written
+# the GD drop once the run's files were written; two numbers are no area
 @pytest.mark.parametrize("bounds", ["[-inf, -500.0, 500.0, 500.0]",
-                                    "[-1e308, -500.0, 1e308, 500.0]"])
+                                    "[-1e308, -500.0, 1e308, 500.0]",
+                                    "[1.0, 2.0]"])
 def test_non_finite_area_bounds_are_a_config_error(tmp_path, capsys, bounds):
     out = tmp_path / "bounds"
     code = run_cli(["baseline", "--algo", "random",
@@ -326,7 +327,7 @@ def test_bad_override_returns_config_error(tmp_path, config_path):
     "hyper.actor_widths=8,,8", "hyper.critic_widths=", "hyper.actor_widths=[]",
     # a hyper. value is one TOML value, as a config key's is
     "hyper.lr_actor=.5", "hyper.lr_actor=1.", "hyper.batch_size=01",
-    "hyper.actor_widths=(256,256)"])
+    "hyper.actor_widths=(256,256)", "hyper.actor_widths=[1.5]"])
 def test_bad_hyper_returns_config_error(tmp_path, config_path, capsys,
                                         override):
     out = tmp_path / "hyper"
@@ -579,6 +580,74 @@ def test_a_seed_directory_that_is_a_file_is_a_config_error(
                     "--out", str(out), "--quiet"])
     assert code == 2
     assert str(out / "seed0") in capsys.readouterr().err
+    # every seed's directory, and checkpoints/ in a train run or a sweep
+    # point, is made before the first seed plays
+    train = (["--config", config_path, "--episodes", "1", "--quiet"]
+             + TINY_HYPER)
+    for name, argv, blocked, unplayed in [
+            ("train", ["train"] + train, "seed0/checkpoints",
+             "seed0/metrics.csv"),
+            ("seeds", ["baseline", "--algo", "random", "--config", config_path,
+                       "--seed", "0,1", "--quiet"], "seed1",
+             "seed0/metrics.csv"),
+            ("sweep", ["sweep", "--grid", "max_served=1,2"] + train,
+             "max_served=2/seed0/checkpoints",
+             "max_served=1/seed0/metrics.csv"),
+    ]:
+        out = tmp_path / name
+        (out / blocked).parent.mkdir(parents=True)
+        (out / blocked).write_text("not a directory")
+        assert run_cli(argv + ["--out", str(out)]) == 2, name
+        assert str(out / blocked) in capsys.readouterr().err
+        assert not (out / unplayed).exists()
+
+
+def test_weibull_rain_draws_once_per_episode(tmp_path, monkeypatch):
+    """The Weibull rain model: one weibull(2.0) * rain_atten draw from the
+    channel stream per episode, runs that repeat byte for byte, and
+    satellite legs that differ from the fixed model's on the same seed."""
+    envs, extras = [], []
+    reset = SaginEnv.reset
+
+    def recording_reset(env):
+        state = reset(env)
+        envs.append(env)
+        extras.append(env._episode_rain_extra)
+        return state
+    monkeypatch.setattr(SaginEnv, "reset", recording_reset)
+    argv = ["baseline", "--algo", "greedy", "--config",
+            str(CONFIGS / "toy.toml"), "--seed", "3", "--episodes", "3",
+            "--quiet"]
+    weibull = ["--override", 'radio.rain_model="weibull"']
+    for name, extra in (("a", weibull), ("b", weibull), ("fixed", [])):
+        assert run_cli(argv + extra + ["--out", str(tmp_path / name)]) == 0
+
+    rain_atten = load_scenario(CONFIGS / "toy.toml").radio.rain_atten
+    ref = SeededRng(3).stream("channel")
+    want = [ref.weibull(2.0) * rain_atten - rain_atten for _ in range(3)]
+    assert extras == want + want + [0.0] * 3
+    # no other draw: the stream stands where the reference does
+    assert envs[0].rng.stream("channel").bit_generator.state \
+        == ref.bit_generator.state
+    for name in ("metrics.csv", "events.jsonl", "energy.csv",
+                 "trajectories.csv"):
+        assert (tmp_path / "a" / "seed3" / name).read_bytes() \
+            == (tmp_path / "b" / "seed3" / name).read_bytes()
+
+    def tasks(name):
+        _, records = runio.read_events_jsonl(
+            tmp_path / name / "seed3" / "events.jsonl")
+        return [task for rec in records for task in rec["tasks"]]
+    wet, dry = tasks("a"), tasks("fixed")
+    assert [(t["task_id"], t["offloaded"]) for t in wet] \
+        == [(t["task_id"], t["offloaded"]) for t in dry]
+    offloaded = [(w["components"], d["components"]) for w, d in zip(wet, dry)
+                 if w["offloaded"]]
+    assert offloaded
+    for w, d in offloaded:
+        assert w["t_up_g2a"] == d["t_up_g2a"]
+        assert w["t_up_a2s"] != d["t_up_a2s"]
+        assert w["t_down_s2a"] != d["t_down_s2a"]
 
 
 def test_sweep_writes_summary(tmp_path, config_path):

@@ -107,6 +107,18 @@ def test_metrics_csv_bytes_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_run_writer_rejects_a_key_the_header_lacks(tmp_path):
+    row = episode_row()
+    with pytest.raises(ValueError):
+        with runio.RunWriter(str(tmp_path), 2) as writer:
+            writer.on_episode(row, [])
+            writer.on_episode(dict(row, episode=1, extra=1.0), [])
+    # the first row stands as write_metrics_csv writes it
+    runio.write_metrics_csv(tmp_path / "one.csv", [row])
+    assert (tmp_path / "metrics.csv").read_bytes() \
+        == (tmp_path / "one.csv").read_bytes()
+
+
 def test_events_jsonl_round_trip(tmp_path):
     env, _ = finished_env()
     path = tmp_path / "events.jsonl"

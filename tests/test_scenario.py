@@ -89,16 +89,18 @@ def test_unknown_section_key_rejected(tmp_path):
     assert err.value.field == "radio.volume"
 
 
-# a group is set by its table alone, in a file or by an override, and a
-# dotted override sets a key of a table, never of a scalar
+# a group is set by its table alone, in a file or by an override, a
+# dotted override sets a key of a table, never of a scalar, and a point
+# list holds [x, y] pairs alone
 @pytest.mark.parametrize("text,overrides,field", [
     ("radio = 5\n", {}, "radio"),
     ("", {"radio": "5"}, "radio"),
     ("[radio]\n", {"radio": '{rain_model = "weibull"}'}, "radio"),
     ("radio = 5\n", {"radio.rain_model": '"weibull"'}, "radio"),
     ("horizon = 5\n", {"horizon.x": "1"}, "horizon"),
+    ("", {"initial_aav_positions": "[[1.0]]"}, "initial_aav_positions"),
 ], ids=["file", "override", "inline-table", "key-of-a-scalar-group",
-        "key-of-a-scalar"])
+        "key-of-a-scalar", "point-of-one-number"])
 def test_no_key_replaces_a_table_or_a_scalar(tmp_path, text, overrides,
                                              field):
     path = tmp_path / "sc.toml"
@@ -117,6 +119,10 @@ def test_no_key_replaces_a_table_or_a_scalar(tmp_path, text, overrides,
                                                                     (5.0, 5.0)))),
     ("sat_altitude", dict(sat_altitude=100.0)),
     ("sat_altitude", dict(sat_altitude=50.0)),
+    # configs/toy.toml's area with its second AAV moved out of it
+    ("initial_aav_positions", dict(
+        n_aavs=2, area_bounds=(-500.0, -500.0, 500.0, 500.0),
+        initial_aav_positions=((-250.0, -250.0), (900.0, 250.0)))),
 ])
 def test_validation_names_field(field, kwargs):
     with pytest.raises(ConfigInvalid) as err:

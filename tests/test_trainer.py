@@ -189,7 +189,7 @@ def test_twin_critics_min_rule():
     s = np.zeros((4, S_DIM))
     a = np.zeros((4, A_DIM))
     np.testing.assert_allclose(critics.min_q(s, a), -1.0)
-    # targets were cloned before the overwrite, so they differ now
+    # targets were copied before the overwrite, so they differ now
     assert not np.allclose(critics.min_target_q(s, a), -1.0)
     # and min_target_q takes the minimum of the two targets
     for net, bias in ((critics.q1_target, 0.5), (critics.q2_target, 3.0)):
