@@ -74,17 +74,17 @@ def _seed_list(arg):
     return seeds
 
 
-def _check(args, shadowed=None):
+def _check(args, shadowed=None, setting=None):
     """(seeds, scenario, overrides, hyper) of a verb's flags; raises
     SaginError for a bad flag, override or value, and writes nothing.
 
     shadowed: {config key: the flag that sets it}; no override may set
-    such a key.
+    such a key.  setting: a sweep point's KEY=V, after the overrides.
     """
     seeds = _seed_list(args.seed)
     if args.episodes < 0:
         raise SaginError("--episodes %d is negative" % args.episodes)
-    overrides = _parse_overrides(args.override)
+    overrides = _parse_overrides(args.override + ([setting] if setting else []))
     for key, flag in (shadowed or {}).items():
         if key in overrides:
             raise SaginError("--override %s: %s sets it" % (key, flag))
@@ -94,11 +94,11 @@ def _check(args, shadowed=None):
     return seeds, scenario, overrides, _build_hyper(overrides)
 
 
-def _write_run_files(args, command, checked, **extra):
-    """manifest.json and config.resolved.toml of a run, in args.out;
-    extra adds manifest entries."""
+def _write_run_files(args, command, out, checked, **extra):
+    """manifest.json and config.resolved.toml of a run, in out; extra
+    adds manifest entries."""
     seeds, scenario, overrides, _ = checked
-    out = runio.ensure_dir(args.out)
+    out = runio.ensure_dir(out)
     manifest = {
         "command": command,
         "scenario_path": os.path.abspath(args.config) if args.config else None,
@@ -116,33 +116,32 @@ def _write_run_files(args, command, checked, **extra):
         fh.write(scenario_to_text(scenario))
 
 
-def _make_seed_dirs(args, seeds, command):
-    """Make OUT/seedN, with checkpoints/ in a train run, for every seed."""
-    seed_dirs = [os.path.join(args.out, "seed%d" % seed) for seed in seeds]
-    for seed_dir in seed_dirs:
-        runio.ensure_dir(os.path.join(seed_dir, "checkpoints")
-                         if command == "train" else seed_dir)
-    return seed_dirs
+def _run_seeds(args, command, run, points=None):
+    """Run one verb for every point and every seed in args.seed; returns
+    (the failure count, {(point name, seed): report rows} of the runs that
+    finished).
 
-
-def _run_seeds(args, command, run, checked=None, point=None):
-    """Run one verb for every seed in args.seed; returns (the failure
-    count, {seed: report rows} of the seeds that finished).
-
+    points: [(name, out, checked)], checked the point's _check result; by
+    default the one unnamed point (None, args.out, _check(args)).
     run(scenario, hyper, seed, episodes, seed_dir, on_episode) returns
     the rows of environment.run_episodes with on_episode as its callback.
-    checked is _check(args), if the caller has it already.  Nothing is
-    written before every flag checks out.  Each seed streams its episodes
-    through a runio.RunWriter, which keeps the finished ones also when
-    run raises, and, unless args.quiet, prints a progress line for each,
-    which names the seed and the sweep point ("KEY=V"), if any.
+    Every point's run files and seed directories, with checkpoints/ in a
+    train run, are made before the first seed plays.  Each seed streams
+    its episodes through a runio.RunWriter, which keeps the finished ones
+    also when run raises, and, unless args.quiet, prints a progress line
+    for each, which names the point ("KEY=V"), if any, and the seed.
     """
-    checked = checked or _check(args)
-    _write_run_files(args, command, checked)
-    seeds, scenario, _, hyper = checked
+    runs = []
+    for name, out, checked in points or [(None, args.out, _check(args))]:
+        _write_run_files(args, command, out, checked)
+        for seed in checked[0]:
+            seed_dir = os.path.join(out, "seed%d" % seed)
+            runio.ensure_dir(os.path.join(seed_dir, "checkpoints")
+                             if command == "train" else seed_dir)
+            runs.append((name, seed, seed_dir, checked))
     failures, finished = 0, {}
-    for seed, seed_dir in zip(seeds, _make_seed_dirs(args, seeds, command)):
-        run_name = " ".join(filter(None, (point, "seed %d" % seed)))
+    for name, seed, seed_dir, (_, scenario, _, hyper) in runs:
+        run_name = " ".join(filter(None, (name, "seed %d" % seed)))
         with runio.RunWriter(seed_dir, args.episodes) as writer:
             start = time.perf_counter()
 
@@ -154,8 +153,9 @@ def _run_seeds(args, command, run, checked=None, point=None):
                         row["reward"], time.perf_counter() - start),
                         flush=True)
             try:
-                finished[seed] = run(scenario, hyper, seed, args.episodes,
-                                     seed_dir, on_episode)
+                finished[name, seed] = run(scenario, hyper, seed,
+                                           args.episodes, seed_dir,
+                                           on_episode)
             except Exception:
                 traceback.print_exc()
                 failures += 1
@@ -183,7 +183,8 @@ def cmd_eval(args):
         env = SaginEnv(scenario, seed)
         return run_episodes(env, trained.acting_in(env).select_action,
                             episodes, on_episode)
-    return 1 if _run_seeds(args, "eval", run, checked)[0] else 0
+    return 1 if _run_seeds(args, "eval", run,
+                           [(None, args.out, checked)])[0] else 0
 
 
 def cmd_baseline(args):
@@ -198,7 +199,7 @@ def cmd_export(args):
     tail = runio.RunTail()
     for number, rec in events:
         try:
-            tail.add(rec.get("episode", 0), rec)
+            tail.add(rec)
         except (AttributeError, KeyError, TypeError):
             raise EventLogInvalid(args.events, "line %d is not a slot record"
                                   % number) from None
@@ -223,35 +224,25 @@ def cmd_sweep(args):
     points = []
     for value in values:
         setting = "%s=%s" % (key, value)
-        point = argparse.Namespace(**vars(args))
-        point.override = args.override + [setting]
-        point.out = os.path.join(args.out, setting)
-        seeds, scenario, overrides, hyper = _check(point)
-        for other, _, (_, other_scenario, _, other_hyper) in points:
-            if (other_scenario, other_hyper) == (scenario, hyper):
+        point = _check(args, setting=setting)
+        for other, _, (_, scenario, _, hyper) in points:
+            if (scenario, hyper) == (point[1], point[3]):
                 raise SaginError("--grid %r repeats a value: %s and %s run "
-                                 "the same" % (args.grid, other, value))
-        points.append((value, point, (seeds, scenario, overrides, hyper)))
-    _write_run_files(args, "sweep", checked,
+                                 "the same" % (args.grid, other, setting))
+        points.append((setting, os.path.join(args.out, setting), point))
+    _write_run_files(args, "sweep", args.out, checked,
                      grid={"key": key, "values": values})
-    for _, point, point_checked in points:
-        _make_seed_dirs(point, point_checked[0], "train")
+    failures, finished = _run_seeds(args, "train", _train_seed, points)
     summary = []
-    failures = 0
-    for value, point, point_checked in points:
-        point_failures, finished = _run_seeds(
-            point, "train", _train_seed, point_checked,
-            "%s=%s" % (key, value))
-        failures += point_failures
-        for seed, rows in finished.items():
-            tail = rows[-10:]
-            mean = {column: sum(r[column] for r in tail) / len(tail)
-                    for column in ("reward", "f1", "f2", "f3")}
-            summary.append({
-                "key": key, "value": value, "seed": seed,
-                "reward_tail10": mean["reward"],
-                "f1": mean["f1"], "f2": mean["f2"], "f3": mean["f3"],
-            })
+    for (setting, seed), rows in finished.items():
+        tail = rows[-10:]
+        mean = {column: sum(r[column] for r in tail) / len(tail)
+                for column in ("reward", "f1", "f2", "f3")}
+        summary.append({
+            "key": key, "value": setting.partition("=")[2], "seed": seed,
+            "reward_tail10": mean["reward"],
+            "f1": mean["f1"], "f2": mean["f2"], "f3": mean["f3"],
+        })
     if summary:
         runio.write_metrics_csv(os.path.join(args.out, "summary.csv"), summary)
     return 1 if failures else 0

@@ -21,9 +21,10 @@ Modes: "joint" keeps all terms, "mec_only" drops the delivered-bits term,
 Each step appends one slot record, a dict of plain Python values that is
 also the slot's line in events.jsonl.  service.run_slot writes its
 "skipped", "tasks", "dc" and "energy" blocks, actions.clamp_and_penalize
-its "events" block, and step the rest: "slot", "generated", "expired",
-"aav_pos", "assoc", dc "generated", energy "aav_move", and the "reward"
-block, computed from the record itself.
+its "events" block, and step the rest: "episode", "slot", "generated",
+"expired", "aav_pos", "assoc", dc "generated", energy "aav_move", and
+the "reward" block, computed from the record itself.  Episodes are
+numbered from 0 by the env's resets.
 """
 
 import numpy as np
@@ -110,15 +111,15 @@ def episode_totals(records):
 
 def run_episodes(env, act, episodes, on_episode=None, learn=None):
     """Play `episodes` episodes; returns their report rows, each
-    {"episode", "reward", **episode_totals(records)}, with reward the
-    episode's summed reward.
+    {"episode", "reward", **episode_totals(records)}, with episode the
+    env's episode number and reward the episode's summed reward.
 
     act(state) -> raw action.  learn(state, action, reward, next_state,
     done), when given, fires after every step, and on_episode(row,
     records) after each episode; it may add keys to its row.
     """
     rows = []
-    for episode in range(episodes):
+    for _ in range(episodes):
         state = env.reset()
         total = 0.0
         done = False
@@ -129,7 +130,7 @@ def run_episodes(env, act, episodes, on_episode=None, learn=None):
                 learn(state, action, reward, next_state, done)
             state = next_state
             total += reward
-        row = {"episode": episode, "reward": float(total)}
+        row = {"episode": env.episode, "reward": float(total)}
         row.update(episode_totals(env.records))
         rows.append(row)
         if on_episode is not None:
@@ -156,16 +157,18 @@ class SaginEnv:
         self._hover_power = energy.propulsion_power(0.0, scenario.energy)
         self.world = None
         self.done = True
+        self.episode = -1
         self.records = []
         self._episode_rain_extra = 0.0
 
     def reset(self):
-        """Start a fresh episode.  The random streams run on from the
+        """Start the next episode.  The random streams run on from the
         previous episode; GD positions are part of the world and never
         resampled."""
         sc = self.scenario
         self.world = service.WorldState.start(sc, self.gd_pos)
         self.done = False
+        self.episode += 1
         self.records = []
         if sc.radio.rain_model == "weibull":
             draw = self.rng.stream("channel").weibull(2.0) * sc.radio.rain_atten
@@ -211,7 +214,7 @@ class SaginEnv:
         record = service.run_slot(world, decoded, assoc, served, sc,
                                   self._episode_rain_extra)
         record.update(
-            slot=t, generated=generated, expired=expired,
+            episode=self.episode, slot=t, generated=generated, expired=expired,
             aav_pos=clamped.tolist(), assoc=served, events=events)
         record["dc"]["generated"] = dc_generated
         record["energy"]["aav_move"] = move_energy

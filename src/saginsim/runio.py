@@ -1,7 +1,8 @@
 """Run artifacts: metrics CSV, event logs, and plot-ready exports.
 
 Events are written as JSON Lines with a meta header line (schema and the
-requested episode count) followed by one record per slot.  The json and
+requested episode count) followed by one line per slot: the slot record
+as environment.SaginEnv.step made it, "episode" included.  The json and
 csv modules write a float as its repr, so equal runs give equal bytes.
 """
 
@@ -45,11 +46,9 @@ def read_metrics_csv(path):
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _write_episode(fh, episode, records):
+def _write_records(fh, records):
     for rec in records:
-        out = dict(rec)
-        out["episode"] = int(episode)
-        fh.write(_dumps(out) + "\n")
+        fh.write(_dumps(rec) + "\n")
 
 
 def _events_header(meta):
@@ -58,12 +57,11 @@ def _events_header(meta):
     return _dumps(header) + "\n"
 
 
-def write_events_jsonl(path, meta, episode_records):
-    """episode_records: iterable of (episode, [slot records])."""
+def write_events_jsonl(path, meta, records):
+    """An event log of the meta header and the slot records."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_events_header(meta))
-        for episode, records in episode_records:
-            _write_episode(fh, episode, records)
+        _write_records(fh, records)
 
 
 def _decode_event(path, number, line):
@@ -135,14 +133,15 @@ def export_energy_breakdown(totals, out_path):
 class RunTail:
     """What energy.csv and trajectories.csv need of a run's slot records:
     running totals over all of them, and the slot and AAV positions of
-    the last episode's."""
+    the last episode's; a record without "episode" is of episode 0."""
 
     def __init__(self):
         self.totals = Totals()
         self.episode = None
         self.track = []
 
-    def add(self, episode, rec):
+    def add(self, rec):
+        episode = rec.get("episode", 0)
         if episode != self.episode:
             self.episode, self.track = episode, []
         self.totals.add(rec)
@@ -192,10 +191,10 @@ class RunWriter:
             self._open(list(row))
         self._csv.writerow(row)
         self._metrics.flush()
-        _write_episode(self._events, row["episode"], records)
+        _write_records(self._events, records)
         self._events.flush()
         for rec in records:
-            self.tail.add(row["episode"], rec)
+            self.tail.add(rec)
 
     def __exit__(self, *exc):
         for fh in (self._metrics, self._events):

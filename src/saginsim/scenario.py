@@ -49,7 +49,8 @@ class RadioParams:
         ("carrier_freq los_n1 los_n2 power_gd power_aav power_sat "
          "bandwidth_aav bandwidth_sat antenna_gain_aav antenna_gain_sat "
          "rate_floor", *POSITIVE),
-        ("noise_psd", math.isfinite, "a finite value"),
+        # 10 ** (noise_psd / 10) stays a finite, nonzero float
+        ("noise_psd", lambda v: -3000 <= v <= 3000, "a value in [-3000, 3000]"),
         ("excess_los excess_nlos rain_atten", *NONNEGATIVE),
         ("rain_model", lambda v: v in ("fixed", "weibull"),
          "fixed or weibull"))
@@ -97,9 +98,12 @@ class EnergyParams:
     rotor_area: float = 0.503         # m^2
     sat_energy_per_cycle: float = 8.2e-9  # J/cycle on the satellite server
 
-    RANGES = (("blade_power induced_power tip_speed rotor_velocity "
-               "drag_ratio air_density rotor_solidity rotor_area "
-               "sat_energy_per_cycle", *POSITIVE),)
+    RANGES = (("blade_power induced_power drag_ratio air_density "
+               "rotor_solidity rotor_area sat_energy_per_cycle", *POSITIVE),
+              # squared in the propulsion power, so neither over- nor
+              # underflows there
+              ("tip_speed rotor_velocity", lambda v: 1e-150 < v < 1e150,
+               "a value in (1e-150, 1e150)"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,8 +142,11 @@ class Scenario:
 
     RANGES = (
         ("n_aavs n_gds max_served horizon", *AT_LEAST_ONE),
-        ("aav_altitude sat_altitude safe_distance max_speed slot_length",
-         *POSITIVE),
+        ("sat_altitude safe_distance slot_length", *POSITIVE),
+        # squared in the GD-AAV distances
+        ("aav_altitude", lambda v: 0 < v < 1e150, "a value in (0, 1e150)"),
+        # cubed in the propulsion power
+        ("max_speed", lambda v: 0 < v < 1e100, "a value in (0, 1e100)"),
         # finite spans keep every point of the area finite
         ("area_bounds", lambda b: 0 < b[2] - b[0] < math.inf
          and 0 < b[3] - b[1] < math.inf,

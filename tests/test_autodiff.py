@@ -110,6 +110,12 @@ def test_he_init_scale():
     assert np.all(net.params[1] == 0.0)
 
 
+@pytest.mark.parametrize("widths", [[], [3]])
+def test_mlp_needs_input_and_output_widths(widths):
+    with pytest.raises(ValueError):
+        Mlp(widths)
+
+
 def test_set_arrays_validates():
     net = Mlp([2, 2])
     with pytest.raises(ValueError):

@@ -145,6 +145,12 @@ def test_rate_rejects_bad_allocation():
         channel.g2a_rate(1e-9, 0.0, 0.0, N0, RADIO)
     with pytest.raises(InvalidAllocation):
         channel.g2a_rate(1e-9, 1e6, -1.0, N0, RADIO)
+    with pytest.raises(InvalidAllocation):
+        channel.a2g_rate(1e-9, 1e6, N0, RadioParams(power_aav=0.0))
+    with pytest.raises(InvalidAllocation):
+        channel.sat_link_rates(8.0e5, 0, N0, RADIO)
+    with pytest.raises(DegenerateGeometry):
+        channel.sat_link_rates(0.0, 1, N0, RADIO)
 
 
 def test_sat_attenuation_formula():
@@ -223,9 +229,10 @@ def test_interference_field_unserved_gds_silent():
 def test_interference_field_rejects_double_assignment():
     aav = np.array([[0.0, 0.0, 100.0], [300.0, 0.0, 100.0]])
     gd = np.array([[10.0, 0.0, 0.0]])
-    assoc = np.array([[1], [1]])
-    with pytest.raises(InvalidAllocation):
-        channel.InterferenceField(aav, gd, assoc, RADIO)
+    # a GD served twice, and entries that are not 0/1
+    for assoc in ([[1], [1]], [[2], [0]], [[-1], [0]]):
+        with pytest.raises(InvalidAllocation):
+            channel.InterferenceField(aav, gd, np.array(assoc), RADIO)
 
 
 def loop_interference(gains, association, power_gd):

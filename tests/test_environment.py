@@ -277,8 +277,9 @@ def test_default_config_env_smoke():
     assert math.isfinite(r)
     assert not done
     rec = env.records[0]
-    assert set(rec) == {"slot", "generated", "expired", "skipped", "aav_pos",
-                        "assoc", "tasks", "dc", "energy", "events", "reward"}
+    assert set(rec) == {"episode", "slot", "generated", "expired", "skipped",
+                        "aav_pos", "assoc", "tasks", "dc", "energy", "events",
+                        "reward"}
     assert set(rec["dc"]) == {"generated", "dc_time", "collected",
                               "delivered", "from_gds", "buffers"}
     assert set(rec["energy"]) == {"aav_move", "aav_compute", "gd_tx",

@@ -122,18 +122,14 @@ def test_run_writer_rejects_a_key_the_header_lacks(tmp_path):
 def test_events_jsonl_round_trip(tmp_path):
     env, _ = finished_env()
     path = tmp_path / "events.jsonl"
-    runio.write_events_jsonl(path, {"seed": 5}, [(0, env.records)])
+    runio.write_events_jsonl(path, {"seed": 5}, env.records)
     meta, records = runio.read_events_jsonl(path)
     assert meta["schema"] == runio.EVENTS_SCHEMA
     assert meta["seed"] == 5
     assert len(records) == len(env.records)
     assert all(rec["episode"] == 0 for rec in records)
     assert [rec["slot"] for rec in records] == list(range(len(env.records)))
-    # deep equality after the episode tag is dropped
-    for got, want in zip(records, env.records):
-        got = dict(got)
-        got.pop("episode")
-        assert got == want
+    assert records == env.records
 
 
 def test_events_jsonl_rejects_bad_schema(tmp_path):
@@ -152,9 +148,8 @@ def test_export_trajectories_final_episode_only(tmp_path):
     last, _ = finished_env(seed=6)
     assert first.records[0]["aav_pos"] != last.records[0]["aav_pos"]
     tail = runio.RunTail()
-    for episode, env in enumerate((first, last)):
-        for rec in env.records:
-            tail.add(episode, rec)
+    for rec in first.records + [dict(rec, episode=1) for rec in last.records]:
+        tail.add(rec)
     tail.write(tmp_path)
     lines = (tmp_path / "trajectories.csv").read_text().splitlines()
     assert lines[0] == "slot,aav,x,y,is_start,is_end"

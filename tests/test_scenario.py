@@ -6,8 +6,8 @@ import pytest
 from saginsim.cli import _build_hyper
 from saginsim.errors import ConfigInvalid, ConfigSyntax
 from saginsim.scenario import (
-    RadioParams, Scenario, SeededRng, load_scenario, sample_gd_positions,
-    scenario_to_text, validate_scenario)
+    EnergyParams, RadioParams, Scenario, SeededRng, load_scenario,
+    sample_gd_positions, scenario_to_text, validate_scenario)
 from saginsim.trainer import Hyper
 
 # every group of run values and the prefix of its keys
@@ -123,6 +123,17 @@ def test_no_key_replaces_a_table_or_a_scalar(tmp_path, text, overrides,
     ("initial_aav_positions", dict(
         n_aavs=2, area_bounds=(-500.0, -500.0, 500.0, 500.0),
         initial_aav_positions=((-250.0, -250.0), (900.0, 250.0)))),
+    # values that would overflow, or underflow into a division by zero,
+    # in the distances, the propulsion power or the noise power
+    ("aav_altitude", dict(aav_altitude=1e200, sat_altitude=1e201)),
+    ("max_speed", dict(max_speed=1e120)),
+    ("energy.tip_speed", dict(energy=EnergyParams(tip_speed=1e200))),
+    ("energy.tip_speed", dict(energy=EnergyParams(tip_speed=1e-200))),
+    ("energy.rotor_velocity", dict(energy=EnergyParams(rotor_velocity=1e200))),
+    ("energy.rotor_velocity",
+     dict(energy=EnergyParams(rotor_velocity=1e-200))),
+    ("radio.noise_psd", dict(radio=RadioParams(noise_psd=4000.0))),
+    ("radio.noise_psd", dict(radio=RadioParams(noise_psd=-4000.0))),
 ])
 def test_validation_names_field(field, kwargs):
     with pytest.raises(ConfigInvalid) as err:

@@ -6,7 +6,7 @@ import pytest
 from saginsim.diffusion import (DiffusionPolicy, VarianceSchedule,
                                 weighted_denoise_loss)
 from saginsim.environment import SaginEnv, run_episodes
-from saginsim.errors import ConfigInvalid
+from saginsim.errors import ConfigInvalid, NonFiniteGradient
 from saginsim.nets import autodiff
 from saginsim.nets.mlp import Mlp, load_checkpoint
 from saginsim.nets.optim import Adam
@@ -387,6 +387,21 @@ def test_critic_update_zero_loss_at_fixpoint():
     batch = make_batch(n=4)
     losses = critic_update(batch, np.zeros(4), critics, opt1, opt2)
     assert losses == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_critic_update_rejects_a_non_finite_loss(bad):
+    critics = TwinCritics(S_DIM, A_DIM, (4,), np.random.default_rng(8))
+    opt1 = Adam(critics.q1.params, 1e-2)
+    opt2 = Adam(critics.q2.params, 1e-2)
+    params = critics.q1.params + critics.q2.params
+    before = [p.copy() for p in params]
+    with pytest.raises(NonFiniteGradient):
+        critic_update(make_batch(n=4), np.array([0.0, bad, 0.0, 0.0]),
+                      critics, opt1, opt2)
+    # raised before either critic stepped
+    assert all((p == q).all() for p, q in zip(params, before))
+    assert opt1.t == opt2.t == 0
 
 
 def make_actor_setup(seed=9):
