@@ -15,7 +15,6 @@ Acting, the TD targets and the actor's V estimate all score sampled
 candidates with a Q function through sample_candidates.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -25,58 +24,28 @@ from .nets import autodiff
 from .nets.mlp import Mlp
 
 
-@dataclasses.dataclass
-class VarianceSchedule:
-    """Forward-process noise schedule, steps indexed 1..n_steps."""
-    betas: np.ndarray
-
-    def __post_init__(self):
-        self.betas = np.asarray(self.betas, dtype=np.float64)
-        if self.betas.ndim != 1 or len(self.betas) < 1:
-            raise ValueError("need a 1-D beta schedule")
-        if np.any(self.betas <= 0.0) or np.any(self.betas >= 1.0):
-            raise ValueError("betas must sit strictly inside (0, 1)")
-        if np.any(np.diff(self.betas) < 0.0):
-            raise ValueError("betas must be nondecreasing")
-        self.alphas = 1.0 - self.betas
-        self.alpha_bars = np.cumprod(self.alphas)
-
-    @classmethod
-    def linear(cls, n_steps=10, beta_start=1.0e-4, beta_end=0.02):
-        return cls(np.linspace(beta_start, beta_end, n_steps))
-
-    @property
-    def n_steps(self):
-        return len(self.betas)
-
-    def beta(self, n):
-        return float(self.betas[n - 1])
-
-    def alpha(self, n):
-        return float(self.alphas[n - 1])
-
-    def alpha_bar(self, n):
-        """Cumulative signal retention up to step n."""
-        return float(self.alpha_bars[n - 1])
-
-
-def forward_diffuse(actions, steps, noise, schedule):
+def forward_diffuse(actions, steps, noise, alpha_bars):
     """x_n = sqrt(abar_n) a0 + sqrt(1 - abar_n) eps for each row of the
     (batch, dim) actions and noise, with steps the (batch,) array of
-    their steps in 1..n_steps."""
-    abar = schedule.alpha_bars[steps - 1][:, None]
+    their steps in 1..N and alpha_bars the policy's (N,) abar_1..abar_N."""
+    abar = alpha_bars[steps - 1][:, None]
     return np.sqrt(abar) * actions + np.sqrt(1.0 - abar) * noise
 
 
 class DiffusionPolicy:
-    """A denoiser of the given dtype (float64 unless given); sampling runs
-    in that dtype, with every noise draw taken in float64 and then cast."""
+    """A denoiser of the given dtype (float64 unless given) and its linear
+    forward-process schedule over steps 1..n_steps: betas from beta_start
+    to beta_end, alphas = 1 - betas and their running products alpha_bars,
+    all float64 and indexed n - 1.  Sampling runs in the denoiser's dtype,
+    with every noise draw taken in float64 and then cast."""
 
-    def __init__(self, state_dim, action_dim, hidden_widths, schedule, rng,
-                 dtype=np.float64):
+    def __init__(self, state_dim, action_dim, hidden_widths, n_steps,
+                 beta_start, beta_end, rng, dtype=np.float64):
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self.schedule = schedule
+        self.betas = np.linspace(beta_start, beta_end, n_steps)
+        self.alphas = 1.0 - self.betas
+        self.alpha_bars = np.cumprod(self.alphas)
         widths = [action_dim + state_dim + 1] + list(hidden_widths) + [action_dim]
         self.denoiser = Mlp(widths, rng, dtype)
 
@@ -86,7 +55,7 @@ class DiffusionPolicy:
 
     def _inputs(self, noisy, states, steps):
         """The denoiser's input rows [noisy | state | n / N]."""
-        frac = (steps / self.schedule.n_steps)[:, None]
+        frac = (steps / len(self.betas))[:, None]
         return np.concatenate([noisy, states, frac], axis=1)
 
     def sample_batch(self, states, rng, squash=True):
@@ -105,16 +74,17 @@ class DiffusionPolicy:
         a, s = self.action_dim, self.state_dim
         w_x, w_n = w[:a], w[a + s]
         state_proj = states @ w[a:a + s] + self.denoiser.params[1]
+        n_steps = len(self.betas)
         x = rng.standard_normal((batch, a)).astype(dtype, copy=False)
-        for n in range(self.schedule.n_steps, 0, -1):
+        for n in range(n_steps, 0, -1):
             pre = x @ w_x
             pre += state_proj
-            pre += (n / self.schedule.n_steps) * w_n
+            pre += (n / n_steps) * w_n
             eps = self.denoiser.forward_from(pre)
-            beta = self.schedule.beta(n)
-            abar = self.schedule.alpha_bar(n)
+            beta = float(self.betas[n - 1])
+            abar = float(self.alpha_bars[n - 1])
             mean = (x - beta / math.sqrt(1.0 - abar) * eps) \
-                / math.sqrt(self.schedule.alpha(n))
+                / math.sqrt(float(self.alphas[n - 1]))
             if n > 1:
                 noise = rng.standard_normal(x.shape).astype(dtype, copy=False)
                 x = mean + math.sqrt(beta) * noise
@@ -143,9 +113,9 @@ def weighted_denoise_loss(policy, states, actions, weights, rng):
     actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
     batch = len(states)
     weights = _check_weights(weights, batch)
-    steps = rng.integers(1, policy.schedule.n_steps + 1, size=batch)
+    steps = rng.integers(1, len(policy.betas) + 1, size=batch)
     noise = rng.standard_normal(actions.shape)
-    noisy = forward_diffuse(actions, steps, noise, policy.schedule)
+    noisy = forward_diffuse(actions, steps, noise, policy.alpha_bars)
     pred, tape = policy.denoiser.forward_tape(
         policy._inputs(noisy, states, steps))
     resid = noise - pred

@@ -8,7 +8,8 @@ batch in the buffer, run one critic update on a replay batch and one
 actor update on the (state, action) pairs of a second replay batch,
 followed by soft target blending.  Critics are twins; TD targets
 bootstrap through the minimum of the two target critics evaluated at the
-target policy's sample-and-argmax action.
+target policy's sample-and-argmax action.  One Adam steps the actor and
+one steps both critics.
 
 Actor updates weight the denoising loss by the positive advantage
 max(Q - V, 0), with V the mean critic value over fresh policy samples,
@@ -154,13 +155,16 @@ class RingBuffer:
 
 class TwinCritics:
     """Two critics and their targets, nets of dtype (float64 unless
-    given); min_q and min_target_q return float64 values."""
+    given); min_q and min_target_q return float64 values.  params and
+    target_params list q1's arrays, then q2's, of online and target nets."""
 
     def __init__(self, state_dim, action_dim, widths, rng, dtype=np.float64):
         dims = [state_dim + action_dim] + list(widths) + [1]
         self.q1 = Mlp(dims, rng, dtype)
         self.q2 = Mlp(dims, rng, dtype)
         self.q1_target, self.q2_target = copy.deepcopy((self.q1, self.q2))
+        self.params = self.q1.params + self.q2.params
+        self.target_params = self.q1_target.params + self.q2_target.params
 
     @staticmethod
     def _join(states, actions):
@@ -181,10 +185,11 @@ class TwinCritics:
 
 
 def soft_update(online, target, rate):
-    """target <- rate * online + (1 - rate) * target, elementwise."""
-    if online.widths != target.widths:
-        raise ValueError("network shapes differ")
-    for p_on, p_tg in zip(online.params, target.params):
+    """target <- rate * online + (1 - rate) * target for two lists of
+    arrays; unequal shapes raise ValueError before any array is written."""
+    if [p.shape for p in online] != [p.shape for p in target]:
+        raise ValueError("parameter shapes differ")
+    for p_on, p_tg in zip(online, target):
         p_tg[...] = rate * p_on + (1.0 - rate) * p_tg
 
 
@@ -197,13 +202,14 @@ def td_targets(batch, critics, target_policy, gamma, target_samples, rng):
     return rewards + gamma * values.max(axis=1) * (1.0 - dones)
 
 
-def critic_update(batch, targets, critics, opt1, opt2):
-    """Step both critics toward the shared targets; returns the two losses."""
+def critic_update(batch, targets, critics, opt):
+    """Step both critics toward the shared targets with opt, the Adam of
+    critics.params; returns the two losses, raising before any step."""
     states, actions, _, _, _ = batch
     x = TwinCritics._join(states, actions)
     y = np.asarray(targets, dtype=np.float64)[:, None]
-    losses = []
-    for net, opt in ((critics.q1, opt1), (critics.q2, opt2)):
+    losses, grads = [], []
+    for net in (critics.q1, critics.q2):
         pred, tape = net.forward_tape(x)
         resid = pred - y
         loss = float((resid * resid).mean())
@@ -211,8 +217,9 @@ def critic_update(batch, targets, critics, opt1, opt2):
             raise NonFiniteGradient("critic loss is not finite: %r" % loss)
         # d(loss)/d(pred); its factor order sets the rounding of every run
         d_pred = np.full(resid.shape, 1.0 / resid.size) * 2.0 * resid
-        opt.step(autodiff.backward(net, tape, d_pred))
+        grads += autodiff.backward(net, tape, d_pred)
         losses.append(loss)
+    opt.step(grads)
     return losses
 
 
@@ -254,18 +261,16 @@ class QagobTrainer:
         self.env = env
         self.hyper = hyper
         net_rng = env.rng.stream("net-init")
-        schedule = diffusion.VarianceSchedule.linear(
-            self.hyper.n_denoise, self.hyper.beta_start, self.hyper.beta_end)
         self.policy = diffusion.DiffusionPolicy(
             env.state_dim, env.action_dim, self.hyper.actor_widths,
-            schedule, net_rng, NET_DTYPE)
+            self.hyper.n_denoise, self.hyper.beta_start, self.hyper.beta_end,
+            net_rng, NET_DTYPE)
         self.policy_target = copy.deepcopy(self.policy)
         self.critics = TwinCritics(env.state_dim, env.action_dim,
                                    self.hyper.critic_widths, net_rng,
                                    NET_DTYPE)
         self.opt_actor = Adam(self.policy.params, self.hyper.lr_actor)
-        self.opt_q1 = Adam(self.critics.q1.params, self.hyper.lr_critic)
-        self.opt_q2 = Adam(self.critics.q2.params, self.hyper.lr_critic)
+        self.opt_critics = Adam(self.critics.params, self.hyper.lr_critic)
         self.replay = RingBuffer(self.hyper.replay_capacity)
         self.total_steps = 0
         self._loss_sums, self._loss_counts = [0.0, 0.0], [0, 0]
@@ -285,17 +290,17 @@ class QagobTrainer:
         targets = td_targets(batch, self.critics, self.policy_target,
                              h.gamma, h.target_samples, t_rng)
         closses = critic_update(batch, targets, self.critics,
-                                self.opt_q1, self.opt_q2)
+                                self.opt_critics)
         aloss = None
         if len(self.replay) >= h.n_policy_samples:
             states, acts, _, _, _ = self.replay.sample(h.n_policy_samples,
                                                        t_rng)
             aloss = actor_update(self.policy, self.critics, states, acts,
                                  h, t_rng, self.opt_actor)
-            soft_update(self.policy.denoiser, self.policy_target.denoiser,
+            soft_update(self.policy.params, self.policy_target.params,
                         h.soft_rate)
-        soft_update(self.critics.q1, self.critics.q1_target, h.soft_rate)
-        soft_update(self.critics.q2, self.critics.q2_target, h.soft_rate)
+        soft_update(self.critics.params, self.critics.target_params,
+                    h.soft_rate)
         return sum(closses) / 2.0, aloss
 
     def learn(self, state, action, reward, next_state, done):
@@ -329,7 +334,7 @@ class QagobTrainer:
     def checkpoint(self, path, meta=None):
         save_checkpoint(path, self.acting_nets(), {
             "seed": self.env.seed, "total_steps": self.total_steps,
-            "betas": list(self.policy.schedule.betas), **(meta or {})})
+            "betas": list(self.policy.betas), **(meta or {})})
 
     @classmethod
     def from_checkpoint(cls, path, env, hyper):
@@ -356,7 +361,7 @@ class QagobTrainer:
             what = "betas %r" % (betas,) if "beta" in exc.field else "widths"
             raise CheckpointInvalid(path, "%s: %s" % (what, exc)) from None
         agent = cls(env, hyper)
-        if agent.policy.schedule.betas.tolist() != betas:
+        if agent.policy.betas.tolist() != betas:
             raise not_linear
         for name, net in agent.acting_nets().items():
             if nets[name].widths != net.widths:

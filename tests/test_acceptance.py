@@ -235,9 +235,8 @@ def _grad_config(idx):
     action_dim = int(rng.integers(2, 4))
     hidden = int(rng.integers(4, 9))
     batch = 3
-    schedule = diffusion.VarianceSchedule.linear(3)
-    policy = diffusion.DiffusionPolicy(state_dim, action_dim, (hidden,),
-                                       schedule, rng)
+    policy = diffusion.DiffusionPolicy(state_dim, action_dim, (hidden,), 3,
+                                       1.0e-4, 0.02, rng)
     critic = Mlp([state_dim + action_dim, hidden, 1], rng)
     assert policy.denoiser.num_params() <= 1000
     assert critic.num_params() <= 1000
@@ -324,16 +323,18 @@ def test_accept_gradient_checks():
 
 
 def test_accept_diffusion_statistics():
-    schedule = diffusion.VarianceSchedule.linear()
+    h = Hyper()
+    policy = diffusion.DiffusionPolicy(3, 2, (8,), h.n_denoise, h.beta_start,
+                                       h.beta_end, np.random.default_rng(14))
     rng = np.random.default_rng(404)
     a0 = rng.uniform(-0.9, 0.9, 3)
     draws = 20000
     a0_batch = np.tile(a0, (draws, 1))
-    for n in range(1, schedule.n_steps + 1):
+    for n in range(1, len(policy.betas) + 1):
         noise = rng.standard_normal((draws, 3))
         x = diffusion.forward_diffuse(a0_batch, np.full(draws, n), noise,
-                                      schedule)
-        abar = schedule.alpha_bar(n)
+                                      policy.alpha_bars)
+        abar = float(policy.alpha_bars[n - 1])
         se_mean = math.sqrt((1.0 - abar) / draws)
         for k in range(3):
             want = math.sqrt(abar) * a0[k]
@@ -343,8 +344,6 @@ def test_accept_diffusion_statistics():
         se_var = (1.0 - abar) * math.sqrt(2.0 / (resid.size - 1))
         assert abs(var - (1.0 - abar)) <= 3.0 * se_var, n
 
-    policy = diffusion.DiffusionPolicy(3, 2, (8,), schedule,
-                                       np.random.default_rng(14))
     states = rng.standard_normal((100000, 3))
     samples = policy.sample_batch(states, rng)
     assert samples.shape == (100000, 2)
@@ -369,8 +368,7 @@ def test_accept_selection_and_targets():
     assert np.array_equal(w, np.maximum(q - v, 0.0))
     assert np.array_equal(diffusion.q_weights(v - 1.0, v), np.zeros(100))
 
-    schedule = diffusion.VarianceSchedule.linear(5)
-    policy = diffusion.DiffusionPolicy(3, 2, (8, 8), schedule,
+    policy = diffusion.DiffusionPolicy(3, 2, (8, 8), 5, 1.0e-4, 0.02,
                                        np.random.default_rng(16))
     critic = Mlp([5, 8, 1], np.random.default_rng(17))
 
@@ -416,10 +414,10 @@ def test_accept_selection_and_targets():
     online = Mlp([3, 4, 2], np.random.default_rng(20))
     target = Mlp([3, 4, 2], np.random.default_rng(21))
     before = target.get_arrays()
-    soft_update(online, target, 0.0)
+    soft_update(online.params, target.params, 0.0)
     for arr, prev in zip(target.get_arrays(), before):
         assert np.array_equal(arr, prev)
-    soft_update(online, target, 1.0)
+    soft_update(online.params, target.params, 1.0)
     for arr, cur in zip(target.get_arrays(), online.get_arrays()):
         assert np.array_equal(arr, cur)
     print("[acceptance] selection/target mechanics PASS (z=%.1f)" % z)

@@ -128,7 +128,7 @@ def test_adam_single_step_reference():
     # one Adam step from zero moments: delta = lr * g / (|g| + eps)
     p = np.array([1.0, -2.0])
     g = np.array([0.5, -1.5])
-    opt = Adam([p], lr=0.1, eps=1e-8)
+    opt = Adam([p], lr=0.1)
     opt.step([g])
     m_hat = g  # bias correction cancels at t=1
     v_hat = g ** 2
@@ -184,6 +184,18 @@ def test_adam_converges_on_quadratic():
     for _ in range(500):
         opt.step([2.0 * p])  # the gradient of sum(p^2)
     assert abs(p.item()) < 1e-2
+
+
+def test_adam_rejected_step_changes_nothing():
+    """A non-finite gradient anywhere raises before t, a moment or a
+    parameter changes, even when an earlier parameter's is finite."""
+    params = [np.array([1.0]), np.array([1.0])]
+    opt = Adam(params, lr=0.1)
+    with pytest.raises(NonFiniteGradient):
+        opt.step([np.array([1.0]), np.array([np.nan])])
+    assert opt.t == 0
+    assert [p.item() for p in params] == [1.0, 1.0]
+    assert [a.item() for a in opt.m + opt.v] == [0.0] * 4
 
 
 def test_adam_rejects_nan():

@@ -243,7 +243,7 @@ def test_train_eval_export_pipeline(tmp_path, config_path):
     agent = QagobTrainer.from_checkpoint(
         ckpt, SaginEnv(load_scenario(config_path), 0), Hyper())
     assert len(meta["betas"]) == 2           # TINY_HYPER's n_denoise
-    assert agent.policy.schedule.betas.tolist() == meta["betas"]
+    assert agent.policy.betas.tolist() == meta["betas"]
     for name, net in (("actor", agent.policy.denoiser),
                       ("q1", agent.critics.q1), ("q2", agent.critics.q2)):
         assert net.widths == nets[name].widths

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from saginsim.diffusion import (DiffusionPolicy, VarianceSchedule,
-                                behavior_select, forward_diffuse, q_weights,
+from saginsim.diffusion import (DiffusionPolicy, behavior_select,
+                                forward_diffuse, q_weights,
                                 weighted_denoise_loss)
 from saginsim.errors import InvalidWeight, SamplerDiverged
 from saginsim.nets.mlp import Mlp
@@ -13,62 +13,50 @@ STATE_DIM, ACTION_DIM = 3, 2
 
 
 def make_policy(rng=None, hidden=(8,), n_steps=10):
-    sched = VarianceSchedule.linear(n_steps)
-    return DiffusionPolicy(STATE_DIM, ACTION_DIM, hidden, sched, rng)
+    return DiffusionPolicy(STATE_DIM, ACTION_DIM, hidden, n_steps, 1.0e-4,
+                           0.02, rng)
 
 
 def test_linear_schedule_values():
-    s = VarianceSchedule.linear(10, 1.0e-4, 0.02)
-    assert s.n_steps == 10
-    assert s.beta(1) == pytest.approx(1.0e-4)
-    assert s.beta(10) == pytest.approx(0.02)
+    s = make_policy()
+    assert len(s.betas) == 10
+    assert s.betas[0] == pytest.approx(1.0e-4)
+    assert s.betas[9] == pytest.approx(0.02)
     np.testing.assert_allclose(np.diff(s.betas),
                                np.full(9, (0.02 - 1e-4) / 9), rtol=1e-12)
-    assert s.alpha(1) == pytest.approx(1.0 - 1e-4)
-    assert s.alpha_bar(1) == pytest.approx(0.9999)
+    assert s.alphas[0] == pytest.approx(1.0 - 1e-4)
+    assert s.alpha_bars[0] == pytest.approx(0.9999)
     # nearly all signal survives the first step
-    assert math.sqrt(s.alpha_bar(1)) == pytest.approx(0.99995, abs=1e-6)
+    assert math.sqrt(s.alpha_bars[0]) == pytest.approx(0.99995, abs=1e-6)
     expect = np.cumprod(1.0 - s.betas)
     for n in range(1, 11):
-        assert s.alpha_bar(n) == pytest.approx(expect[n - 1], rel=1e-12)
-    assert np.all(np.diff([1.0] + [s.alpha_bar(n) for n in range(1, 11)])
-                  < 0.0)
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        VarianceSchedule(np.array([0.1, 0.05]))  # decreasing
-    with pytest.raises(ValueError):
-        VarianceSchedule(np.array([0.0, 0.1]))   # zero beta
-    with pytest.raises(ValueError):
-        VarianceSchedule(np.array([0.5, 1.0]))   # beta at one
-    with pytest.raises(ValueError):
-        VarianceSchedule(np.ones((2, 2)) * 0.1)  # not 1-D
-    VarianceSchedule(np.array([0.1, 0.1]))       # flat is allowed
+        assert s.alpha_bars[n - 1] == pytest.approx(expect[n - 1], rel=1e-12)
+    assert np.all(np.diff([1.0] + list(s.alpha_bars)) < 0.0)
 
 
 def test_forward_diffuse_formula():
-    s = VarianceSchedule.linear(10)
+    s = make_policy()
     a = np.array([[0.5, -0.25]])
     eps = np.array([[1.0, 2.0]])
     for n in (1, 4, 10):
-        out = forward_diffuse(a, np.array([n]), eps, s)
-        abar = s.alpha_bar(n)
+        out = forward_diffuse(a, np.array([n]), eps, s.alpha_bars)
+        abar = s.alpha_bars[n - 1]
         np.testing.assert_allclose(
             out, math.sqrt(abar) * a + math.sqrt(1 - abar) * eps, rtol=1e-12)
 
 
 def test_forward_diffuse_batch_rows_independent():
-    s = VarianceSchedule.linear(10)
+    s = make_policy()
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 3))
     eps = rng.standard_normal((4, 3))
     steps = np.array([1, 3, 7, 10])
-    out = forward_diffuse(a, steps, eps, s)
+    out = forward_diffuse(a, steps, eps, s.alpha_bars)
     for i in range(len(steps)):
         np.testing.assert_array_equal(
             out[i:i + 1],
-            forward_diffuse(a[i:i + 1], steps[i:i + 1], eps[i:i + 1], s))
+            forward_diffuse(a[i:i + 1], steps[i:i + 1], eps[i:i + 1],
+                            s.alpha_bars))
 
 
 def test_samples_squashed_into_unit_box():
@@ -94,11 +82,10 @@ def test_zero_denoiser_variance_recursion():
     """With a zero denoiser the reverse chain is a known Gaussian."""
     n_steps = 10
     policy = make_policy(rng=None, hidden=(4,), n_steps=n_steps)  # all-zero net
-    s = policy.schedule
     v = 1.0
     for n in range(n_steps, 1, -1):
-        v = v / s.alpha(n) + s.beta(n)
-    v0 = v / s.alpha(1)
+        v = v / policy.alphas[n - 1] + policy.betas[n - 1]
+    v0 = v / policy.alphas[0]
     rng = np.random.default_rng(5)
     states = np.zeros((20000, STATE_DIM))
     x = policy.sample_batch(states, rng, squash=False)
@@ -133,15 +120,15 @@ def test_sampler_diverged_guard():
 
 def reference_sample(policy, states, rng):
     """The reverse chain with the full denoiser input built every step."""
-    sched = policy.schedule
     x = rng.standard_normal((len(states), policy.action_dim))
-    for n in range(sched.n_steps, 0, -1):
+    for n in range(len(policy.betas), 0, -1):
+        beta = policy.betas[n - 1]
         eps = policy.denoiser.forward(
             policy._inputs(x, states, np.full(len(x), n)))
-        mean = (x - sched.beta(n) / np.sqrt(1.0 - sched.alpha_bar(n)) * eps) \
-            / np.sqrt(sched.alpha(n))
+        mean = (x - beta / np.sqrt(1.0 - policy.alpha_bars[n - 1]) * eps) \
+            / np.sqrt(policy.alphas[n - 1])
         if n > 1:
-            x = mean + np.sqrt(sched.beta(n)) * rng.standard_normal(x.shape)
+            x = mean + np.sqrt(beta) * rng.standard_normal(x.shape)
         else:
             x = mean
     return x
@@ -154,8 +141,7 @@ def reference_sample(policy, states, rng):
 ])
 @pytest.mark.parametrize("rows", ["one", "distinct", "repeated"])
 def test_sampler_matches_reference_loop(state_dim, action_dim, hidden, rows):
-    policy = DiffusionPolicy(state_dim, action_dim, hidden,
-                             VarianceSchedule.linear(10),
+    policy = DiffusionPolicy(state_dim, action_dim, hidden, 10, 1.0e-4, 0.02,
                              np.random.default_rng(40))
     states = np.random.default_rng(41).standard_normal((6, state_dim))
     states = {"one": states[:1], "distinct": states,
@@ -174,9 +160,9 @@ def test_float32_sampler_follows_the_float64_reference():
     1e-5 (about 84 float32 epsilons, fixed before the first run) of the
     float64 reference chain's."""
     init64, init32 = np.random.default_rng(40), np.random.default_rng(40)
-    sched = VarianceSchedule.linear(10)
-    p64 = DiffusionPolicy(129, 40, (256, 256), sched, init64)
-    p32 = DiffusionPolicy(129, 40, (256, 256), sched, init32, np.float32)
+    sched = (10, 1.0e-4, 0.02)
+    p64 = DiffusionPolicy(129, 40, (256, 256), *sched, init64)
+    p32 = DiffusionPolicy(129, 40, (256, 256), *sched, init32, np.float32)
     assert init32.bit_generator.state == init64.bit_generator.state
     for want, got in zip(p64.params, p32.params):
         assert got.dtype == np.float32
@@ -226,13 +212,13 @@ def test_weighted_loss_matches_hand_formula():
     loss, _ = weighted_denoise_loss(policy, states, actions, w, rng)
 
     rng2 = np.random.default_rng(16)
-    steps = rng2.integers(1, policy.schedule.n_steps + 1, size=5)
+    steps = rng2.integers(1, len(policy.betas) + 1, size=5)
     noise = rng2.standard_normal(actions.shape)
-    noisy = forward_diffuse(actions, steps, noise, policy.schedule)
+    noisy = forward_diffuse(actions, steps, noise, policy.alpha_bars)
     pred = policy.denoiser.forward(policy._inputs(noisy, states, steps))
     expect = np.mean(w * ((noise - pred) ** 2).sum(axis=1))
     assert loss == pytest.approx(expect, rel=1e-12)
-    assert np.all(steps >= 1) and np.all(steps <= policy.schedule.n_steps)
+    assert np.all(steps >= 1) and np.all(steps <= len(policy.betas))
 
 
 def test_invalid_weights_rejected():
@@ -297,8 +283,8 @@ def test_behavior_select_equals_the_inline_loop(count, q):
     action to the bit, from the same draws.  "coarse" rounds the values
     so that candidates tie, and "flat" ties them all."""
     rng = np.random.default_rng(50 + count)
-    policy = DiffusionPolicy(STATE_DIM, ACTION_DIM, (8,),
-                             VarianceSchedule.linear(4), rng, np.float32)
+    policy = DiffusionPolicy(STATE_DIM, ACTION_DIM, (8,), 4, 1.0e-4, 0.02,
+                             rng, np.float32)
     critic = Mlp([STATE_DIM + ACTION_DIM, 8, 1], rng, np.float32)
 
     def q_fn(states, actions):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from saginsim.diffusion import (DiffusionPolicy, VarianceSchedule,
-                                weighted_denoise_loss)
+from saginsim.diffusion import DiffusionPolicy, weighted_denoise_loss
 from saginsim.environment import SaginEnv, run_episodes
 from saginsim.errors import ConfigInvalid, NonFiniteGradient
 from saginsim.nets import autodiff
@@ -205,24 +204,24 @@ def test_soft_update_endpoints_and_blend():
     before_online = online.get_arrays()
     before_target = target.get_arrays()
 
-    soft_update(online, target, 0.005)
+    soft_update(online.params, target.params, 0.005)
     for b_on, b_tg, after in zip(before_online, before_target,
                                  target.get_arrays()):
         np.testing.assert_allclose(after, 0.005 * b_on + 0.995 * b_tg,
                                    rtol=1e-12)
 
-    soft_update(online, target, 0.0)  # no-op
+    soft_update(online.params, target.params, 0.0)  # no-op
     for b_on, b_tg, after in zip(before_online, before_target,
                                  target.get_arrays()):
         np.testing.assert_allclose(after, 0.005 * b_on + 0.995 * b_tg,
                                    rtol=1e-12)
 
-    soft_update(online, target, 1.0)  # full copy
+    soft_update(online.params, target.params, 1.0)  # full copy
     for b_on, after in zip(before_online, target.get_arrays()):
         np.testing.assert_allclose(after, b_on, rtol=1e-12)
 
     with pytest.raises(ValueError):
-        soft_update(online, Mlp([2, 4, 1]), 0.5)
+        soft_update(online.params, Mlp([2, 4, 1]).params, 0.5)
 
 
 @pytest.mark.parametrize("rewrite", ["set_arrays", "soft_update"])
@@ -231,15 +230,14 @@ def test_adam_steps_the_arrays_the_nets_read(rewrite):
     parameters are rewritten, a step must still move what forward and the
     sampler read, not an array the net has dropped."""
     rng = np.random.default_rng(15)
-    policy = DiffusionPolicy(S_DIM, A_DIM, (8,), VarianceSchedule.linear(3),
-                             rng)
+    policy = DiffusionPolicy(S_DIM, A_DIM, (8,), 3, 1.0e-4, 0.02, rng)
     net = policy.denoiser
     opt = Adam(policy.params, 0.1)
     source = Mlp(net.widths, rng)
     if rewrite == "set_arrays":
         net.set_arrays(source.get_arrays())
     else:
-        soft_update(source, net, 0.5)
+        soft_update(source.params, net.params, 0.5)
     x = rng.standard_normal((4, net.widths[0]))
     states = rng.standard_normal((4, S_DIM))
     out_before = net.forward(x)
@@ -255,8 +253,7 @@ def test_adam_steps_the_arrays_the_nets_read(rewrite):
     assert not np.allclose(net.forward(x), out_before)
 
     # the sampler reads the first layer directly; it must see the step
-    fresh = DiffusionPolicy(S_DIM, A_DIM, (8,), VarianceSchedule.linear(3),
-                            None)
+    fresh = DiffusionPolicy(S_DIM, A_DIM, (8,), 3, 1.0e-4, 0.02, None)
     fresh.denoiser.set_arrays(expect)
     np.testing.assert_allclose(
         policy.sample_batch(states, np.random.default_rng(16), squash=False),
@@ -332,13 +329,13 @@ def float32_learner(seed, state_dim=S_DIM, action_dim=A_DIM, hidden=(8,)):
     """A policy and twin critics of the trainer's dtype, with a target
     policy that differs from the policy."""
     rng = np.random.default_rng(seed)
-    sched = VarianceSchedule.linear(3)
-    policy = DiffusionPolicy(state_dim, action_dim, hidden, sched, rng,
+    sched = (3, 1.0e-4, 0.02)
+    policy = DiffusionPolicy(state_dim, action_dim, hidden, *sched, rng,
                              NET_DTYPE)
-    target = DiffusionPolicy(state_dim, action_dim, hidden, sched, rng,
+    target = DiffusionPolicy(state_dim, action_dim, hidden, *sched, rng,
                              NET_DTYPE)
     critics = TwinCritics(state_dim, action_dim, hidden, rng, NET_DTYPE)
-    soft_update(critics.q1, critics.q1_target, 0.5)
+    soft_update(critics.q1.params, critics.q1_target.params, 0.5)
     return policy, target, critics
 
 
@@ -366,13 +363,12 @@ def test_td_targets_equal_the_inline_loop(n, samples, dims):
 
 def test_critic_update_converges_on_frozen_batch():
     critics = TwinCritics(S_DIM, A_DIM, (16,), np.random.default_rng(8))
-    opt1 = Adam(critics.q1.params, 1e-2)
-    opt2 = Adam(critics.q2.params, 1e-2)
+    opt = Adam(critics.params, 1e-2)
     batch = make_batch(n=8)
     targets = np.linspace(-1, 1, 8)
     first = None
     for _ in range(300):
-        losses = critic_update(batch, targets, critics, opt1, opt2)
+        losses = critic_update(batch, targets, critics, opt)
         if first is None:
             first = losses
     assert losses[0] < first[0] and losses[1] < first[1]
@@ -382,32 +378,43 @@ def test_critic_update_converges_on_frozen_batch():
 
 def test_critic_update_zero_loss_at_fixpoint():
     critics = TwinCritics(S_DIM, A_DIM, (4,), None)  # all-zero nets
-    opt1 = Adam(critics.q1.params, 0.0)
-    opt2 = Adam(critics.q2.params, 0.0)
+    opt = Adam(critics.params, 0.0)
     batch = make_batch(n=4)
-    losses = critic_update(batch, np.zeros(4), critics, opt1, opt2)
+    losses = critic_update(batch, np.zeros(4), critics, opt)
     assert losses == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_critic_update_rejects_a_non_finite_loss(bad):
     critics = TwinCritics(S_DIM, A_DIM, (4,), np.random.default_rng(8))
-    opt1 = Adam(critics.q1.params, 1e-2)
-    opt2 = Adam(critics.q2.params, 1e-2)
-    params = critics.q1.params + critics.q2.params
-    before = [p.copy() for p in params]
+    opt = Adam(critics.params, 1e-2)
+    before = [p.copy() for p in critics.params]
     with pytest.raises(NonFiniteGradient):
         critic_update(make_batch(n=4), np.array([0.0, bad, 0.0, 0.0]),
-                      critics, opt1, opt2)
+                      critics, opt)
     # raised before either critic stepped
-    assert all((p == q).all() for p, q in zip(params, before))
-    assert opt1.t == opt2.t == 0
+    assert all((p == q).all() for p, q in zip(critics.params, before))
+    assert opt.t == 0
+
+
+def test_critic_update_rejects_q2_alone_before_q1_steps():
+    """Only q2's loss is non-finite: q1's pass runs first and must not
+    have stepped q1 when q2's raises."""
+    critics = TwinCritics(S_DIM, A_DIM, (4,), np.random.default_rng(8))
+    critics.q2.params[-1][...] = np.inf
+    opt = Adam(critics.params, 1e-2)
+    arrays = critics.params + critics.target_params
+    before = [p.copy() for p in arrays]
+    with pytest.raises(NonFiniteGradient, match="critic loss"):
+        critic_update(make_batch(n=4), np.zeros(4), critics, opt)
+    assert all(np.array_equal(p, q) for p, q in zip(arrays, before))
+    assert opt.t == 0
+    assert all(not m.any() and not v.any() for m, v in zip(opt.m, opt.v))
 
 
 def make_actor_setup(seed=9):
     rng = np.random.default_rng(seed)
-    sched = VarianceSchedule.linear(3)
-    policy = DiffusionPolicy(S_DIM, A_DIM, (8,), sched, rng)
+    policy = DiffusionPolicy(S_DIM, A_DIM, (8,), 3, 1.0e-4, 0.02, rng)
     critics = TwinCritics(S_DIM, A_DIM, (8,), rng)
     pairs = [(rng.standard_normal(S_DIM), rng.uniform(-1, 1, A_DIM))
              for _ in range(6)]
@@ -589,7 +596,7 @@ def test_trainer_checkpoint_round_trip(tmp_path):
     assert meta["total_steps"] == trainer.total_steps
     assert meta["note"] == "test"
     np.testing.assert_allclose(meta["betas"],
-                               trainer.policy.schedule.betas)
+                               trainer.policy.betas)
     # the header's widths are the architecture eval rebuilds from
     assert nets["actor"].widths[1:-1] == list(trainer.hyper.actor_widths)
     assert nets["q1"].widths[1:-1] == list(trainer.hyper.critic_widths)
@@ -613,12 +620,12 @@ def test_trainer_networks_stay_float32(tmp_path, monkeypatch):
     # horizon 5, batch 4, warmup 4: one update, in the last step
     trainer = QagobTrainer(env, tiny_hyper(warmup_steps=4))
     play_episode(trainer)
-    assert trainer.opt_q1.t == trainer.opt_actor.t == 1 and grads
+    assert trainer.opt_critics.t == trainer.opt_actor.t == 1 and grads
     nets = [trainer.policy.denoiser, trainer.policy_target.denoiser,
             trainer.critics.q1, trainer.critics.q2,
             trainer.critics.q1_target, trainer.critics.q2_target]
     arrays = [p for net in nets for p in net.params]
-    for opt in (trainer.opt_actor, trainer.opt_q1, trainer.opt_q2):
+    for opt in (trainer.opt_actor, trainer.opt_critics):
         arrays += opt.m + opt.v
     arrays += [g for net_grads in grads for g in net_grads]
     states = np.stack([env.reset()] * 3)
