@@ -21,6 +21,7 @@ and checkpoint is checked before anything is written.
 """
 
 import argparse
+import ctypes
 import dataclasses
 import os
 import sys
@@ -292,7 +293,38 @@ def build_parser():
     return parser
 
 
+M_TRIM_THRESHOLD = -1    # glibc's malloc.h parameter numbers
+M_MMAP_THRESHOLD = -3
+
+
+def _hold_heap():
+    """On glibc, keep freed heap memory instead of trimming it; returns
+    whether both mallopt calls succeeded, and does nothing elsewhere.
+
+    glibc's dynamic thresholds return the heap top to the kernel whenever
+    it swings past twice the largest mmapped block freed so far, and a
+    training update then faults it back in, about 4,000 pages per
+    update.  Fixed thresholds end that: blocks under 1 MiB (the sampler's
+    512 KB arrays among them) come from the heap, and up to 256 MiB of
+    free top stays mapped.  Setting either one freezes the other at its
+    default, whose 128 KiB mmap threshold would map and fault the sampler
+    arrays on every step, so both are set.  The values change no result.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, ValueError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_ok = mallopt(M_MMAP_THRESHOLD, 1 << 20) == 1
+    trim_ok = mallopt(M_TRIM_THRESHOLD, 256 << 20) == 1
+    return mmap_ok and trim_ok
+
+
 def main(argv=None):
+    _hold_heap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

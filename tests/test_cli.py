@@ -1,10 +1,14 @@
 import csv
+import ctypes
 import gc
 import json
 import math
 import os
 import pathlib
+import platform
 import re
+import subprocess
+import sys
 import tomllib
 import weakref
 
@@ -998,3 +1002,113 @@ def test_finished_episodes_are_released(tmp_path, config_path):
     gc.collect()
     assert [ref() is not None for ref in refs[:-1]] == [False, False]
     check_run_outputs(str(tmp_path / "base"), [0], 3)
+
+
+ON_GLIBC = platform.libc_ver()[0] == "glibc"
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def run_python(code, *args):
+    """The stdout of `python -c code args` run on this saginsim, in its own
+    process so that the heap setting never reaches the test process."""
+    path = [PACKAGE_ROOT] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+FAULTS_PER_UPDATE = """
+import json, resource, sys
+import numpy as np
+from saginsim import cli
+from saginsim.environment import SaginEnv
+from saginsim.scenario import load_scenario
+from saginsim.trainer import Hyper, QagobTrainer
+
+assert cli._hold_heap()
+env = SaginEnv(load_scenario(sys.argv[1]), 0)
+trainer = QagobTrainer(env, Hyper())
+rng = np.random.default_rng(0)
+state = env.reset()
+for _ in range(300):
+    action = rng.uniform(-1.0, 1.0, env.action_dim)
+    next_state, reward, done, _ = env.step(action)
+    trainer.replay.push(state, action, reward, next_state, done)
+    state = next_state
+for _ in range(3):
+    trainer.update()
+faults = []
+for _ in range(20):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    trainer.update()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not ON_GLIBC, reason="mallopt is glibc's")
+def test_hold_heap_keeps_updates_from_faulting():
+    # without the setting a default-scale update takes about 4,000 minor
+    # page faults, as glibc trims the heap top and grows it back
+    faults = json.loads(run_python(FAULTS_PER_UPDATE,
+                                   str(CONFIGS / "default.toml")))
+    assert len(faults) == 20 and max(faults) < 50, faults
+
+
+TRAIN_DEFAULT = """
+import sys
+from saginsim import cli
+if sys.argv[1] == "off":
+    cli._hold_heap = lambda: False
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_heap_setting_changes_no_output(tmp_path):
+    # warmup 280 of the 300 slots leaves about 20 updates
+    outs = {}
+    for heap in ("on", "off"):
+        outs[heap] = tmp_path / heap
+        run_python(TRAIN_DEFAULT, heap, "train", "--config",
+                   str(CONFIGS / "default.toml"), "--seed", "0",
+                   "--episodes", "1", "--override", "hyper.warmup_steps=280",
+                   "--out", str(outs[heap]), "--quiet")
+    for name in ("metrics.csv", "events.jsonl", "energy.csv",
+                 "trajectories.csv", "checkpoints/final.npz"):
+        on, off = (outs[heap] / "seed0" / name for heap in ("on", "off"))
+        assert on.read_bytes() == off.read_bytes(), name
+
+
+def test_hold_heap_is_a_no_op_without_mallopt(monkeypatch):
+    def no_library(_name):
+        raise OSError("no libc")
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert cli._hold_heap() is False
+    monkeypatch.setattr(ctypes, "CDLL", lambda _name: object())
+    assert cli._hold_heap() is False
+
+
+COUNT_MALLOPT_LOOKUPS = """
+import ctypes, json
+lookups = []
+
+class Spy(ctypes.CDLL):
+    def __getattr__(self, name):
+        if name == "mallopt":
+            lookups.append(name)
+        return super().__getattr__(name)
+
+ctypes.CDLL = Spy
+import saginsim.cli
+at_import = len(lookups)
+held = saginsim.cli._hold_heap()
+print(json.dumps([at_import, len(lookups), held]))
+"""
+
+
+def test_importing_cli_leaves_the_heap_alone():
+    at_import, after_call, held = json.loads(run_python(COUNT_MALLOPT_LOOKUPS))
+    assert at_import == 0
+    assert (after_call, held) == ((1, True) if ON_GLIBC else (0, False))
