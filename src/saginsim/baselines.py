@@ -40,13 +40,15 @@ def greedy_action(env, rng):
 POLICIES = {"random": random_action, "greedy": greedy_action}
 
 
-def run_baseline(scenario, algo, seed, episodes, on_episode=None):
+def run_baseline(scenario, algo, seed, episodes, on_slot=None,
+                 on_episode=None):
     """Play a baseline policy through environment.run_episodes; returns
-    its report rows.  on_episode is run_episodes' callback."""
+    its report rows.  on_slot and on_episode are run_episodes'
+    callbacks."""
     if algo not in POLICIES:
         raise ValueError("unknown baseline %r" % algo)
     policy = POLICIES[algo]
     env = SaginEnv(scenario, seed)
     rng = env.rng.stream("policy-noise")
     return run_episodes(env, lambda _state: policy(env, rng), episodes,
-                        on_episode)
+                        on_slot, on_episode)

@@ -124,13 +124,14 @@ def _run_seeds(args, command, run, points=None):
 
     points: [(name, out, checked)], checked the point's _check result; by
     default the one unnamed point (None, args.out, _check(args)).
-    run(scenario, hyper, seed, episodes, seed_dir, on_episode) returns
-    the rows of environment.run_episodes with on_episode as its callback.
-    Every point's run files and seed directories, with checkpoints/ in a
-    train run, are made before the first seed plays.  Each seed streams
-    its episodes through a runio.RunWriter, which keeps the finished ones
-    also when run raises, and, unless args.quiet, prints a progress line
-    for each, which names the point ("KEY=V"), if any, and the seed.
+    run(scenario, hyper, seed, episodes, seed_dir, on_slot, on_episode)
+    returns the rows of environment.run_episodes with on_slot and
+    on_episode as its callbacks.  Every point's run files and seed
+    directories, with checkpoints/ in a train run, are made before the
+    first seed plays.  Each seed streams its slot records through a
+    runio.RunWriter, which keeps the finished episodes also when run
+    raises, and, unless args.quiet, prints a progress line for each
+    episode, which names the point ("KEY=V"), if any, and the seed.
     """
     runs = []
     for name, out, checked in points or [(None, args.out, _check(args))]:
@@ -146,8 +147,8 @@ def _run_seeds(args, command, run, points=None):
         with runio.RunWriter(seed_dir, args.episodes) as writer:
             start = time.perf_counter()
 
-            def on_episode(row, records):
-                writer.on_episode(row, records)
+            def on_episode(row):
+                writer.on_episode(row)
                 if not args.quiet:
                     print("%s episode %d/%d reward %.3f (%.1fs)" % (
                         run_name, row["episode"] + 1, args.episodes,
@@ -156,17 +157,19 @@ def _run_seeds(args, command, run, points=None):
             try:
                 finished[name, seed] = run(scenario, hyper, seed,
                                            args.episodes, seed_dir,
-                                           on_episode)
+                                           writer.on_slot, on_episode)
             except Exception:
                 traceback.print_exc()
                 failures += 1
     return failures, finished
 
 
-def _train_seed(scenario, hyper, seed, episodes, seed_dir, on_episode):
+def _train_seed(scenario, hyper, seed, episodes, seed_dir, on_slot,
+                on_episode):
     """The run of one train seed for _run_seeds."""
     ckpt_dir = os.path.join(seed_dir, "checkpoints")
-    return train(scenario, hyper, seed, episodes, on_episode, ckpt_dir)[0]
+    return train(scenario, hyper, seed, episodes, on_slot, on_episode,
+                 ckpt_dir)[0]
 
 
 def cmd_train(args):
@@ -180,17 +183,18 @@ def cmd_eval(args):
     trained = QagobTrainer.from_checkpoint(
         args.checkpoint, SaginEnv(scenario, seeds[0]), hyper)
 
-    def run(scenario, hyper, seed, episodes, seed_dir, on_episode):
+    def run(scenario, hyper, seed, episodes, seed_dir, on_slot, on_episode):
         env = SaginEnv(scenario, seed)
         return run_episodes(env, trained.acting_in(env).select_action,
-                            episodes, on_episode)
+                            episodes, on_slot, on_episode)
     return 1 if _run_seeds(args, "eval", run,
                            [(None, args.out, checked)])[0] else 0
 
 
 def cmd_baseline(args):
-    def run(scenario, hyper, seed, episodes, seed_dir, on_episode):
-        return run_baseline(scenario, args.algo, seed, episodes, on_episode)
+    def run(scenario, hyper, seed, episodes, seed_dir, on_slot, on_episode):
+        return run_baseline(scenario, args.algo, seed, episodes, on_slot,
+                            on_episode)
     return 1 if _run_seeds(args, "baseline", run)[0] else 0
 
 
@@ -207,6 +211,7 @@ def cmd_export(args):
         if not is_point_list(rec["aav_pos"]):
             raise EventLogInvalid(args.events, "line %d: aav_pos is not a "
                                   "list of [x, y] number pairs" % number)
+    tail.commit()
     if not tail.track:
         raise EventLogInvalid(args.events, "no slot records to export")
     tail.write(runio.ensure_dir(args.out))

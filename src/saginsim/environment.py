@@ -18,13 +18,14 @@ with r_task the summed slack (tolerance - delay) over served tasks.
 Modes: "joint" keeps all terms, "mec_only" drops the delivered-bits term,
 "dc_only" drops the task term.
 
-Each step appends one slot record, a dict of plain Python values that is
-also the slot's line in events.jsonl.  service.run_slot writes its
-"skipped", "tasks", "dc" and "energy" blocks, actions.clamp_and_penalize
-its "events" block, and step the rest: "episode", "slot", "generated",
-"expired", "aav_pos", "assoc", dc "generated", energy "aav_move", and
-the "reward" block, computed from the record itself.  Episodes are
-numbered from 0 by the env's resets.
+Each step returns one slot record, a dict of plain Python values that is
+also the slot's line in events.jsonl.  The env keeps no record: one lives
+only as long as the caller of step holds it.  service.run_slot writes
+its "skipped", "tasks", "dc" and "energy" blocks,
+actions.clamp_and_penalize its "events" block, and step the rest:
+"episode", "slot", "generated", "expired", "aav_pos", "assoc", dc
+"generated", energy "aav_move", and the "reward" block, computed from
+the record itself.  Episodes are numbered from 0 by the env's resets.
 """
 
 import numpy as np
@@ -109,32 +110,40 @@ def episode_totals(records):
     return totals.report()
 
 
-def run_episodes(env, act, episodes, on_episode=None, learn=None):
+def run_episodes(env, act, episodes, on_slot=None, on_episode=None,
+                 learn=None):
     """Play `episodes` episodes; returns their report rows, each
-    {"episode", "reward", **episode_totals(records)}, with episode the
-    env's episode number and reward the episode's summed reward.
+    {"episode", "reward", **Totals.report()} of the episode's records,
+    with episode the env's episode number and reward the episode's summed
+    reward.
 
-    act(state) -> raw action.  learn(state, action, reward, next_state,
-    done), when given, fires after every step, and on_episode(row,
-    records) after each episode; it may add keys to its row.
+    act(state) -> raw action.  Each slot record is folded into the
+    episode's Totals as soon as env.step returns it, and then handed to
+    on_slot(record), before learn(state, action, reward, next_state, done)
+    and before act is asked for the next slot; the loop keeps no record.
+    on_episode(row) fires after each episode; it may add keys to its row.
     """
     rows = []
     for _ in range(episodes):
         state = env.reset()
+        totals = Totals()
         total = 0.0
         done = False
         while not done:
             action = act(state)
-            next_state, reward, done, _ = env.step(action)
+            next_state, reward, done, record = env.step(action)
+            totals.add(record)
+            if on_slot is not None:
+                on_slot(record)
             if learn is not None:
                 learn(state, action, reward, next_state, done)
             state = next_state
             total += reward
         row = {"episode": env.episode, "reward": float(total)}
-        row.update(episode_totals(env.records))
+        row.update(totals.report())
         rows.append(row)
         if on_episode is not None:
-            on_episode(row, env.records)
+            on_episode(row)
     return rows
 
 
@@ -158,7 +167,6 @@ class SaginEnv:
         self.world = None
         self.done = True
         self.episode = -1
-        self.records = []
         self._episode_rain_extra = 0.0
 
     def reset(self):
@@ -169,7 +177,6 @@ class SaginEnv:
         self.world = service.WorldState.start(sc, self.gd_pos)
         self.done = False
         self.episode += 1
-        self.records = []
         if sc.radio.rain_model == "weibull":
             draw = self.rng.stream("channel").weibull(2.0) * sc.radio.rain_atten
             self._episode_rain_extra = draw - sc.radio.rain_atten
@@ -179,7 +186,7 @@ class SaginEnv:
 
     def step(self, raw_action):
         """Advance one slot.  Returns (state, reward, done, record), with
-        record the slot record also appended to self.records."""
+        record the slot record, which the env does not keep."""
         if self.done:
             raise EpisodeFinished("call reset() before stepping again")
         sc = self.scenario
@@ -235,7 +242,6 @@ class SaginEnv:
         record["reward"] = {"task": float(r_task), "dc_bits": delivered,
                             "energy_j": aav_joules, "events": n_events,
                             "value": value}
-        self.records.append(record)
 
         world.slot = t + 1
         self.done = world.slot >= sc.horizon

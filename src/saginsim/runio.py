@@ -6,6 +6,7 @@ as environment.SaginEnv.step made it, "episode" included.  The json and
 csv modules write a float as its repr, so equal runs give equal bytes.
 """
 
+import copy
 import csv
 import json
 import os
@@ -46,9 +47,8 @@ def read_metrics_csv(path):
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _write_records(fh, records):
-    for rec in records:
-        fh.write(_dumps(rec) + "\n")
+def _event_line(rec):
+    return _dumps(rec) + "\n"
 
 
 def _events_header(meta):
@@ -61,7 +61,7 @@ def write_events_jsonl(path, meta, records):
     """An event log of the meta header and the slot records."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_events_header(meta))
-        _write_records(fh, records)
+        fh.writelines(map(_event_line, records))
 
 
 def _decode_event(path, number, line):
@@ -133,19 +133,27 @@ def export_energy_breakdown(totals, out_path):
 class RunTail:
     """What energy.csv and trajectories.csv need of a run's slot records:
     running totals over all of them, and the slot and AAV positions of
-    the last episode's; a record without "episode" is of episode 0."""
+    the last episode's; a record without "episode" is of episode 0.
+
+    add(rec) folds a record into a pending copy of the totals and track,
+    and commit() makes that copy the tail's totals and track, which
+    write() writes.  So a fold that is never committed, such as that of
+    an episode cut short by an error, reaches no file.
+    """
 
     def __init__(self):
-        self.totals = Totals()
-        self.episode = None
-        self.track = []
+        self.totals, self.track = Totals(), []
+        self._totals, self._episode, self._track = Totals(), None, []
 
     def add(self, rec):
         episode = rec.get("episode", 0)
-        if episode != self.episode:
-            self.episode, self.track = episode, []
-        self.totals.add(rec)
-        self.track.append({"slot": rec["slot"], "aav_pos": rec["aav_pos"]})
+        if episode != self._episode:
+            self._episode, self._track = episode, []
+        self._totals.add(rec)
+        self._track.append({"slot": rec["slot"], "aav_pos": rec["aav_pos"]})
+
+    def commit(self):
+        self.totals, self.track = copy.copy(self._totals), list(self._track)
 
     def write(self, out_dir):
         export_trajectories(self.track,
@@ -157,21 +165,25 @@ class RunTail:
 class RunWriter:
     """One seed directory's outputs, written as the episodes finish.
 
-    Use it as a context manager around a run, with on_episode as the run's
-    episode callback.  Nothing is opened before the first episode.  Each
-    episode appends its metrics.csv row and its events.jsonl lines and
-    flushes both, so they survive a crash, and its records are dropped
-    once folded into the RunTail.  energy.csv and trajectories.csv are
-    written on exit, also when the run raised, if any episode finished.
-    The events.jsonl header records the requested episode count; the lines
-    show how many episodes finished.  A row with a key that the first row
-    lacks raises ValueError before any of it is written.
+    Use it as a context manager around a run, with on_slot and on_episode
+    as the run's callbacks.  on_slot encodes a slot record's events.jsonl
+    line at once and folds the record into the RunTail's pending copy, so
+    the writer holds no record, only the unfinished episode's lines.
+    Nothing is opened before the first episode ends.  Each episode then
+    appends its metrics.csv row and its events.jsonl lines, flushes both,
+    so they survive a crash, and commits the RunTail fold.  energy.csv and
+    trajectories.csv are written on exit, also when the run raised, if any
+    episode finished; the lines and fold of an unfinished episode are
+    dropped.  The events.jsonl header records the requested episode count;
+    the lines show how many episodes finished.  A row with a key that the
+    first row lacks raises ValueError before any of it is written.
     """
 
     def __init__(self, seed_dir, episodes):
         self.seed_dir = seed_dir
         self.episodes = int(episodes)
         self.tail = RunTail()
+        self._lines = []
         self._metrics = self._events = self._csv = None
 
     def __enter__(self):
@@ -186,15 +198,19 @@ class RunWriter:
                             encoding="utf-8")
         self._events.write(_events_header({"episodes": self.episodes}))
 
-    def on_episode(self, row, records):
+    def on_slot(self, rec):
+        self._lines.append(_event_line(rec))
+        self.tail.add(rec)
+
+    def on_episode(self, row):
         if self._csv is None:
             self._open(list(row))
         self._csv.writerow(row)
         self._metrics.flush()
-        _write_records(self._events, records)
+        self._events.writelines(self._lines)
         self._events.flush()
-        for rec in records:
-            self.tail.add(rec)
+        self._lines = []
+        self.tail.commit()
 
     def __exit__(self, *exc):
         for fh in (self._metrics, self._events):

@@ -383,28 +383,31 @@ class QagobTrainer:
         return agent
 
 
-def train(scenario, hyper, seed, episodes, on_episode=None, ckpt_dir=None):
+def train(scenario, hyper, seed, episodes, on_slot=None, on_episode=None,
+          ckpt_dir=None):
     """Train for `episodes` episodes from `seed`; returns (report rows,
     trainer).
 
     environment.run_episodes plays the episodes with the trainer's learn
-    step.  Each row gains the episode's critic_loss and actor_loss before
-    on_episode(row, records) gets it; then the checkpoints go to ckpt_dir.
+    step, and hands on_slot(record) each slot record as it is made, before
+    that slot's learn step.  Each row gains the episode's critic_loss and
+    actor_loss before on_episode(row) gets it; then the checkpoints go to
+    ckpt_dir.
     """
     env = SaginEnv(scenario, seed)
     trainer = QagobTrainer(env, hyper)
 
-    def finish(row, records):
+    def finish(row):
         row.update(trainer.episode_losses())
         if on_episode is not None:
-            on_episode(row, records)
+            on_episode(row)
         played = row["episode"] + 1
         if ckpt_dir and hyper.checkpoint_every > 0 \
                 and played % hyper.checkpoint_every == 0:
             trainer.checkpoint(os.path.join(ckpt_dir, "ep%05d.npz" % played),
                                {"episode": played})
 
-    rows = run_episodes(env, trainer.select_action, episodes, finish,
+    rows = run_episodes(env, trainer.select_action, episodes, on_slot, finish,
                         trainer.learn)
     if ckpt_dir:
         trainer.checkpoint(os.path.join(ckpt_dir, "final.npz"),

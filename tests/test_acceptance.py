@@ -440,12 +440,13 @@ def test_accept_conservation_and_replay(tmp_path):
         env = SaginEnv(sc, seed=600 + ep)
         env.reset()
         act_rng = np.random.default_rng(6000 + ep)
+        recs = []
         done = False
         while not done:
             buf_before = env.world.dc_buffers.copy()
             stored_before = sum(g.stored_bits for g in env.world.gd_states)
-            _, _, done, _ = env.step(act_rng.uniform(-1, 1, env.action_dim))
-            rec = env.records[-1]
+            _, _, done, rec = env.step(act_rng.uniform(-1, 1, env.action_dim))
+            recs.append(rec)
             dc = rec["dc"]
             assert close(sum(dc["collected"]), sum(dc["from_gds"]), tol)
             for v in range(sc.n_aavs):
@@ -471,7 +472,6 @@ def test_accept_conservation_and_replay(tmp_path):
             for t in rec["tasks"]:
                 assert close(t["delay"], sum(t["components"].values()), tol)
 
-        recs = env.records
         gen_total = sum(r["generated"] for r in recs)
         n_success = sum(1 for r in recs for t in r["tasks"] if t["success"])
         n_failed = sum(r["expired"] for r in recs) \
@@ -609,10 +609,12 @@ def test_accept_reward_mode_isolation():
         sc = Scenario(reward=RewardWeights(mode=mode), **base)
         env = SaginEnv(sc, seed=90)
         states = [env.reset()]
+        records = []
         for t in range(horizon):
-            s, _, _, _ = env.step(acts[t])
+            s, _, _, rec = env.step(acts[t])
             states.append(s)
-        runs[mode] = (states, [json.loads(json.dumps(r)) for r in env.records])
+            records.append(rec)
+        runs[mode] = (states, [json.loads(json.dumps(r)) for r in records])
 
     def stripped(records):
         out = []

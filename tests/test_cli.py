@@ -9,6 +9,7 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import tomllib
 import weakref
 
@@ -80,8 +81,14 @@ def check_run_outputs(out_dir, seeds, episodes):
             os.path.join(seed_dir, "events.jsonl"))
         assert meta["schema"] == runio.EVENTS_SCHEMA
         assert len(records) == episodes * 6  # horizon is 6 in the tiny config
-        assert os.path.exists(os.path.join(seed_dir, "trajectories.csv"))
-        assert os.path.exists(os.path.join(seed_dir, "energy.csv"))
+        # the plot files are folds of the finished episodes' lines alone
+        with tempfile.TemporaryDirectory() as export_out:
+            assert run_cli(["export", "--events",
+                            os.path.join(seed_dir, "events.jsonl"),
+                            "--out", export_out]) == 0
+            for name in ("trajectories.csv", "energy.csv"):
+                assert pathlib.Path(seed_dir, name).read_bytes() \
+                    == pathlib.Path(export_out, name).read_bytes(), name
 
 
 def assert_requested_episodes(out_dir, episodes):
@@ -765,7 +772,7 @@ def test_failed_eval_keeps_finished_episodes(tmp_path, config_path,
 
     def step_then_fail(env, action):
         steps.append(1)
-        if len(steps) > env.scenario.horizon:
+        if len(steps) > env.scenario.horizon + 2:
             raise RuntimeError("second episode fails")
         return step(env, action)
 
@@ -785,7 +792,7 @@ def test_failed_baseline_keeps_finished_episodes(tmp_path, config_path,
 
     def fail_in_second_episode(env, rng):
         calls.append(1)
-        if len(calls) > env.scenario.horizon:
+        if len(calls) > env.scenario.horizon + 2:
             raise RuntimeError("second episode fails")
         return baselines.random_action(env, rng)
 
@@ -797,6 +804,78 @@ def test_failed_baseline_keeps_finished_episodes(tmp_path, config_path,
     assert code == 1
     check_run_outputs(out, [0], 1)
     assert_requested_episodes(out, 3)
+
+
+def test_failed_train_keeps_finished_episodes(tmp_path, config_path,
+                                              monkeypatch):
+    learn = QagobTrainer.learn
+    calls = []
+
+    def learn_then_fail(trainer, *transition):
+        calls.append(1)
+        if len(calls) > trainer.env.scenario.horizon + 2:
+            raise RuntimeError("second episode fails")
+        return learn(trainer, *transition)
+
+    monkeypatch.setattr(QagobTrainer, "learn", learn_then_fail)
+    out = str(tmp_path / "train")
+    code = run_cli(["train", "--config", config_path, "--seed", "0",
+                    "--episodes", "3", "--out", out, "--quiet"] + TINY_HYPER)
+    assert code == 1
+    check_run_outputs(out, [0], 1)
+    assert_requested_episodes(out, 3)
+    assert not os.path.exists(
+        os.path.join(out, "seed0", "checkpoints", "final.npz"))
+
+
+@pytest.mark.parametrize("verb", ["train", "eval", "baseline"])
+def test_each_slot_record_reaches_the_writer_before_the_next_action(
+        tmp_path, config_path, monkeypatch, verb):
+    extra = {"train": TINY_HYPER, "baseline": ["--algo", "random"]}.get(verb)
+    if verb == "eval":
+        extra = ["--checkpoint", train_tiny_checkpoint(tmp_path, config_path)]
+    calls = []
+
+    class StubWriter:
+        """Logs what a run hands its writer, and writes nothing."""
+
+        def __init__(self, seed_dir, episodes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def on_slot(self, rec):
+            calls.append(("slot", rec["episode"], rec["slot"]))
+
+        def on_episode(self, row):
+            calls.append(("episode", row["episode"]))
+
+    select = QagobTrainer.select_action
+
+    def select_action(agent, state):
+        calls.append(("act", agent.env.episode, agent.env.world.slot))
+        return select(agent, state)
+
+    def random_action(env, rng):
+        calls.append(("act", env.episode, env.world.slot))
+        return baselines.random_action(env, rng)
+
+    monkeypatch.setattr(QagobTrainer, "select_action", select_action)
+    monkeypatch.setitem(baselines.POLICIES, "random", random_action)
+    monkeypatch.setattr(runio, "RunWriter", StubWriter)
+    assert run_cli([verb, "--config", config_path, "--seed", "0",
+                    "--episodes", "2", "--out", str(tmp_path / verb),
+                    "--quiet"] + extra) == 0
+    want = []
+    for episode in range(2):
+        want += [(kind, episode, slot) for slot in range(6)
+                 for kind in ("act", "slot")]
+        want.append(("episode", episode))
+    assert calls == want
 
 
 def train_tiny_checkpoint(tmp_path, config_path):
@@ -972,35 +1051,33 @@ def test_run_outputs_are_folds_of_the_event_log(tmp_path):
             assert row[key] == repr(value), (episode, key)
 
 
-class Records(list):
-    """Slot records that can be weakly referenced."""
+class Record(dict):
+    """A slot record that can be weakly referenced."""
 
 
 def test_finished_episodes_are_released(tmp_path, config_path):
     args = cli.build_parser().parse_args(
         ["baseline", "--algo", "random", "--config", config_path, "--seed",
          "0", "--episodes", "3", "--out", str(tmp_path / "base"), "--quiet"])
-    refs, alive = [], []
+    refs, held = [], []
 
-    def run(scenario, hyper, seed, episodes, seed_dir, on_episode):
+    def run(scenario, hyper, seed, episodes, seed_dir, on_slot, on_episode):
         env = SaginEnv(scenario, seed)
         rng = np.random.default_rng(seed)
 
-        def on_weak_episode(row, records):
-            records = Records(records)
-            refs.append(weakref.ref(records))
-            on_episode(row, records)
-        rows = run_episodes(env, lambda _s: rng.uniform(-1, 1, env.action_dim),
-                            episodes, on_weak_episode)
-        gc.collect()
-        alive.extend(ref() is not None for ref in refs)
-        return rows
+        def on_weak_slot(record):
+            held.append(sum(ref() is not None for ref in refs))
+            record = Record(record)
+            refs.append(weakref.ref(record))
+            on_slot(record)
+        return run_episodes(env, lambda _s: rng.uniform(-1, 1, env.action_dim),
+                            episodes, on_weak_slot, on_episode)
 
     assert cli._run_seeds(args, "baseline", run)[0] == 0
-    # while the seed runs, only the latest episode's records may be held
-    assert alive[:-1] == [False, False]
+    # the writer keeps a record's line and fold, never the record itself
+    assert held == [0] * 18
     gc.collect()
-    assert [ref() is not None for ref in refs[:-1]] == [False, False]
+    assert not any(ref() is not None for ref in refs)
     check_run_outputs(str(tmp_path / "base"), [0], 3)
 
 

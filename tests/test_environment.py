@@ -1,10 +1,11 @@
 import math
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
 
-from saginsim import workload
+from saginsim import service, workload
 from saginsim.environment import (SaginEnv, episode_totals, run_episodes,
                                   state_dim)
 from saginsim.errors import EpisodeFinished
@@ -119,6 +120,44 @@ def test_rollout_sums_rewards_and_reports_every_step():
     assert row["reward"] == expected
 
 
+class Record(dict):
+    """A slot record that can be weakly referenced."""
+
+
+def test_rollout_hands_on_each_record_and_keeps_none(monkeypatch):
+    """Slot t's record reaches on_slot before the learn step and before
+    the policy is asked for slot t+1, and once on_slot lets it go, nothing
+    holds it."""
+    run_slot = service.run_slot
+    monkeypatch.setattr(service, "run_slot",
+                        lambda *args: Record(run_slot(*args)))
+    sc = toy_scenario()
+    env = SaginEnv(sc, SEED)
+    calls, refs = [], []
+
+    def act(state):
+        calls.append(("act", env.episode, env.world.slot))
+        return np.zeros(env.action_dim)
+
+    def on_slot(record):
+        assert all(ref() is None for ref in refs)
+        refs.append(weakref.ref(record))
+        calls.append(("slot", record["episode"], record["slot"]))
+
+    run_episodes(env, act, 2, on_slot=on_slot,
+                 on_episode=lambda row: calls.append(("episode",
+                                                      row["episode"])),
+                 learn=lambda *transition: calls.append(("learn",)))
+    want = []
+    for episode in range(2):
+        for t in range(sc.horizon):
+            want += [("act", episode, t), ("slot", episode, t), ("learn",)]
+        want.append(("episode", episode))
+    assert calls == want
+    assert len(refs) == 2 * sc.horizon
+    assert all(ref() is None for ref in refs)
+
+
 def test_different_seeds_diverge():
     # pinned GD positions: the seeds differ in arrivals and channel draws,
     # not only in geometry
@@ -158,7 +197,6 @@ def test_reward_decomposition_matches_record():
     rw = sc.reward
     for _ in range(sc.horizon):
         _, r, _, record = env.step(rng.uniform(-1, 1, env.action_dim))
-        assert record is env.records[-1]
         parts = record["reward"]
         expect = (parts["task"] + rw.dc_weight * parts["dc_bits"]
                   - rw.energy_weight * parts["energy_j"]
@@ -203,17 +241,17 @@ def test_objectives_recount_episode():
     env = SaginEnv(sc, 13)
     env.reset()
     rng = np.random.default_rng(2)
-    for _ in range(sc.horizon):
-        env.step(rng.uniform(-1, 1, env.action_dim))
-    totals = episode_totals(env.records)
+    records = [env.step(rng.uniform(-1, 1, env.action_dim))[3]
+               for _ in range(sc.horizon)]
+    totals = episode_totals(records)
     f1, f2, f3 = totals["f1"], totals["f2"], totals["f3"]
     assert f2 == pytest.approx(
-        sum(sum(rec["dc"]["delivered"]) for rec in env.records))
+        sum(sum(rec["dc"]["delivered"]) for rec in records))
     assert f3 == pytest.approx(
         sum(sum(rec["energy"]["aav_move"]) + sum(rec["energy"]["aav_compute"])
-            for rec in env.records))
-    delays = [t["delay"] for rec in env.records for t in rec["tasks"]]
-    gen = sum(rec["generated"] for rec in env.records)
+            for rec in records))
+    delays = [t["delay"] for rec in records for t in rec["tasks"]]
+    gen = sum(rec["generated"] for rec in records)
     if gen:
         assert f1 == pytest.approx(sum(delays) / gen)
 
@@ -230,9 +268,8 @@ def test_conservation_small():
     env = SaginEnv(sc, 17)
     env.reset()
     rng = np.random.default_rng(6)
-    for _ in range(sc.horizon):
-        env.step(rng.uniform(-1, 1, env.action_dim))
-    recs = env.records
+    recs = [env.step(rng.uniform(-1, 1, env.action_dim))[3]
+            for _ in range(sc.horizon)]
     served = [t["success"] for rec in recs for t in rec["tasks"]]
     # every generated task is completed, failed (expired or served too
     # late), or still pending
@@ -273,10 +310,9 @@ def test_default_config_env_smoke():
     assert s.shape == (129,)
     assert env.action_dim == 4 * (2 + 2 * 4)
     rng = np.random.default_rng(0)
-    _, r, done, _ = env.step(rng.uniform(-1, 1, env.action_dim))
+    _, r, done, rec = env.step(rng.uniform(-1, 1, env.action_dim))
     assert math.isfinite(r)
     assert not done
-    rec = env.records[0]
     assert set(rec) == {"episode", "slot", "generated", "expired", "skipped",
                         "aav_pos", "assoc", "tasks", "dc", "energy", "events",
                         "reward"}
@@ -302,8 +338,7 @@ def test_record_values_are_plain_python():
     env = SaginEnv(sc, 3)
     env.reset()
     rng = np.random.default_rng(5)
-    env.step(rng.uniform(-1, 1, env.action_dim))
-    rec = env.records[0]
+    _, _, _, rec = env.step(rng.uniform(-1, 1, env.action_dim))
 
     def check(node):
         if isinstance(node, dict):

@@ -19,20 +19,23 @@ def toy_scenario():
     )
 
 
-def finished_env(seed=5):
+def finished_episode(seed=5):
+    """(slot records, summed reward) of one random episode."""
     env = SaginEnv(toy_scenario(), seed)
     env.reset()
     rng = np.random.default_rng(seed)
+    records = []
     total = 0.0
     done = False
     while not done:
-        _, r, done, _ = env.step(rng.uniform(-1, 1, env.action_dim))
+        _, r, done, rec = env.step(rng.uniform(-1, 1, env.action_dim))
+        records.append(rec)
         total += r
-    return env, total
+    return records, total
 
 
 def episode_row(seed=5):
-    """The report row of finished_env's episode."""
+    """The report row of finished_episode's episode."""
     env = SaginEnv(toy_scenario(), seed)
     rng = np.random.default_rng(seed)
     [row] = run_episodes(env, lambda _s: rng.uniform(-1, 1, env.action_dim),
@@ -50,12 +53,12 @@ def energy_sums(records):
 
 
 def test_offload_ratio_counts_served_tasks():
-    env, _ = finished_env()
+    played, _ = finished_episode()
 
     def served(*offloaded):
         tasks = [{"delay": 0.5, "success": True, "offloaded": o}
                  for o in offloaded]
-        return dict(env.records[0], tasks=tasks)
+        return dict(played[0], tasks=tasks)
 
     records = [served(True, False), served(True), served()]
     assert episode_totals(records)["offload_ratio"] == \
@@ -66,17 +69,20 @@ def test_offload_ratio_counts_served_tasks():
 def test_episode_metrics_fields_and_consistency():
     env = SaginEnv(toy_scenario(), 5)
     rng = np.random.default_rng(5)
-    rewards = []
+    rewards, records = [], []
     row = run_episodes(env, lambda _s: rng.uniform(-1, 1, env.action_dim), 4,
+                       on_slot=records.append,
                        learn=lambda s, a, r, s2, d: rewards.append(r))[3]
-    total = sum(rewards[-env.scenario.horizon:])
+    horizon = env.scenario.horizon
+    total = sum(rewards[-horizon:])
     assert row["episode"] == 3
     assert row["reward"] == pytest.approx(total)
-    totals = episode_totals(env.records)
+    last = records[-horizon:]
+    totals = episode_totals(last)
     assert row["f2"] == pytest.approx(totals["f2"])
     assert row["f3"] == pytest.approx(totals["f3"])
     assert list(row)[:5] == ["episode", "reward", "f1", "f2", "f3"]
-    for key, total in energy_sums(env.records).items():
+    for key, total in energy_sums(last).items():
         assert row[key] == pytest.approx(total)
 
 
@@ -111,8 +117,8 @@ def test_run_writer_rejects_a_key_the_header_lacks(tmp_path):
     row = episode_row()
     with pytest.raises(ValueError):
         with runio.RunWriter(str(tmp_path), 2) as writer:
-            writer.on_episode(row, [])
-            writer.on_episode(dict(row, episode=1, extra=1.0), [])
+            writer.on_episode(row)
+            writer.on_episode(dict(row, episode=1, extra=1.0))
     # the first row stands as write_metrics_csv writes it
     runio.write_metrics_csv(tmp_path / "one.csv", [row])
     assert (tmp_path / "metrics.csv").read_bytes() \
@@ -120,16 +126,16 @@ def test_run_writer_rejects_a_key_the_header_lacks(tmp_path):
 
 
 def test_events_jsonl_round_trip(tmp_path):
-    env, _ = finished_env()
+    played, _ = finished_episode()
     path = tmp_path / "events.jsonl"
-    runio.write_events_jsonl(path, {"seed": 5}, env.records)
+    runio.write_events_jsonl(path, {"seed": 5}, played)
     meta, records = runio.read_events_jsonl(path)
     assert meta["schema"] == runio.EVENTS_SCHEMA
     assert meta["seed"] == 5
-    assert len(records) == len(env.records)
+    assert len(records) == len(played)
     assert all(rec["episode"] == 0 for rec in records)
-    assert [rec["slot"] for rec in records] == list(range(len(env.records)))
-    assert records == env.records
+    assert [rec["slot"] for rec in records] == list(range(len(played)))
+    assert records == played
 
 
 def test_events_jsonl_rejects_bad_schema(tmp_path):
@@ -144,20 +150,21 @@ def test_events_jsonl_rejects_bad_schema(tmp_path):
 
 
 def test_export_trajectories_final_episode_only(tmp_path):
-    first, _ = finished_env(seed=5)
-    last, _ = finished_env(seed=6)
-    assert first.records[0]["aav_pos"] != last.records[0]["aav_pos"]
+    first, _ = finished_episode(seed=5)
+    last, _ = finished_episode(seed=6)
+    assert first[0]["aav_pos"] != last[0]["aav_pos"]
     tail = runio.RunTail()
-    for rec in first.records + [dict(rec, episode=1) for rec in last.records]:
+    for rec in first + [dict(rec, episode=1) for rec in last]:
         tail.add(rec)
+    tail.commit()
     tail.write(tmp_path)
     lines = (tmp_path / "trajectories.csv").read_text().splitlines()
     assert lines[0] == "slot,aav,x,y,is_start,is_end"
-    n_slots = len(last.records)
+    n_slots = len(last)
     rows = [line.split(",") for line in lines[1:]]
     # one row per slot and AAV, all of them the final episode's positions
     assert [[int(r[0]), int(r[1]), float(r[2]), float(r[3])] for r in rows] \
-        == [[rec["slot"], v, x, y] for rec in last.records
+        == [[rec["slot"], v, x, y] for rec in last
             for v, (x, y) in enumerate(rec["aav_pos"])]
     assert [r[4:] for r in rows[:2]] == [["1", "0"], ["1", "0"]]
     assert [r[4:] for r in rows[-2:]] == [["0", "1"], ["0", "1"]]
@@ -165,14 +172,14 @@ def test_export_trajectories_final_episode_only(tmp_path):
 
 
 def test_export_energy_breakdown_totals(tmp_path):
-    env, _ = finished_env()
-    flat = [dict(rec, episode=0) for rec in env.records]
+    played, _ = finished_episode()
+    flat = [dict(rec, episode=0) for rec in played]
     path = tmp_path / "energy.csv"
     runio.export_energy_breakdown(episode_totals(flat), path)
     lines = path.read_text().splitlines()
     fields = lines[0].split(",")
     values = dict(zip(fields, (float(x) for x in lines[1].split(","))))
-    for key, total in energy_sums(env.records).items():
+    for key, total in energy_sums(played).items():
         assert values[key] == pytest.approx(total, rel=1e-12)
 
 
@@ -186,14 +193,15 @@ def test_manifest_written_sorted(tmp_path):
 
 def test_run_baseline_random_and_greedy():
     sc = toy_scenario()
-    seen = []
+    seen, records = [], []
     rows = run_baseline(sc, "random", seed=3, episodes=2,
-                        on_episode=lambda row, recs: seen.append((row, recs)))
+                        on_slot=records.append, on_episode=seen.append)
     assert len(rows) == 2
     assert [r["episode"] for r in rows] == [0, 1]
     assert all(math.isfinite(r["reward"]) for r in rows)
-    assert [row for row, _ in seen] == rows
-    assert all(len(recs) == sc.horizon for _, recs in seen)
+    assert seen == rows
+    assert [rec["episode"] for rec in records] \
+        == [0] * sc.horizon + [1] * sc.horizon
     rows_g = run_baseline(sc, "greedy", seed=3, episodes=1)
     assert len(rows_g) == 1
     with pytest.raises(ValueError):

@@ -674,13 +674,13 @@ def test_train_function_returns_rows_and_is_deterministic():
 def test_train_on_episode_callback_and_records(tmp_path):
     sc = toy_scenario()
     hyper = tiny_hyper(checkpoint_every=1)
-    seen = []
-    rows, _ = train(sc, hyper, 9, 2,
-                    on_episode=lambda row, recs: seen.append((row, recs)),
-                    ckpt_dir=str(tmp_path))
-    assert [row for row, _ in seen] == rows
+    seen, records = [], []
+    rows, _ = train(sc, hyper, 9, 2, on_slot=records.append,
+                    on_episode=seen.append, ckpt_dir=str(tmp_path))
+    assert seen == rows
     assert [row["episode"] for row in rows] == [0, 1]
-    assert all(len(recs) == sc.horizon for _, recs in seen)
+    assert [rec["episode"] for rec in records] \
+        == [0] * sc.horizon + [1] * sc.horizon
     assert (tmp_path / "ep00001.npz").exists()
     assert (tmp_path / "ep00002.npz").exists()
     assert load_checkpoint(tmp_path / "final.npz")[1]["episode"] == 2
