@@ -14,8 +14,6 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InvalidAllocation
-
 LIGHT_SPEED = 3.0e8  # m/s
 
 
@@ -30,6 +28,10 @@ def channel_gain_matrix(aav3, gd3, radio):
     logistic of arctan(height / 3D link distance) in degrees (45 for a GD
     right under the AAV).  tests/test_channel.py keeps the per-pair chain
     as the reference.  aav3: (n_aavs, 3) and gd3: (n_gds, 3) positions.
+
+    Every AAV flies above every GD: the GDs sit at z = 0 and aav_altitude
+    is validated into (1e-150, 1e150), so height**2 cannot underflow and
+    the link distance d >= height > 0.
     """
     aav3 = np.asarray(aav3, dtype=float)
     gd3 = np.asarray(gd3, dtype=float)
@@ -37,10 +39,6 @@ def channel_gain_matrix(aav3, gd3, radio):
     # np.linalg.norm's own formula for one axis, without its dispatch
     d = np.sqrt(np.add.reduce(diff * diff, axis=2))
     height = diff[:, :, 2]
-    if (d <= 0.0).any():
-        raise DegenerateGeometry("coincident AAV and GD")
-    if (height <= 0.0).any():
-        raise DegenerateGeometry("AAV must fly above the GD")
     angle_deg = np.degrees(np.arctan(height / d))
     p_los = 1.0 / (1.0 + radio.los_n1
                    * np.exp(-radio.los_n2 * (angle_deg - radio.los_n1)))
@@ -51,11 +49,15 @@ def channel_gain_matrix(aav3, gd3, radio):
 
 
 def shannon_rate(power, gain, bandwidth, interference, noise_psd_w):
-    """B log2(1 + p h / (I + n0 B)), bit/s."""
-    if bandwidth <= 0.0:
-        raise InvalidAllocation("nonpositive bandwidth")
-    if power <= 0.0:
-        raise InvalidAllocation("nonpositive transmit power")
+    """B log2(1 + p h / (I + n0 B)), bit/s.
+
+    power, bandwidth and n0 B are > 0 and I >= 0.  Every power is a radio
+    field validated > 0.  A bandwidth is a softmax share of bandwidth_aav,
+    at least e**-2 / max_served of it, or bandwidth_sat / n_aavs with
+    n_aavs >= 1; both budgets are validated >= 1 Hz, so neither share nor
+    n0 B underflows.  The rate itself may round to 0 on a faded link;
+    service.run_slot leaves such a link's task waiting.
+    """
     sinr = power * gain / (interference + noise_psd_w * bandwidth)
     return bandwidth * math.log2(1.0 + sinr)
 
@@ -63,8 +65,6 @@ def shannon_rate(power, gain, bandwidth, interference, noise_psd_w):
 def g2a_rate(gain, bandwidth, interference, noise_w, radio):
     """GD -> AAV uplink rate over the allocated bandwidth, bit/s.
     noise_w: noise_psd_watts(radio.noise_psd)."""
-    if interference < 0.0:
-        raise InvalidAllocation("negative interference power")
     return shannon_rate(radio.power_gd, gain, bandwidth, interference,
                         noise_w)
 
@@ -76,9 +76,8 @@ def a2g_rate(gain, bandwidth, noise_w, radio):
 
 
 def sat_attenuation(distance, radio):
-    """Linear power attenuation of the AAV-satellite link, rain included."""
-    if distance <= 0.0:
-        raise DegenerateGeometry("nonpositive satellite distance")
+    """Linear power attenuation of the AAV-satellite link, rain included.
+    distance > 0: the satellite is validated above the AAVs."""
     wavelength = LIGHT_SPEED / radio.carrier_freq
     free = (wavelength / (4.0 * math.pi * distance)) ** 2
     gains = radio.antenna_gain_aav * radio.antenna_gain_sat
@@ -92,8 +91,6 @@ def sat_link_rates(distance, n_connected, noise_w, radio, rain_extra_db=0.0):
     noise_w is noise_psd_watts(radio.noise_psd).  rain_extra_db adds
     episode-level attenuation on top of the configured margin.
     """
-    if n_connected < 1:
-        raise InvalidAllocation("need at least one connected AAV")
     bandwidth = radio.bandwidth_sat / n_connected
     atten = sat_attenuation(distance, radio) * 10.0 ** (-rain_extra_db / 10.0)
     return (shannon_rate(radio.power_aav, atten, bandwidth, 0.0, noise_w),
@@ -103,18 +100,16 @@ def sat_link_rates(distance, n_connected, noise_w, radio, rain_extra_db=0.0):
 class InterferenceField:
     """Per-AAV uplink interference power from GDs served by other AAVs.
 
-    association: (n_aavs, n_gds) 0/1 matrix.  Gains are receiver-side: the
-    interference seen at AAV v sums power_gd * gain(v, l) over every GD l
-    associated to some other AAV.  Own-cell GDs never contribute.
+    association: (n_aavs, n_gds) 0/1 matrix with at most one owner per
+    GD, as association.gs_associate builds it.  Gains are receiver-side:
+    the interference seen at AAV v sums power_gd * gain(v, l) over every
+    GD l associated to some other AAV.  Own-cell GDs never contribute, and
+    each power is >= 0, a positive power_gd times a sum of gains.
     """
 
     def __init__(self, aav_positions, gd_positions, association, radio):
         assoc = np.asarray(association)
-        if assoc.min() < 0 or assoc.max() > 1:
-            raise InvalidAllocation("association entries must be 0/1")
         owners = assoc.sum(axis=0)
-        if (owners > 1).any():
-            raise InvalidAllocation("a GD is associated to several AAVs")
         gains = channel_gain_matrix(aav_positions, gd_positions, radio)
         # with 0/1 entries, owners > assoc marks the GDs served by some
         # other AAV; each row is summed on its own, as a 1-D masked sum

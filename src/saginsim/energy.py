@@ -16,13 +16,9 @@ is energy_per_cycle * cycles_per_bit * task_bits.
 
 import math
 
-from .errors import InvalidAction
-
 
 def propulsion_power(speed, params):
-    """Propulsion power at the given forward speed, watts."""
-    if speed < 0.0:
-        raise InvalidAction("negative speed")
+    """Propulsion power at the given forward speed >= 0, watts."""
     v2 = speed * speed
     blade = params.blade_power * (1.0 + 3.0 * v2 / params.tip_speed ** 2)
     x = v2 / (2.0 * params.rotor_velocity ** 2)
@@ -39,21 +35,17 @@ def propulsion_energy(distance, slot_length, max_speed, cruise_power,
     The AAV flies at max_speed for distance / max_speed seconds, drawing
     cruise_power, and hovers for the remainder, drawing hover_power: the
     propulsion_power at max_speed and at 0, which a caller computes once.
-    distance must fit in the slot.
+
+    distance is the length of a move, a square root, so it is >= 0, and it
+    fits in the slot: actions.decode commands at most max_speed *
+    slot_length, and clamping into the area never lengthens a move.  The
+    min() absorbs what rounding adds to a move's length.
     """
-    if distance < -1e-12:
-        raise InvalidAction("negative distance")
-    distance = max(distance, 0.0)
-    move_time = distance / max_speed
-    if move_time > slot_length * (1.0 + 1e-9):
-        raise InvalidAction("distance %r exceeds the per-slot envelope" % distance)
-    move_time = min(move_time, slot_length)
+    move_time = min(distance / max_speed, slot_length)
     hover_time = slot_length - move_time
     return cruise_power * move_time + hover_power * hover_time
 
 
 def compute_energy(task_bits, cycles_per_bit, energy_per_cycle):
     """Energy to process a task on an edge server, joules."""
-    if task_bits < 0.0:
-        raise InvalidAction("negative task size")
     return energy_per_cycle * cycles_per_bit * task_bits

@@ -46,22 +46,6 @@ class CheckpointInvalid(SaginError):
         super().__init__("%s: %s" % (path, message))
 
 
-class DegenerateGeometry(SaginError):
-    """Zero-distance or otherwise ill-posed link geometry."""
-
-
-class InvalidAllocation(SaginError):
-    """Nonpositive bandwidth or power handed to a rate computation."""
-
-
-class LinkDown(SaginError):
-    """A link rate required by the service pipeline is not positive."""
-
-
-class InvalidAction(SaginError):
-    """Action component outside its physical envelope."""
-
-
 class CodecShape(SaginError):
     """Raw action vector has the wrong length or non-finite entries."""
 

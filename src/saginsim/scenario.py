@@ -47,8 +47,9 @@ class RadioParams:
 
     RANGES = (
         ("carrier_freq los_n1 los_n2 power_gd power_aav power_sat "
-         "bandwidth_aav bandwidth_sat antenna_gain_aav antenna_gain_sat "
-         "rate_floor", *POSITIVE),
+         "antenna_gain_aav antenna_gain_sat rate_floor", *POSITIVE),
+        # no bandwidth share, nor its noise power, underflows to 0
+        ("bandwidth_aav bandwidth_sat", *AT_LEAST_ONE),
         # 10 ** (noise_psd / 10) stays a finite, nonzero float
         ("noise_psd", lambda v: -3000 <= v <= 3000, "a value in [-3000, 3000]"),
         ("excess_los excess_nlos rain_atten", *NONNEGATIVE),
@@ -143,8 +144,9 @@ class Scenario:
     RANGES = (
         ("n_aavs n_gds max_served horizon", *AT_LEAST_ONE),
         ("sat_altitude safe_distance slot_length", *POSITIVE),
-        # squared in the GD-AAV distances
-        ("aav_altitude", lambda v: 0 < v < 1e150, "a value in (0, 1e150)"),
+        # squared in the GD-AAV distances, so neither over- nor underflows
+        ("aav_altitude", lambda v: 1e-150 < v < 1e150,
+         "a value in (1e-150, 1e150)"),
         # cubed in the propulsion power
         ("max_speed", lambda v: 0 < v < 1e100, "a value in (0, 1e100)"),
         # finite spans keep every point of the area finite

@@ -7,8 +7,10 @@ to collect stored data from the served GDs and forward it to the satellite.
 The radio is half duplex, so collection time is the slot length minus the
 task transmission time, floored at zero.
 
-Task service starts only if the GD uplink rate clears the configured
-floor; otherwise the task stays pending.  A served task succeeds when its
+A task is served only over links that carry it: its GD uplink rate
+clears the configured floor, its AAV-GD downlink rate is > 0 and, when it
+is offloaded, both satellite rates are > 0.  Otherwise it stays pending
+and counts in the record's "skipped".  A served task succeeds when its
 total delay fits the completion tolerance; either way it leaves the queue.
 
 The satellite sits at the zenith of the area center; all AAVs hold
@@ -26,7 +28,6 @@ import numpy as np
 
 from . import channel, workload
 from .energy import compute_energy
-from .errors import LinkDown
 
 
 @dataclasses.dataclass
@@ -72,12 +73,10 @@ def task_delay(size_bits, result_ratio, offloaded, rates, sat_dist, compute):
     """Delay components of serving one task, seconds.
 
     rates: dict with g2a, a2g and (when offloaded) a2s, s2a link rates in
-    bit/s.  Local path: uplink, AAV processing, downlink.  Satellite path
-    adds the AAV-satellite round trip and two propagation legs.
+    bit/s, each > 0.  Local path: uplink, AAV processing, downlink.
+    Satellite path adds the AAV-satellite round trip and two propagation
+    legs.
     """
-    for key in ("g2a", "a2g") + (("a2s", "s2a") if offloaded else ()):
-        if rates[key] <= 0.0:
-            raise LinkDown("rate %s is not positive" % key)
     result_bits = result_ratio * size_bits
     comps = {
         "t_up_g2a": size_bits / rates["g2a"],
@@ -105,7 +104,7 @@ def run_slot(world, decisions, association, served, scenario,
     per-AAV GD lists, association.served_gds(association).
 
     Returns the service part of the slot record, in plain Python values:
-    "skipped" (pending tasks left waiting for a usable uplink rate),
+    "skipped" (pending tasks left waiting for a usable link),
     "tasks" (one row per served task, with its delay components), "dc"
     (per-AAV collection time, bits collected, delivered and buffered, and
     bits taken from each GD) and "energy" (per-AAV compute joules, and
@@ -132,6 +131,7 @@ def run_slot(world, decisions, association, served, scenario,
         up, down = channel.sat_link_rates(sat_dist, n_connected, noise_w,
                                           radio, rain_extra_db)
         r_a2s.append(up)
+        sat_live = up > 0.0 and down > 0.0
         gains = field.gains[v].tolist()
         interference = field.power[v]
         rates_v = []
@@ -150,6 +150,9 @@ def run_slot(world, decisions, association, served, scenario,
             rates = {"g2a": r_up,
                      "a2g": channel.a2g_rate(gain, bw, noise_w, radio)}
             offloaded = decisions.offload[(v, g)]
+            if rates["a2g"] <= 0.0 or offloaded and not sat_live:
+                skipped += 1
+                continue
             if offloaded:
                 rates["a2s"] = up
                 rates["s2a"] = down

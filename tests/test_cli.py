@@ -154,6 +154,35 @@ def test_a_gd_beyond_radio_range_is_not_served(tmp_path, algo):
                for key in ("reward", "f1", "f2", "f3", "gd_tx"))
 
 
+# valid configs whose links fade until a rate rounds to 0: the satellite
+# link both ways, by rain, by distance or by a band so wide that its noise
+# swamps the signal, and the AAV->GD downlink, by a faint AAV
+@pytest.mark.parametrize("override", ["radio.rain_atten=400",
+                                      "radio.rain_atten=1e300",
+                                      "sat_altitude=1e300",
+                                      "radio.bandwidth_sat=1e300",
+                                      "radio.power_aav=1e-30"])
+def test_a_dead_link_leaves_tasks_waiting(tmp_path, override):
+    out = tmp_path / "dead"
+    assert run_cli(["baseline", "--algo", "greedy",
+                    "--config", str(CONFIGS / "toy.toml"),
+                    "--override", override,
+                    "--episodes", "2", "--out", str(out), "--quiet"]) == 0
+    rows = runio.read_metrics_csv(out / "seed0" / "metrics.csv")
+    _, records = runio.read_events_jsonl(out / "seed0" / "events.jsonl")
+    assert [row["episode"] for row in rows] == [0, 1]
+    for row in rows:
+        episode = [rec for rec in records if rec["episode"] == row["episode"]]
+        # NaN only where Totals.report documents it: a share of nothing
+        nan_allowed = {
+            "offload_ratio": not any(rec["tasks"] for rec in episode),
+            "mec_rate": not any(rec["generated"] for rec in episode),
+            "dc_rate": not any(rec["dc"]["generated"] for rec in episode)}
+        for key, value in row.items():
+            assert math.isfinite(value) or (
+                math.isnan(value) and nan_allowed.get(key, False)), key
+
+
 def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     config = tmp_path / "bad.toml"
     config.write_bytes(b"n_aavs = 2\n\xff\n")

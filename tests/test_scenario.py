@@ -134,6 +134,11 @@ def test_no_key_replaces_a_table_or_a_scalar(tmp_path, text, overrides,
      dict(energy=EnergyParams(rotor_velocity=1e-200))),
     ("radio.noise_psd", dict(radio=RadioParams(noise_psd=4000.0))),
     ("radio.noise_psd", dict(radio=RadioParams(noise_psd=-4000.0))),
+    # the same for the squared altitude at the low end, and for a bandwidth
+    # share and its noise power (appended, since the ids count the rows)
+    ("aav_altitude", dict(aav_altitude=1e-200)),
+    ("radio.bandwidth_aav", dict(radio=RadioParams(bandwidth_aav=0.5))),
+    ("radio.bandwidth_sat", dict(radio=RadioParams(bandwidth_sat=0.5))),
 ])
 def test_validation_names_field(field, kwargs):
     with pytest.raises(ConfigInvalid) as err:

@@ -6,7 +6,6 @@ import pytest
 from saginsim import channel
 from saginsim.actions import DecodedAction
 from saginsim.association import served_gds
-from saginsim.errors import LinkDown
 from saginsim.scenario import RadioParams, Scenario
 from saginsim.environment import episode_totals
 from saginsim.service import WorldState, run_slot, task_delay
@@ -32,6 +31,13 @@ def make_world(sc, aav_pos, gd_pos, tasks=(), stored=0.0):
     for gd in world.gd_states:
         gd.stored_bits = stored
     return world
+
+
+def world_gain(world, sc):
+    """Gain of the link between AAV 0 and GD 0 of world."""
+    aav3 = np.append(world.aav_pos[0], sc.aav_altitude)
+    return channel.channel_gain_matrix(aav3[None], world.gd3[:1],
+                                       sc.radio)[0, 0]
 
 
 def serve(world, decisions, assoc, sc, **kw):
@@ -125,19 +131,45 @@ def test_task_delay_satellite_components():
     assert math.isclose(comps["t_prop"], 5.3333e-3, rel_tol=1e-4)
 
 
-def test_task_delay_rejects_dead_links():
-    sc = make_scenario()
-    with pytest.raises(LinkDown):
-        task_delay(6e5, 0.2, False, {"g2a": 0.0, "a2g": 1e6}, 8e5, sc.compute)
-    with pytest.raises(LinkDown):
-        task_delay(6e5, 0.2, True,
-                   {"g2a": 1e6, "a2g": 1e6, "a2s": -1.0, "s2a": 1e6},
-                   8e5, sc.compute)
-    # satellite legs are not consulted on the local path
-    comps = task_delay(6e5, 0.2, False,
-                       {"g2a": 1e6, "a2g": 1e6, "a2s": 0.0, "s2a": 0.0},
-                       8e5, sc.compute)
-    assert comps["t_up_a2s"] == 0.0
+# a link whose rate rounds to 0: rain that kills the satellite link both
+# ways, or an AAV too faint for its downlink to carry a bit
+DEAD_LINKS = {"satellite": (dict(rain_atten=400.0), True),
+              "downlink": (dict(power_aav=1e-30), False)}
+
+
+@pytest.mark.parametrize("link", DEAD_LINKS)
+def test_dead_link_leaves_task_pending(link):
+    radio_kw, offload = DEAD_LINKS[link]
+    sc = make_scenario(**radio_kw)
+    pos = dict(aav_pos=[[0.0, 0.0]], gd_pos=[[0.0, 0.0]], stored=5e3)
+    task = make_task(size=2e5, max_delay=5.0)
+    world = make_world(sc, tasks=[task], **pos)
+    world.dc_buffers[0] = 3e3
+    decision = full_service_decision(sc, offload=offload)
+    up, down = channel.sat_link_rates(world.sat_distances()[0], sc.n_aavs,
+                                      world.noise_w, sc.radio)
+    a2g = channel.a2g_rate(world_gain(world, sc), sc.radio.bandwidth_aav,
+                           world.noise_w, sc.radio)
+    if offload:
+        assert (up, down) == (0.0, 0.0) and a2g > 0.0
+    else:
+        assert a2g == 0.0
+    out = serve(world, decision, everyone_assoc(sc), sc)
+    assert out["skipped"] == 1
+    assert out["tasks"] == []
+    assert world.gd_states[0].pending == [task]
+    # the slot collects as if the GD had no task
+    idle = make_world(sc, **pos)
+    idle.dc_buffers[0] = 3e3
+    expect = serve(idle, decision, everyone_assoc(sc), sc)
+    assert out["dc"] == expect["dc"]
+    assert out["energy"] == expect["energy"]
+    assert out["dc"]["dc_time"][0] == sc.slot_length
+    assert out["dc"]["collected"][0] == pytest.approx(5e3)
+    # a dead satellite link delivers nothing, so the buffer keeps it all
+    if offload:
+        assert out["dc"]["delivered"][0] == 0.0
+        assert out["dc"]["buffers"][0] == pytest.approx(8e3)
 
 
 def test_run_slot_local_task_bookkeeping():
