@@ -41,7 +41,7 @@ def _top_positions(raws, m):
 
 def decode(raw, served, scenario):
     """Decode a raw vector against this slot's association, given as its
-    per-AAV served GD lists (association.served_gds)."""
+    per-AAV served GD lists (association.gs_associate)."""
     raw = np.asarray(raw, dtype=float)
     cap = scenario.max_served
     dim = action_dim(scenario.n_aavs, cap)

@@ -30,7 +30,9 @@ def _distances(aav_positions, gd_positions, altitude):
 
 
 def gs_associate(aav_positions, gd_positions, capacity, altitude):
-    """Match GDs to AAVs; returns a (n_aavs, n_gds) 0/1 int matrix.
+    """Match GDs to AAVs; returns, per AAV, the ascending indices of the
+    GDs it serves, as lists.  Each GD is in at most one list, and each
+    list holds at most `capacity` GDs.
 
     aav_positions, gd_positions: ground-plane (x, y) arrays; altitude is the
     common AAV flight height used in the 3D distances.
@@ -41,54 +43,40 @@ def gs_associate(aav_positions, gd_positions, capacity, altitude):
     # lexsort's last key is the primary one
     order = np.lexsort((-gd_idx, aav_idx, dist.ravel()))
     gd_free = [True] * n_gds
-    load = [0] * n_aavs
-    taken = []
+    served = [[] for _ in range(n_aavs)]
     left = min(n_gds, n_aavs * capacity)
     for pair in order.tolist():
         if not left:
             break
         v, g = divmod(pair, n_gds)
-        if gd_free[g] and load[v] < capacity:
+        if gd_free[g] and len(served[v]) < capacity:
             gd_free[g] = False
-            load[v] += 1
-            taken.append(pair)
+            served[v].append(g)
             left -= 1
-    assoc = np.zeros((n_aavs, n_gds), dtype=np.int8)
-    assoc.flat[taken] = 1
-    return assoc
+    return [sorted(gds) for gds in served]
 
 
-def served_gds(assoc):
-    """Per AAV, the ascending indices of the GDs it serves, as lists."""
-    return [[g for g, flag in enumerate(row) if flag]
-            for row in np.asarray(assoc).tolist()]
-
-
-def blocking_pairs(assoc, aav_positions, gd_positions, capacity, altitude):
-    """List (gd, aav) pairs that would both rather match each other.
+def blocking_pairs(served, aav_positions, gd_positions, capacity, altitude):
+    """List (gd, aav) pairs that would both rather match each other, for
+    served the per-AAV GD lists of gs_associate.
 
     A pair blocks when the GD strictly prefers the AAV to its current match
     (or is unmatched) and the AAV either has spare capacity or holds some GD
     strictly farther away.  Used as the stability oracle in tests.
     """
     dist = _distances(aav_positions, gd_positions, altitude)
-    n_aavs, n_gds = dist.shape
-    assoc = np.asarray(assoc)
-    match_of = {}
-    for g in range(n_gds):
-        owners = np.nonzero(assoc[:, g])[0]
-        match_of[g] = int(owners[0]) if len(owners) else -1
+    match_of = [-1] * dist.shape[1]
+    for v, gds in enumerate(served):
+        for g in gds:
+            match_of[g] = v
     pairs = []
-    for g in range(n_gds):
-        cur = match_of[g]
-        for v in range(n_aavs):
+    for g, cur in enumerate(match_of):
+        for v, held in enumerate(served):
             if v == cur:
                 continue
             if cur >= 0 and dist[v, g] >= dist[cur, g]:
                 continue
-            held = np.nonzero(assoc[v])[0]
-            if len(held) < capacity:
-                pairs.append((g, v))
-            elif any(dist[v, h] > dist[v, g] for h in held):
+            if len(held) < capacity \
+                    or any(dist[v, h] > dist[v, g] for h in held):
                 pairs.append((g, v))
     return pairs

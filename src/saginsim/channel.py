@@ -100,20 +100,23 @@ def sat_link_rates(distance, n_connected, noise_w, radio, rain_extra_db=0.0):
 class InterferenceField:
     """Per-AAV uplink interference power from GDs served by other AAVs.
 
-    association: (n_aavs, n_gds) 0/1 matrix with at most one owner per
-    GD, as association.gs_associate builds it.  Gains are receiver-side:
-    the interference seen at AAV v sums power_gd * gain(v, l) over every
-    GD l associated to some other AAV.  Own-cell GDs never contribute, and
-    each power is >= 0, a positive power_gd times a sum of gains.
+    served: per AAV, the GDs it serves, each GD in at most one list, as
+    association.gs_associate builds them.  Gains are receiver-side: the
+    interference seen at AAV v sums power_gd * gain(v, l) over every GD l
+    served by some other AAV.  Own-cell GDs never contribute, and each
+    power is >= 0, a positive power_gd times a sum of gains.
     """
 
-    def __init__(self, aav_positions, gd_positions, association, radio):
-        assoc = np.asarray(association)
-        owners = assoc.sum(axis=0)
+    def __init__(self, aav_positions, gd_positions, served, radio):
         gains = channel_gain_matrix(aav_positions, gd_positions, radio)
-        # with 0/1 entries, owners > assoc marks the GDs served by some
-        # other AAV; each row is summed on its own, as a 1-D masked sum
-        foreign = owners > assoc
+        owner = [-1] * gains.shape[1]
+        for v, gds in enumerate(served):
+            for g in gds:
+                owner[g] = v
+        owner = np.array(owner)
+        # a served GD is foreign to every AAV but its owner; each row is
+        # summed on its own, as a 1-D masked sum
+        foreign = (owner >= 0) & (owner != np.arange(len(gains))[:, None])
         self.gains = gains
         self.power = [radio.power_gd * float(row[mask].sum())
                       for row, mask in zip(gains, foreign)]

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidWeight, SamplerDiverged
+from .errors import SamplerDiverged
 from .nets import autodiff
 from .nets.mlp import Mlp
 
@@ -48,10 +48,6 @@ class DiffusionPolicy:
         self.alpha_bars = np.cumprod(self.alphas)
         widths = [action_dim + state_dim + 1] + list(hidden_widths) + [action_dim]
         self.denoiser = Mlp(widths, rng, dtype)
-
-    @property
-    def params(self):
-        return self.denoiser.params
 
     def _inputs(self, noisy, states, steps):
         """The denoiser's input rows [noisy | state | n / N]."""
@@ -95,24 +91,19 @@ class DiffusionPolicy:
         return np.tanh(x) if squash else x
 
 
-def _check_weights(weights, batch):
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (batch,):
-        raise InvalidWeight("expected %d weights, got %s" % (batch, weights.shape))
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
-        raise InvalidWeight("weights must be finite and nonnegative")
-    return weights
-
-
 def weighted_denoise_loss(policy, states, actions, weights, rng):
     """Mean over rows of weight * ||eps - eps_theta(x_n, s, n)||^2.
 
+    states (batch, state_dim) and actions (batch, action_dim) are 2-D
+    arrays, and weights holds one value >= 0 per row: trainer.actor_update
+    passes q_weights, or ent_coeff (validated >= 0) times a mean of them.
+    float32 replay actions promote exactly in forward_diffuse, and the
+    denoiser casts its own input.  A NaN or inf weight makes the loss
+    non-finite, which actor_update raises before any step.
+
     Returns (loss, gradients of the loss for the denoiser's params).
     """
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
     batch = len(states)
-    weights = _check_weights(weights, batch)
     steps = rng.integers(1, len(policy.betas) + 1, size=batch)
     noise = rng.standard_normal(actions.shape)
     noisy = forward_diffuse(actions, steps, noise, policy.alpha_bars)
@@ -151,10 +142,10 @@ def behavior_select(policy, state, q_fn, count, rng):
     """Sample `count` candidate actions and return the Q-argmax.
 
     q_fn(states, actions) -> (count,) values.  Ties resolve to the first
-    (lowest sample index) candidate.
+    (lowest sample index) candidate.  count >= 1: the trainer passes
+    Hyper.behavior_samples, validated at least 1 (a count of 0 leaves
+    np.argmax an empty row, which raises ValueError).
     """
-    if count < 1:
-        raise ValueError("need at least one candidate")
     candidates, values = sample_candidates(
         policy, np.asarray(state, dtype=np.float64)[None, :], count, q_fn,
         rng)

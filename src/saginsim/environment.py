@@ -204,9 +204,8 @@ class SaginEnv:
                 generated += 1
             dc_generated += workload.accrue_dc_data(gd, sc.workload, wl_rng)
 
-        assoc = association.gs_associate(world.aav_pos, self.gd_pos,
-                                         sc.max_served, sc.aav_altitude)
-        served = association.served_gds(assoc)
+        served = association.gs_associate(world.aav_pos, self.gd_pos,
+                                          sc.max_served, sc.aav_altitude)
         decoded = actions.decode(raw_action, served, sc)
         commanded = world.aav_pos + decoded.displacements
         clamped, events = actions.clamp_and_penalize(commanded, sc)
@@ -218,7 +217,7 @@ class SaginEnv:
             self._hover_power) for d in moved.tolist()]
         world.aav_pos = clamped
 
-        record = service.run_slot(world, decoded, assoc, served, sc,
+        record = service.run_slot(world, decoded, served, sc,
                                   self._episode_rain_extra)
         record.update(
             episode=self.episode, slot=t, generated=generated, expired=expired,

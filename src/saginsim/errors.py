@@ -58,9 +58,5 @@ class SamplerDiverged(SaginError):
     """Non-finite values appeared during reverse diffusion sampling."""
 
 
-class InvalidWeight(SaginError):
-    """Negative or non-finite sample weight handed to a weighted loss."""
-
-
 class NonFiniteGradient(SaginError):
     """An optimizer step saw a NaN/Inf gradient or loss."""

@@ -96,12 +96,11 @@ def task_delay(size_bits, result_ratio, offloaded, rates, sat_dist, compute):
     return comps
 
 
-def run_slot(world, decisions, association, served, scenario,
-             rain_extra_db=0.0):
+def run_slot(world, decisions, served, scenario, rain_extra_db=0.0):
     """Serve tasks and collect data for one slot; mutates GD queues, GD
     stores and AAV buffers.  Positions are taken as already moved.
-    association is the slot's (n_aavs, n_gds) 0/1 matrix and served its
-    per-AAV GD lists, association.served_gds(association).
+    served is the slot's association, the per-AAV GD lists of
+    association.gs_associate.
 
     Returns the service part of the slot record, in plain Python values:
     "skipped" (pending tasks left waiting for a usable link),
@@ -115,7 +114,7 @@ def run_slot(world, decisions, association, served, scenario,
     noise_w = world.noise_w
     aav3 = np.column_stack([world.aav_pos,
                             np.full(n_aavs, scenario.aav_altitude)])
-    field = channel.InterferenceField(aav3, world.gd3, association, radio)
+    field = channel.InterferenceField(aav3, world.gd3, served, radio)
     n_connected = n_aavs
 
     tasks = []

@@ -113,13 +113,14 @@ class RingBuffer:
     terminal row) in float64; the module docstring says why that is
     exact.  The columns grow by doubling up to capacity, so an empty
     buffer holds no rows at all.
+
+    capacity >= 1: the trainer passes Hyper.replay_capacity, validated at
+    least 1.
     """
 
     DTYPES = (NET_DTYPE, NET_DTYPE, np.float64, NET_DTYPE, np.float64)
 
     def __init__(self, capacity):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.columns = ()
         self._len = 0
@@ -142,10 +143,12 @@ class RingBuffer:
         self._next = (self._next + 1) % self.capacity
 
     def sample(self, n, rng):
-        """n distinct rows drawn uniformly: one array per column."""
-        if n > self._len:
-            raise ValueError("asked for %d items, buffer holds %d"
-                             % (n, self._len))
+        """n distinct rows drawn uniformly: one array per column.
+
+        n <= len(self): QagobTrainer.learn updates only with batch_size
+        rows held, and update checks n_policy_samples before it samples.
+        A larger n makes rng.choice raise ValueError.
+        """
         idx = rng.choice(self._len, size=n, replace=False)
         return tuple(col[idx] for col in self.columns)
 
@@ -269,7 +272,7 @@ class QagobTrainer:
         self.critics = TwinCritics(env.state_dim, env.action_dim,
                                    self.hyper.critic_widths, net_rng,
                                    NET_DTYPE)
-        self.opt_actor = Adam(self.policy.params, self.hyper.lr_actor)
+        self.opt_actor = Adam(self.policy.denoiser.params, self.hyper.lr_actor)
         self.opt_critics = Adam(self.critics.params, self.hyper.lr_critic)
         self.replay = RingBuffer(self.hyper.replay_capacity)
         self.total_steps = 0
@@ -297,8 +300,8 @@ class QagobTrainer:
                                                        t_rng)
             aloss = actor_update(self.policy, self.critics, states, acts,
                                  h, t_rng, self.opt_actor)
-            soft_update(self.policy.params, self.policy_target.params,
-                        h.soft_rate)
+            soft_update(self.policy.denoiser.params,
+                        self.policy_target.denoiser.params, h.soft_rate)
         soft_update(self.critics.params, self.critics.target_params,
                     h.soft_rate)
         return sum(closses) / 2.0, aloss

@@ -5,7 +5,6 @@ import pytest
 
 from saginsim.actions import (DecodedAction, action_dim, clamp_and_penalize,
                               decode)
-from saginsim.association import served_gds
 from saginsim.errors import CodecShape
 from saginsim.scenario import Scenario
 
@@ -23,7 +22,8 @@ def make_scenario(**kw):
 
 
 def empty_assoc(sc):
-    return np.zeros((sc.n_aavs, sc.n_gds), dtype=np.int8)
+    """Served-GD lists with no GD served."""
+    return [[] for _ in range(sc.n_aavs)]
 
 
 def test_action_dim():
@@ -37,13 +37,13 @@ def test_wrong_shape_raises():
     sc = make_scenario()
     dim = action_dim(sc.n_aavs, sc.max_served)
     with pytest.raises(CodecShape):
-        decode(np.zeros(dim - 1), served_gds(empty_assoc(sc)), sc)
+        decode(np.zeros(dim - 1), empty_assoc(sc), sc)
     with pytest.raises(CodecShape):
-        decode(np.zeros((2, dim)), served_gds(empty_assoc(sc)), sc)
-    # served lists longer than max_served, such as the rows of an
+        decode(np.zeros((2, dim)), empty_assoc(sc), sc)
+    # served lists longer than max_served, such as the rows of a 0/1
     # association matrix passed in their place
     with pytest.raises(CodecShape):
-        decode(np.zeros(dim), empty_assoc(sc), sc)
+        decode(np.zeros(dim), [[0] * sc.n_gds] * sc.n_aavs, sc)
     with pytest.raises(CodecShape):
         decode(np.zeros(dim), [[0, 1, 2], []], sc)
 
@@ -54,7 +54,7 @@ def test_non_finite_action_raises():
     raw = np.zeros(dim)
     raw[3] = np.nan
     with pytest.raises(CodecShape):
-        decode(raw, served_gds(empty_assoc(sc)), sc)
+        decode(raw, empty_assoc(sc), sc)
 
 
 def test_distance_and_direction_mapping():
@@ -65,7 +65,7 @@ def test_distance_and_direction_mapping():
     raw[0] = 1.0
     raw[1] = 0.5
     raw[6] = -1.0
-    dec = decode(raw, served_gds(empty_assoc(sc)), sc)
+    dec = decode(raw, empty_assoc(sc), sc)
     step = sc.max_step()
     dx, dy = dec.displacements[0]
     assert math.isclose(np.hypot(dx, dy), step, rel_tol=1e-12)
@@ -78,7 +78,7 @@ def test_distance_and_direction_mapping():
 def test_midpoint_distance():
     sc = make_scenario()
     raw = np.zeros(action_dim(sc.n_aavs, sc.max_served))
-    dec = decode(raw, served_gds(empty_assoc(sc)), sc)
+    dec = decode(raw, empty_assoc(sc), sc)
     # raw 0 maps to half of the per-slot envelope, heading along +x
     dx, dy = dec.displacements[0]
     assert math.isclose(np.hypot(dx, dy), sc.max_step() / 2, rel_tol=1e-12)
@@ -90,7 +90,7 @@ def test_out_of_range_raw_is_clipped():
     raw = np.zeros(action_dim(sc.n_aavs, sc.max_served))
     raw[0] = 3.0
     raw[1] = -7.0
-    dec = decode(raw, served_gds(empty_assoc(sc)), sc)
+    dec = decode(raw, empty_assoc(sc), sc)
     # clipped to raw 1 and -1: a full step, heading -pi
     dx, dy = dec.displacements[0]
     assert math.isclose(np.hypot(dx, dy), sc.max_step(), rel_tol=1e-12)
@@ -101,13 +101,13 @@ def test_out_of_range_raw_is_clipped():
 def test_top_m_offload_raws_map_to_served_ascending():
     sc = make_scenario(max_served=3)
     assoc = empty_assoc(sc)
-    assoc[0, [1, 3]] = 1  # two served GDs, three offload slots
+    assoc[0] = [1, 3]  # two served GDs, three offload slots
     raw = np.zeros(action_dim(sc.n_aavs, sc.max_served))
     # offload raws for AAV 0 sit at positions 2..4
     raw[2] = -0.5
     raw[3] = 0.9
     raw[4] = -0.2
-    dec = decode(raw, served_gds(assoc), sc)
+    dec = decode(raw, assoc, sc)
     # top-2 raws are 0.9 (pos 1) and -0.2 (pos 2); GD 1 gets the earlier one
     assert dec.offload[(0, 1)] is True
     assert dec.offload[(0, 3)] is False
@@ -117,12 +117,12 @@ def test_top_m_offload_raws_map_to_served_ascending():
 def test_offload_tie_prefers_earlier_position():
     sc = make_scenario(max_served=3)
     assoc = empty_assoc(sc)
-    assoc[0, [0, 2]] = 1
+    assoc[0] = [0, 2]
     raw = np.zeros(action_dim(sc.n_aavs, sc.max_served))
     raw[2] = 0.7
     raw[3] = 0.7
     raw[4] = -0.3
-    dec = decode(raw, served_gds(assoc), sc)
+    dec = decode(raw, assoc, sc)
     # tied 0.7s occupy positions 0 and 1, so -0.3 never reaches a GD
     assert dec.offload[(0, 0)] is True
     assert dec.offload[(0, 2)] is True
@@ -131,11 +131,11 @@ def test_offload_tie_prefers_earlier_position():
 def test_bandwidth_softmax_two_way():
     sc = make_scenario()
     assoc = empty_assoc(sc)
-    assoc[0, [0, 1]] = 1
+    assoc[0] = [0, 1]
     raw = np.zeros(action_dim(sc.n_aavs, sc.max_served))
     raw[4] = 1.0  # bandwidth raw paired with GD 0
     raw[5] = 0.0  # bandwidth raw paired with GD 1
-    dec = decode(raw, served_gds(assoc), sc)
+    dec = decode(raw, assoc, sc)
     b0 = dec.bandwidth[(0, 0)]
     b1 = dec.bandwidth[(0, 1)]
     total = sc.radio.bandwidth_aav
@@ -151,12 +151,12 @@ def test_bandwidth_sums_to_budget():
     sc = make_scenario()
     rng = np.random.default_rng(9)
     assoc = empty_assoc(sc)
-    assoc[0, [0, 1]] = 1
-    assoc[1, [2, 3]] = 1
+    assoc[0] = [0, 1]
+    assoc[1] = [2, 3]
     dim = action_dim(sc.n_aavs, sc.max_served)
     for _ in range(20):
         raw = rng.uniform(-1, 1, size=dim)
-        dec = decode(raw, served_gds(assoc), sc)
+        dec = decode(raw, assoc, sc)
         for v in range(sc.n_aavs):
             tot = sum(b for (vv, g), b in dec.bandwidth.items() if vv == v)
             assert math.isclose(tot, sc.radio.bandwidth_aav, rel_tol=1e-9)
@@ -166,9 +166,9 @@ def test_bandwidth_sums_to_budget():
 def test_single_served_gd_gets_full_budget():
     sc = make_scenario()
     assoc = empty_assoc(sc)
-    assoc[1, 4] = 1
+    assoc[1] = [4]
     raw = np.full(action_dim(sc.n_aavs, sc.max_served), -0.25)
-    dec = decode(raw, served_gds(assoc), sc)
+    dec = decode(raw, assoc, sc)
     assert math.isclose(dec.bandwidth[(1, 4)], sc.radio.bandwidth_aav,
                         rel_tol=1e-12)
     assert dec.offload[(1, 4)] is False
@@ -177,7 +177,7 @@ def test_single_served_gd_gets_full_budget():
 def test_no_candidates_means_no_service():
     sc = make_scenario()
     raw = np.ones(action_dim(sc.n_aavs, sc.max_served))
-    dec = decode(raw, served_gds(empty_assoc(sc)), sc)
+    dec = decode(raw, empty_assoc(sc), sc)
     assert dec.bandwidth == {}
     assert dec.offload == {}
 
@@ -226,17 +226,16 @@ def test_no_events_inside_bounds():
 def test_decoded_action_is_plain_container():
     sc = make_scenario()
     dec = decode(np.zeros(action_dim(sc.n_aavs, sc.max_served)),
-                 served_gds(empty_assoc(sc)), sc)
+                 empty_assoc(sc), sc)
     assert isinstance(dec, DecodedAction)
     assert dec.displacements.shape == (sc.n_aavs, 2)
 
 
 def loop_decode(raw, association, scenario):
     """Per-AAV, per-element decode on numpy scalars; the reference that
-    decode must equal to the last bit."""
+    decode must equal to the last bit.  association: served-GD lists."""
     raw = np.clip(np.asarray(raw, dtype=float), -1.0, 1.0)
     cap = scenario.max_served
-    assoc = np.asarray(association)
     max_step = scenario.max_step()
     displacements = np.zeros((scenario.n_aavs, 2))
     offload, bandwidth = {}, {}
@@ -246,7 +245,7 @@ def loop_decode(raw, association, scenario):
         dist = (raw[base] + 1.0) / 2.0 * max_step
         angle = raw[base + 1] * math.pi
         displacements[v] = (dist * math.cos(angle), dist * math.sin(angle))
-        served = np.nonzero(assoc[v])[0]
+        served = association[v]
         m = len(served)
         if m == 0:
             continue
@@ -266,17 +265,14 @@ def loop_decode(raw, association, scenario):
 def decode_cases(n_aavs, cap):
     """Associations for the loop-reference test: every served count from
     0 to cap on some AAV, an AAV with no GD in each, and every AAV full."""
-    n_gds = n_aavs * cap
     counts = [[(v + k) % (cap + 1) for v in range(n_aavs)]
               for k in range(cap + 1)]
     counts.append([cap] * n_aavs)
     cases = []
     for per_aav in counts:
-        assoc = np.zeros((n_aavs, n_gds), dtype=np.int8)
-        for v, m in enumerate(per_aav):
-            # interleaved GD indices, so served lists are not contiguous
-            assoc[v, [v + n_aavs * k for k in range(m)]] = 1
-        cases.append(assoc)
+        # interleaved GD indices, so served lists are not contiguous
+        cases.append([[v + n_aavs * k for k in range(m)]
+                      for v, m in enumerate(per_aav)])
     return cases
 
 
@@ -295,7 +291,7 @@ def test_decode_equals_loop_reference():
         raws += [np.full(dim, 0.5), np.full(dim, -0.0), np.zeros(dim)]
         for assoc in decode_cases(n_aavs, cap):
             for raw in raws:
-                dec = decode(raw, served_gds(assoc), sc)
+                dec = decode(raw, assoc, sc)
                 displacements, offload, bandwidth = loop_decode(raw, assoc, sc)
                 assert dec.displacements.tobytes() == displacements.tobytes()
                 assert dec.offload == offload

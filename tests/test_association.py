@@ -33,11 +33,7 @@ def deferred_acceptance(aav_positions, gd_positions, capacity, altitude):
             held[v].remove(far)
             if cursor[far] < n_aavs:
                 heapq.heappush(free, far)
-    assoc = np.zeros((n_aavs, n_gds), dtype=np.int8)
-    for v in range(n_aavs):
-        for g in held[v]:
-            assoc[v, g] = 1
-    return assoc
+    return [sorted(gds) for gds in held]
 
 
 def geometries(count, seed):
@@ -59,11 +55,10 @@ def geometries(count, seed):
 
 def test_pair_scan_equals_deferred_acceptance():
     for aav, gd, capacity in geometries(2000, seed=4):
-        assoc = gs_associate(aav, gd, capacity, ALT)
+        served = gs_associate(aav, gd, capacity, ALT)
         expected = deferred_acceptance(aav, gd, capacity, ALT)
-        assert assoc.dtype == expected.dtype
-        assert np.array_equal(assoc, expected), (aav, gd, capacity)
-        assert blocking_pairs(assoc, aav, gd, capacity, ALT) == []
+        assert served == expected, (aav, gd, capacity)
+        assert blocking_pairs(served, aav, gd, capacity, ALT) == []
 
 
 def test_capacity_never_exceeded():
@@ -71,25 +66,25 @@ def test_capacity_never_exceeded():
     for _ in range(50):
         aav = rng.uniform(-500, 500, size=(3, 2))
         gd = rng.uniform(-500, 500, size=(10, 2))
-        assoc = gs_associate(aav, gd, capacity=2, altitude=ALT)
-        assert assoc.sum(axis=1).max() <= 2
-        assert assoc.sum(axis=0).max() <= 1
+        served = gs_associate(aav, gd, capacity=2, altitude=ALT)
+        assert max(map(len, served)) <= 2
+        every = [g for gds in served for g in gds]
+        assert len(every) == len(set(every))
 
 
 def test_everyone_matched_when_capacity_allows():
     rng = np.random.default_rng(1)
     aav = rng.uniform(-500, 500, size=(2, 2))
     gd = rng.uniform(-500, 500, size=(5, 2))
-    assoc = gs_associate(aav, gd, capacity=4, altitude=ALT)
+    served = gs_associate(aav, gd, capacity=4, altitude=ALT)
     # 8 slots for 5 GDs: nobody stays idle
-    assert assoc.sum() == 5
+    assert sorted(g for gds in served for g in gds) == [0, 1, 2, 3, 4]
 
 
 def test_single_aav_takes_nearest():
     aav = np.array([[0.0, 0.0]])
     gd = np.array([[10.0, 0.0], [500.0, 0.0], [20.0, 0.0], [700.0, 0.0]])
-    assoc = gs_associate(aav, gd, capacity=2, altitude=ALT)
-    assert assoc[0].tolist() == [1, 0, 1, 0]
+    assert gs_associate(aav, gd, capacity=2, altitude=ALT) == [[0, 2]]
 
 
 def test_no_blocking_pairs_on_random_geometries():
@@ -100,33 +95,29 @@ def test_no_blocking_pairs_on_random_geometries():
         cap = int(rng.integers(1, 3))
         aav = rng.uniform(-800, 800, size=(n_aavs, 2))
         gd = rng.uniform(-800, 800, size=(n_gds, 2))
-        assoc = gs_associate(aav, gd, capacity=cap, altitude=ALT)
-        assert blocking_pairs(assoc, aav, gd, cap, ALT) == []
+        served = gs_associate(aav, gd, capacity=cap, altitude=ALT)
+        assert blocking_pairs(served, aav, gd, cap, ALT) == []
 
 
 def test_deterministic_output():
     rng = np.random.default_rng(3)
     aav = rng.uniform(-100, 100, size=(3, 2))
     gd = rng.uniform(-100, 100, size=(8, 2))
-    a = gs_associate(aav, gd, 2, ALT)
-    b = gs_associate(aav, gd, 2, ALT)
-    assert np.array_equal(a, b)
+    assert gs_associate(aav, gd, 2, ALT) == gs_associate(aav, gd, 2, ALT)
 
 
 def test_equidistant_tie_goes_to_lower_aav_index():
     aav = np.array([[-100.0, 0.0], [100.0, 0.0]])
     gd = np.array([[0.0, 0.0]])
-    assoc = gs_associate(aav, gd, capacity=1, altitude=ALT)
-    assert assoc[0, 0] == 1 and assoc[1, 0] == 0
+    assert gs_associate(aav, gd, capacity=1, altitude=ALT) == [[0], []]
     # three GDs tied over four AAVs fill the three lowest-indexed AAVs
     aav = np.array([[100.0, 0.0], [0.0, 100.0], [-100.0, 0.0], [0.0, -100.0]])
     gd = np.zeros((3, 2))
-    assoc = gs_associate(aav, gd, capacity=1, altitude=ALT)
-    assert assoc.sum(axis=1).tolist() == [1, 1, 1, 0]
+    served = gs_associate(aav, gd, capacity=1, altitude=ALT)
+    assert list(map(len, served)) == [1, 1, 1, 0]
 
 
 def test_overflow_leaves_farthest_gds_idle():
     aav = np.array([[0.0, 0.0]])
     gd = np.array([[10.0, 0.0], [20.0, 0.0], [30.0, 0.0]])
-    assoc = gs_associate(aav, gd, capacity=2, altitude=ALT)
-    assert assoc[0].tolist() == [1, 1, 0]
+    assert gs_associate(aav, gd, capacity=2, altitude=ALT) == [[0, 1]]

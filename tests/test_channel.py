@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from saginsim import actions, channel
-from saginsim.association import served_gds
 from saginsim.errors import ConfigInvalid
 from saginsim.scenario import RadioParams, Scenario, load_scenario
 
@@ -152,8 +151,7 @@ def test_rate_rejects_bad_allocation():
     sc = Scenario(n_aavs=1, n_gds=4, initial_aav_positions=((0.0, 0.0),),
                   radio=RadioParams(bandwidth_aav=1.0, noise_psd=-3000.0))
     raw = np.array([0.0, 0.0] + [1.0] * 4 + [1.0, -1.0, -1.0, -1.0])
-    shares = actions.decode(raw, served_gds(np.ones((1, 4), np.int8)),
-                            sc).bandwidth.values()
+    shares = actions.decode(raw, [[0, 1, 2, 3]], sc).bandwidth.values()
     n0 = channel.noise_psd_watts(sc.radio.noise_psd)
     assert min(shares) >= math.exp(-2.0) / sc.max_served
     assert n0 * min(shares) > 0.0
@@ -223,8 +221,7 @@ def test_gain_matrix_degenerate_geometry():
 def test_interference_field_excludes_own_cell():
     aav = np.array([[0.0, 0.0, 100.0], [500.0, 0.0, 100.0]])
     gd = np.array([[0.0, 10.0, 0.0], [500.0, 10.0, 0.0]])
-    assoc = np.array([[1, 0], [0, 1]])
-    field = channel.InterferenceField(aav, gd, assoc, RADIO)
+    field = channel.InterferenceField(aav, gd, [[0], [1]], RADIO)
     # AAV 0 hears only GD 1 (served by AAV 1)
     expected = RADIO.power_gd * channel_gain(aav[0], gd[1], RADIO)
     assert abs(field.power[0] - expected) < abs(expected) * 1e-12
@@ -234,20 +231,18 @@ def test_interference_field_excludes_own_cell():
 def test_interference_field_unserved_gds_silent():
     aav = np.array([[0.0, 0.0, 100.0], [300.0, 0.0, 100.0]])
     gd = np.array([[10.0, 0.0, 0.0], [290.0, 0.0, 0.0], [150.0, 0.0, 0.0]])
-    assoc = np.array([[1, 0, 0], [0, 1, 0]])  # GD 2 idle
-    field = channel.InterferenceField(aav, gd, assoc, RADIO)
+    field = channel.InterferenceField(aav, gd, [[0], [1]], RADIO)  # GD 2 idle
     expected0 = RADIO.power_gd * channel_gain(aav[0], gd[1], RADIO)
     assert abs(field.power[0] - expected0) < abs(expected0) * 1e-12
 
 
-def loop_interference(gains, association, power_gd):
-    """Per-AAV masked sums; the reference that InterferenceField.power
-    must equal to the last bit."""
-    assoc = np.asarray(association)
-    served_any = assoc.sum(axis=0).astype(bool)
-    power = np.zeros(len(assoc))
-    for v in range(len(assoc)):
-        foreign = served_any & ~assoc[v].astype(bool)
+def loop_interference(gains, served, power_gd):
+    """Per-AAV sums over the other AAVs' GDs in ascending order; the
+    reference that InterferenceField.power must equal to the last bit."""
+    power = np.zeros(len(served))
+    for v in range(len(served)):
+        foreign = sorted(g for u, gds in enumerate(served) if u != v
+                         for g in gds)
         power[v] = power_gd * gains[v, foreign].sum()
     return power
 
@@ -265,11 +260,10 @@ def test_interference_field_equals_loop_reference():
         gd = np.column_stack([rng.uniform(-1500, 1500, (n_gds, 2)),
                               np.zeros(n_gds)])
         owner = rng.integers(-1, int(rng.integers(0, n_aavs + 1)), n_gds)
-        assoc = np.zeros((n_aavs, n_gds), dtype=np.int8)
-        assoc[owner[owner >= 0], np.flatnonzero(owner >= 0)] = 1
-        field = channel.InterferenceField(aav, gd, assoc, RADIO)
+        served = [np.flatnonzero(owner == v).tolist() for v in range(n_aavs)]
+        field = channel.InterferenceField(aav, gd, served, RADIO)
         gains = channel.channel_gain_matrix(aav, gd, RADIO)
-        expect = loop_interference(gains, assoc, RADIO.power_gd)
+        expect = loop_interference(gains, served, RADIO.power_gd)
         np.testing.assert_array_equal(field.gains, gains)
         np.testing.assert_array_equal(field.power, expect)
         assert all(field.power[v] == expect[v] for v in range(n_aavs))

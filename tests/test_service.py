@@ -5,7 +5,6 @@ import pytest
 
 from saginsim import channel
 from saginsim.actions import DecodedAction
-from saginsim.association import served_gds
 from saginsim.scenario import RadioParams, Scenario
 from saginsim.environment import episode_totals
 from saginsim.service import WorldState, run_slot, task_delay
@@ -40,10 +39,6 @@ def world_gain(world, sc):
                                        sc.radio)[0, 0]
 
 
-def serve(world, decisions, assoc, sc, **kw):
-    return run_slot(world, decisions, assoc, served_gds(assoc), sc, **kw)
-
-
 def make_task(gd=0, size=6e5, ratio=0.2, max_delay=2.0):
     return MecTask(gd=gd, task_id=0, size_bits=size, max_delay=max_delay,
                    deadline_slot=100, result_ratio=ratio, created_slot=0)
@@ -60,10 +55,8 @@ def full_service_decision(sc, offload=False):
 
 
 def everyone_assoc(sc):
-    assoc = np.zeros((sc.n_aavs, sc.n_gds), dtype=np.int8)
-    for g in range(sc.n_gds):
-        assoc[g % sc.n_aavs, g] = 1
-    return assoc
+    """Served-GD lists that deal the GDs round-robin over the AAVs."""
+    return [list(range(v, sc.n_gds, sc.n_aavs)) for v in range(sc.n_aavs)]
 
 
 def sat_distance(aav_xy, scenario):
@@ -154,14 +147,14 @@ def test_dead_link_leaves_task_pending(link):
         assert (up, down) == (0.0, 0.0) and a2g > 0.0
     else:
         assert a2g == 0.0
-    out = serve(world, decision, everyone_assoc(sc), sc)
+    out = run_slot(world, decision, everyone_assoc(sc), sc)
     assert out["skipped"] == 1
     assert out["tasks"] == []
     assert world.gd_states[0].pending == [task]
     # the slot collects as if the GD had no task
     idle = make_world(sc, **pos)
     idle.dc_buffers[0] = 3e3
-    expect = serve(idle, decision, everyone_assoc(sc), sc)
+    expect = run_slot(idle, decision, everyone_assoc(sc), sc)
     assert out["dc"] == expect["dc"]
     assert out["energy"] == expect["energy"]
     assert out["dc"]["dc_time"][0] == sc.slot_length
@@ -176,7 +169,7 @@ def test_run_slot_local_task_bookkeeping():
     sc = make_scenario()
     task = make_task(size=2e5, max_delay=5.0)
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task])
-    out = serve(world, full_service_decision(sc), everyone_assoc(sc), sc)
+    out = run_slot(world, full_service_decision(sc), everyone_assoc(sc), sc)
     assert len(out["tasks"]) == 1
     rec = out["tasks"][0]
     assert rec["success"] and not rec["offloaded"]
@@ -201,8 +194,8 @@ def test_run_slot_offloaded_task_bookkeeping():
     sc = make_scenario()
     task = make_task(size=2e5, max_delay=5.0)
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task])
-    out = serve(world, full_service_decision(sc, offload=True),
-                everyone_assoc(sc), sc)
+    out = run_slot(world, full_service_decision(sc, offload=True),
+                   everyone_assoc(sc), sc)
     rec = out["tasks"][0]
     assert rec["offloaded"]
     comps = rec["components"]
@@ -225,7 +218,7 @@ def test_rate_floor_skips_task_but_not_collection():
     task = make_task()
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task],
                        stored=5e3)
-    out = serve(world, full_service_decision(sc), everyone_assoc(sc), sc)
+    out = run_slot(world, full_service_decision(sc), everyone_assoc(sc), sc)
     assert out["skipped"] == 1
     assert out["tasks"] == []
     assert len(world.gd_states[0].pending) == 1
@@ -239,7 +232,7 @@ def test_over_tolerance_task_fails_but_leaves_queue():
     sc = make_scenario()
     task = make_task(size=2e5, max_delay=1e-9)
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task])
-    out = serve(world, full_service_decision(sc), everyone_assoc(sc), sc)
+    out = run_slot(world, full_service_decision(sc), everyone_assoc(sc), sc)
     assert [t["success"] for t in out["tasks"]] == [False]
     assert world.gd_states[0].pending == []
 
@@ -250,7 +243,7 @@ def test_dc_conservation_with_busy_radio():
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]],
                        tasks=[make_task(size=2e5, max_delay=5.0)],
                        stored=stored)
-    out = serve(world, full_service_decision(sc), everyone_assoc(sc), sc)
+    out = run_slot(world, full_service_decision(sc), everyone_assoc(sc), sc)
     gd = world.gd_states[0]
     dc = out["dc"]
     assert math.isclose(stored - gd.stored_bits, dc["collected"][0],
@@ -268,7 +261,7 @@ def test_no_collection_when_radio_saturated():
     task = make_task(size=1e12, max_delay=1e9)
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], tasks=[task],
                        stored=1e6)
-    out = serve(world, full_service_decision(sc), everyone_assoc(sc), sc)
+    out = run_slot(world, full_service_decision(sc), everyone_assoc(sc), sc)
     comps = out["tasks"][0]["components"]
     assert comps["t_up_g2a"] + comps["t_down_a2g"] > sc.slot_length
     assert out["dc"]["dc_time"][0] == 0.0
@@ -280,7 +273,7 @@ def test_buffer_drains_without_new_collection():
     sc = make_scenario()
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]])
     world.dc_buffers[0] = 3e3
-    out = serve(world, full_service_decision(sc), everyone_assoc(sc), sc)
+    out = run_slot(world, full_service_decision(sc), everyone_assoc(sc), sc)
     assert out["dc"]["collected"][0] == 0.0
     assert out["dc"]["delivered"][0] == pytest.approx(3e3)
     assert world.dc_buffers[0] == pytest.approx(0.0)
@@ -290,9 +283,7 @@ def test_unserved_gd_keeps_its_data():
     sc = make_scenario(n_aavs=1, n_gds=2)
     world = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0], [400.0, 400.0]],
                        stored=1e3)
-    assoc = np.zeros((1, 2), dtype=np.int8)
-    assoc[0, 0] = 1
-    out = serve(world, full_service_decision(sc), assoc, sc)
+    out = run_slot(world, full_service_decision(sc), [[0]], sc)
     assert out["dc"]["from_gds"][0] == pytest.approx(1e3)
     assert out["dc"]["from_gds"][1] == 0.0
     assert world.gd_states[1].stored_bits == pytest.approx(1e3)
@@ -305,16 +296,12 @@ def test_cross_cell_interference_slows_service():
     tasks = [make_task(gd=0, size=6e5, max_delay=50.0),
              make_task(gd=1, size=6e5, max_delay=50.0)]
     world2 = make_world(sc2, pos_a, pos_g, tasks=tasks)
-    assoc2 = np.zeros((2, 2), dtype=np.int8)
-    assoc2[0, 0] = 1
-    assoc2[1, 1] = 1
-    out2 = serve(world2, full_service_decision(sc2), assoc2, sc2)
+    out2 = run_slot(world2, full_service_decision(sc2), [[0], [1]], sc2)
 
     sc1 = make_scenario(n_aavs=1, n_gds=1)
     world1 = make_world(sc1, [pos_a[0]], [pos_g[0]],
                         tasks=[make_task(gd=0, size=6e5, max_delay=50.0)])
-    assoc1 = np.ones((1, 1), dtype=np.int8)
-    out1 = serve(world1, full_service_decision(sc1), assoc1, sc1)
+    out1 = run_slot(world1, full_service_decision(sc1), [[0]], sc1)
     assert out2["tasks"][0]["delay"] > out1["tasks"][0]["delay"]
 
 
@@ -322,11 +309,11 @@ def test_rain_extra_db_slows_satellite_path():
     sc = make_scenario()
     kw = dict(tasks=[make_task(size=2e5, max_delay=50.0)])
     world_dry = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], **kw)
-    out_dry = serve(world_dry, full_service_decision(sc, offload=True),
-                    everyone_assoc(sc), sc)
+    out_dry = run_slot(world_dry, full_service_decision(sc, offload=True),
+                       everyone_assoc(sc), sc)
     world_wet = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], **kw)
-    out_wet = serve(world_wet, full_service_decision(sc, offload=True),
-                    everyone_assoc(sc), sc, rain_extra_db=10.0)
+    out_wet = run_slot(world_wet, full_service_decision(sc, offload=True),
+                       everyone_assoc(sc), sc, rain_extra_db=10.0)
     assert out_wet["tasks"][0]["delay"] > out_dry["tasks"][0]["delay"]
 
 
