@@ -27,9 +27,10 @@ def action_dim(n_aavs, max_served):
 
 @dataclasses.dataclass
 class DecodedAction:
+    """offload[v] and bandwidth[v] run along served[v], one per GD."""
     displacements: np.ndarray        # (n_aavs, 2) meters
-    offload: dict                    # (aav, gd) -> bool, satellite path when True
-    bandwidth: dict                  # (aav, gd) -> Hz
+    offload: list                    # per AAV, bools: satellite path when True
+    bandwidth: list                  # per AAV, Hz
 
 
 def _top_positions(raws, m):
@@ -51,8 +52,8 @@ def decode(raw, served, scenario):
         raise CodecShape("non-finite action components")
     rows = np.clip(raw, -1.0, 1.0).reshape(scenario.n_aavs, -1).tolist()
     max_step = scenario.max_step()
-    displacements = []
-    offload = {}
+    displacements, offload = [], []
+    bandwidth = [[] for _ in rows]
     by_count = {}   # served count m -> [(aav, its m selected bandwidth raws)]
     for v, (row, gds) in enumerate(zip(rows, served)):
         dist = (row[0] + 1.0) / 2.0 * max_step
@@ -61,15 +62,14 @@ def decode(raw, served, scenario):
         m = len(gds)
         if m > cap:
             raise CodecShape("AAV %d serves %d GDs, above max_served" % (v, m))
+        off_raws = row[2:2 + cap]
+        offload.append([off_raws[i] >= 0.0
+                        for i in _top_positions(off_raws, m)])
         if m == 0:
             continue
-        off_raws = row[2:2 + cap]
         bw_raws = row[2 + cap:]
-        for g, i in zip(gds, _top_positions(off_raws, m)):
-            offload[(v, g)] = off_raws[i] >= 0.0
         by_count.setdefault(m, []).append(
             (v, [bw_raws[i] for i in _top_positions(bw_raws, m)]))
-    bandwidth = {}
     # one softmax per served count: each row is reduced on its own, in the
     # order of a 1-D softmax, with no padding to shift its summation
     for group in by_count.values():
@@ -77,7 +77,7 @@ def decode(raw, served, scenario):
         e = np.exp(values - values.max(axis=1, keepdims=True))
         shares = e / e.sum(axis=1, keepdims=True) * scenario.radio.bandwidth_aav
         for (v, _), row in zip(group, shares.tolist()):
-            bandwidth.update(zip(((v, g) for g in served[v]), row))
+            bandwidth[v] = row
     return DecodedAction(displacements=np.array(displacements),
                          offload=offload, bandwidth=bandwidth)
 

@@ -49,6 +49,6 @@ def run_baseline(scenario, algo, seed, episodes, on_slot=None,
         raise ValueError("unknown baseline %r" % algo)
     policy = POLICIES[algo]
     env = SaginEnv(scenario, seed)
-    rng = env.rng.stream("policy-noise")
+    rng = env.rng["policy-noise"]
     return run_episodes(env, lambda _state: policy(env, rng), episodes,
                         on_slot, on_episode)

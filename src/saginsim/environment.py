@@ -26,13 +26,17 @@ actions.clamp_and_penalize its "events" block, and step the rest:
 "episode", "slot", "generated", "expired", "aav_pos", "assoc", dc
 "generated", energy "aav_move", and the "reward" block, computed from
 the record itself.  Episodes are numbered from 0 by the env's resets.
+
+env.rng is scenario.seeded_streams(seed), a dict of named generators;
+reset draws the episode's Weibull rain from rng["channel"] into the
+world's rain_extra_db.
 """
 
 import numpy as np
 
 from . import actions, association, energy, service, workload
 from .errors import EpisodeFinished
-from .scenario import SeededRng, sample_gd_positions
+from .scenario import sample_gd_positions, seeded_streams, validate_scenario
 
 
 def state_dim(scenario):
@@ -148,17 +152,18 @@ def run_episodes(env, act, episodes, on_slot=None, on_episode=None,
 
 
 class SaginEnv:
-    """Deterministic environment over one scenario and one seed, which
-    roots every random stream; successive episodes continue the streams."""
+    """Deterministic environment over one scenario, validated here, and
+    one seed, which roots every random stream; episodes continue them."""
 
     def __init__(self, scenario, seed):
+        validate_scenario(scenario)
         self.scenario = scenario
         self.seed = int(seed)
-        self.rng = SeededRng(self.seed)
+        self.rng = seeded_streams(self.seed)
         if scenario.gd_positions is not None:
             self.gd_pos = np.asarray(scenario.gd_positions, dtype=float)
         else:
-            self.gd_pos = sample_gd_positions(scenario, self.rng.stream("init"))
+            self.gd_pos = sample_gd_positions(scenario, self.rng["init"])
         self.action_dim = actions.action_dim(scenario.n_aavs, scenario.max_served)
         self.state_dim = state_dim(scenario)
         self._cruise_power = energy.propulsion_power(scenario.max_speed,
@@ -167,7 +172,6 @@ class SaginEnv:
         self.world = None
         self.done = True
         self.episode = -1
-        self._episode_rain_extra = 0.0
 
     def reset(self):
         """Start the next episode.  The random streams run on from the
@@ -178,10 +182,8 @@ class SaginEnv:
         self.done = False
         self.episode += 1
         if sc.radio.rain_model == "weibull":
-            draw = self.rng.stream("channel").weibull(2.0) * sc.radio.rain_atten
-            self._episode_rain_extra = draw - sc.radio.rain_atten
-        else:
-            self._episode_rain_extra = 0.0
+            draw = self.rng["channel"].weibull(2.0) * sc.radio.rain_atten
+            self.world.rain_extra_db = draw - sc.radio.rain_atten
         return self._state()
 
     def step(self, raw_action):
@@ -192,7 +194,7 @@ class SaginEnv:
         sc = self.scenario
         world = self.world
         t = world.slot
-        wl_rng = self.rng.stream("workload")
+        wl_rng = self.rng["workload"]
 
         expired = 0
         generated = 0
@@ -217,8 +219,7 @@ class SaginEnv:
             self._hover_power) for d in moved.tolist()]
         world.aav_pos = clamped
 
-        record = service.run_slot(world, decoded, served, sc,
-                                  self._episode_rain_extra)
+        record = service.run_slot(world, decoded, served, sc)
         record.update(
             episode=self.episode, slot=t, generated=generated, expired=expired,
             aav_pos=clamped.tolist(), assoc=served, events=events)

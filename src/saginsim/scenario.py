@@ -354,18 +354,9 @@ def sample_gd_positions(scenario, rng):
 _STREAMS = ("init", "workload", "channel", "policy-noise", "net-init", "trainer")
 
 
-class SeededRng:
-    """Named, mutually independent generators derived from one root seed."""
-
-    def __init__(self, seed):
-        self.seed = int(seed)
-        self._gens = {}
-
-    def stream(self, name):
-        if name not in _STREAMS:
-            raise KeyError("unknown stream %r (have %s)" % (name, ", ".join(_STREAMS)))
-        if name not in self._gens:
-            idx = _STREAMS.index(name)
-            seq = np.random.SeedSequence(self.seed, spawn_key=(idx,))
-            self._gens[name] = np.random.default_rng(seq)
-        return self._gens[name]
+def seeded_streams(seed):
+    """{name: Generator}, mutually independent: stream i of _STREAMS draws
+    from child i of SeedSequence(seed)."""
+    children = np.random.SeedSequence(seed).spawn(len(_STREAMS))
+    return {name: np.random.default_rng(child)
+            for name, child in zip(_STREAMS, children)}

@@ -33,8 +33,8 @@ from .energy import compute_energy
 @dataclasses.dataclass
 class WorldState:
     """One episode's world.  The positions, GD queues and stores, AAV
-    buffers and slot change as it runs; gd3, sat_center, sat_height and
-    noise_w are per-episode invariants that every slot reads."""
+    buffers and slot change as it runs; the other fields are per-episode
+    invariants that every slot reads."""
     aav_pos: np.ndarray      # (n_aavs, 2) ground coordinates, m
     gd_states: list          # workload.GdState per GD
     dc_buffers: np.ndarray   # (n_aavs,) collected bits awaiting delivery
@@ -43,6 +43,7 @@ class WorldState:
     sat_height: float        # satellite height above the AAVs, m
     noise_w: float           # noise PSD, W/Hz
     slot: int = 0
+    rain_extra_db: float = 0.0   # episode's rain on the satellite legs, dB
 
     @classmethod
     def start(cls, scenario, gd_pos):
@@ -52,7 +53,7 @@ class WorldState:
         x_min, y_min, x_max, y_max = scenario.area_bounds
         return cls(
             aav_pos=np.array(scenario.initial_aav_positions, dtype=float),
-            gd_states=[workload.GdState(g) for g in range(len(gd_pos))],
+            gd_states=[workload.GdState() for _ in range(len(gd_pos))],
             dc_buffers=np.zeros(scenario.n_aavs),
             gd3=np.column_stack([gd_pos, np.zeros(len(gd_pos))]),
             sat_center=np.array([(x_min + x_max) / 2.0,
@@ -96,11 +97,12 @@ def task_delay(size_bits, result_ratio, offloaded, rates, sat_dist, compute):
     return comps
 
 
-def run_slot(world, decisions, served, scenario, rain_extra_db=0.0):
+def run_slot(world, decisions, served, scenario):
     """Serve tasks and collect data for one slot; mutates GD queues, GD
     stores and AAV buffers.  Positions are taken as already moved.
     served is the slot's association, the per-AAV GD lists of
-    association.gs_associate.
+    association.gs_associate, along which decisions' per-AAV offload and
+    bandwidth lists run; world.rain_extra_db fades both satellite legs.
 
     Returns the service part of the slot record, in plain Python values:
     "skipped" (pending tasks left waiting for a usable link),
@@ -115,7 +117,6 @@ def run_slot(world, decisions, served, scenario, rain_extra_db=0.0):
     aav3 = np.column_stack([world.aav_pos,
                             np.full(n_aavs, scenario.aav_altitude)])
     field = channel.InterferenceField(aav3, world.gd3, served, radio)
-    n_connected = n_aavs
 
     tasks = []
     busy_tx = [0.0] * n_aavs
@@ -127,15 +128,15 @@ def run_slot(world, decisions, served, scenario, rain_extra_db=0.0):
     r_a2s, uplink_rates = [], []
 
     for v, sat_dist in enumerate(world.sat_distances()):
-        up, down = channel.sat_link_rates(sat_dist, n_connected, noise_w,
-                                          radio, rain_extra_db)
+        up, down = channel.sat_link_rates(sat_dist, n_aavs, noise_w,
+                                          radio, world.rain_extra_db)
         r_a2s.append(up)
         sat_live = up > 0.0 and down > 0.0
         gains = field.gains[v].tolist()
         interference = field.power[v]
         rates_v = []
-        for g in served[v]:
-            bw = decisions.bandwidth[(v, g)]
+        for g, bw, offloaded in zip(served[v], decisions.bandwidth[v],
+                                    decisions.offload[v]):
             gain = gains[g]
             r_up = channel.g2a_rate(gain, bw, interference, noise_w, radio)
             rates_v.append(r_up)
@@ -148,7 +149,6 @@ def run_slot(world, decisions, served, scenario, rain_extra_db=0.0):
                 continue
             rates = {"g2a": r_up,
                      "a2g": channel.a2g_rate(gain, bw, noise_w, radio)}
-            offloaded = decisions.offload[(v, g)]
             if rates["a2g"] <= 0.0 or offloaded and not sat_live:
                 skipped += 1
                 continue

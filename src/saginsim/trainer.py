@@ -256,14 +256,14 @@ def actor_update(policy, critics, states, acts, hyper, rng, opt):
 
 
 class QagobTrainer:
-    """The qagob agent of one environment; it draws from env.rng's
-    net-init, policy-noise and trainer streams, which the environment
-    never draws from."""
+    """The qagob agent of one environment; it draws from the streams
+    env.rng["net-init"], env.rng["policy-noise"] and env.rng["trainer"],
+    which the environment never draws from."""
 
     def __init__(self, env, hyper):
         self.env = env
         self.hyper = hyper
-        net_rng = env.rng.stream("net-init")
+        net_rng = env.rng["net-init"]
         self.policy = diffusion.DiffusionPolicy(
             env.state_dim, env.action_dim, self.hyper.actor_widths,
             self.hyper.n_denoise, self.hyper.beta_start, self.hyper.beta_end,
@@ -283,12 +283,12 @@ class QagobTrainer:
         return diffusion.behavior_select(
             self.policy, state, self.critics.min_q,
             self.hyper.behavior_samples,
-            self.env.rng.stream("policy-noise")).astype(np.float64)
+            self.env.rng["policy-noise"]).astype(np.float64)
 
     def update(self):
         """One gradient phase; returns (critic_loss_mean, actor_loss or None)."""
         h = self.hyper
-        t_rng = self.env.rng.stream("trainer")
+        t_rng = self.env.rng["trainer"]
         batch = self.replay.sample(h.batch_size, t_rng)
         targets = td_targets(batch, self.critics, self.policy_target,
                              h.gamma, h.target_samples, t_rng)

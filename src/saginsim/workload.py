@@ -16,20 +16,17 @@ DC_SIZE_UNIT = 1.0e4   # bits
 
 @dataclasses.dataclass
 class MecTask:
-    gd: int
     task_id: int           # per-GD sequence number
     size_bits: float
     max_delay: float       # s, completion tolerance once service starts
     deadline_slot: int     # last slot at which service may start
     result_ratio: float    # result bits / input bits
-    created_slot: int
 
 
 class GdState:
     """Mutable per-episode state of one ground device."""
 
-    def __init__(self, index):
-        self.index = index
+    def __init__(self):
         self.pending = []          # FIFO of MecTask
         self.stored_bits = 0.0     # sensed data waiting for collection
         self.last_task_slot = 0    # slot of the most recent task arrival
@@ -63,13 +60,11 @@ def maybe_generate_task(gd, slot, params, slot_length, rng):
     tolerance_s = _uniform(rng, params.tolerance_range)
     ratio = _uniform(rng, params.result_ratio_range)
     task = MecTask(
-        gd=gd.index,
         task_id=gd.next_task_id,
         size_bits=size_units * MEC_SIZE_UNIT,
         max_delay=tolerance_s,
         deadline_slot=slot + max(1, int(deadline_s / slot_length)),
         result_ratio=ratio,
-        created_slot=slot,
     )
     gd.pending.append(task)
     gd.last_task_slot = slot

@@ -172,8 +172,8 @@ def test_accept_formula_oracles():
         e = np.exp(bw_raws - bw_raws.max())
         want_shares = e / e.sum() * sc1.radio.bandwidth_aav
         for g in range(cap):
-            assert rel_err(dec.bandwidth[(0, g)], want_shares[g]) <= 1e-9
-        total = sum(dec.bandwidth[(0, g)] for g in range(cap))
+            assert rel_err(dec.bandwidth[0][g], want_shares[g]) <= 1e-9
+        total = sum(dec.bandwidth[0])
         assert rel_err(total, sc1.radio.bandwidth_aav) <= 1e-9
 
     assert time.monotonic() - t0 < 1.0

@@ -109,9 +109,7 @@ def test_top_m_offload_raws_map_to_served_ascending():
     raw[4] = -0.2
     dec = decode(raw, assoc, sc)
     # top-2 raws are 0.9 (pos 1) and -0.2 (pos 2); GD 1 gets the earlier one
-    assert dec.offload[(0, 1)] is True
-    assert dec.offload[(0, 3)] is False
-    assert (0, 5) not in dec.offload
+    assert dec.offload == [[True, False], []]
 
 
 def test_offload_tie_prefers_earlier_position():
@@ -124,8 +122,7 @@ def test_offload_tie_prefers_earlier_position():
     raw[4] = -0.3
     dec = decode(raw, assoc, sc)
     # tied 0.7s occupy positions 0 and 1, so -0.3 never reaches a GD
-    assert dec.offload[(0, 0)] is True
-    assert dec.offload[(0, 2)] is True
+    assert dec.offload[0] == [True, True]
 
 
 def test_bandwidth_softmax_two_way():
@@ -136,8 +133,7 @@ def test_bandwidth_softmax_two_way():
     raw[4] = 1.0  # bandwidth raw paired with GD 0
     raw[5] = 0.0  # bandwidth raw paired with GD 1
     dec = decode(raw, assoc, sc)
-    b0 = dec.bandwidth[(0, 0)]
-    b1 = dec.bandwidth[(0, 1)]
+    b0, b1 = dec.bandwidth[0]
     total = sc.radio.bandwidth_aav
     expect0 = total * math.exp(1.0) / (math.exp(1.0) + 1.0)
     assert math.isclose(b0, expect0, rel_tol=1e-9)
@@ -158,9 +154,10 @@ def test_bandwidth_sums_to_budget():
         raw = rng.uniform(-1, 1, size=dim)
         dec = decode(raw, assoc, sc)
         for v in range(sc.n_aavs):
-            tot = sum(b for (vv, g), b in dec.bandwidth.items() if vv == v)
+            assert len(dec.bandwidth[v]) == 2
+            tot = sum(dec.bandwidth[v])
             assert math.isclose(tot, sc.radio.bandwidth_aav, rel_tol=1e-9)
-            assert all(b > 0 for (vv, g), b in dec.bandwidth.items() if vv == v)
+            assert all(b > 0 for b in dec.bandwidth[v])
 
 
 def test_single_served_gd_gets_full_budget():
@@ -169,17 +166,17 @@ def test_single_served_gd_gets_full_budget():
     assoc[1] = [4]
     raw = np.full(action_dim(sc.n_aavs, sc.max_served), -0.25)
     dec = decode(raw, assoc, sc)
-    assert math.isclose(dec.bandwidth[(1, 4)], sc.radio.bandwidth_aav,
-                        rel_tol=1e-12)
-    assert dec.offload[(1, 4)] is False
+    (share,) = dec.bandwidth[1]
+    assert math.isclose(share, sc.radio.bandwidth_aav, rel_tol=1e-12)
+    assert dec.offload[1] == [False]
 
 
 def test_no_candidates_means_no_service():
     sc = make_scenario()
     raw = np.ones(action_dim(sc.n_aavs, sc.max_served))
     dec = decode(raw, empty_assoc(sc), sc)
-    assert dec.bandwidth == {}
-    assert dec.offload == {}
+    assert dec.bandwidth == [[], []]
+    assert dec.offload == [[], []]
 
 
 def test_clamp_boundary_event():
@@ -238,15 +235,16 @@ def loop_decode(raw, association, scenario):
     cap = scenario.max_served
     max_step = scenario.max_step()
     displacements = np.zeros((scenario.n_aavs, 2))
-    offload, bandwidth = {}, {}
+    offload, bandwidth = [], []
     width = 2 + 2 * cap
     for v in range(scenario.n_aavs):
         base = v * width
         dist = (raw[base] + 1.0) / 2.0 * max_step
         angle = raw[base + 1] * math.pi
         displacements[v] = (dist * math.cos(angle), dist * math.sin(angle))
-        served = association[v]
-        m = len(served)
+        m = len(association[v])
+        offload.append([])
+        bandwidth.append([])
         if m == 0:
             continue
         off_raws = raw[base + 2: base + 2 + cap]
@@ -256,9 +254,9 @@ def loop_decode(raw, association, scenario):
         values = bw_raws[bw_idx]
         e = np.exp(values - values.max())
         shares = e / e.sum() * scenario.radio.bandwidth_aav
-        for k, g in enumerate(sorted(served)):
-            offload[(v, int(g))] = bool(off_raws[off_idx[k]] >= 0.0)
-            bandwidth[(v, int(g))] = float(shares[k])
+        for k in range(m):
+            offload[v].append(bool(off_raws[off_idx[k]] >= 0.0))
+            bandwidth[v].append(float(shares[k]))
     return displacements, offload, bandwidth
 
 
@@ -295,7 +293,8 @@ def test_decode_equals_loop_reference():
                 displacements, offload, bandwidth = loop_decode(raw, assoc, sc)
                 assert dec.displacements.tobytes() == displacements.tobytes()
                 assert dec.offload == offload
-                assert all(type(flag) is bool for flag in dec.offload.values())
+                assert all(type(flag) is bool
+                           for flags in dec.offload for flag in flags)
                 assert dec.bandwidth == bandwidth
 
 

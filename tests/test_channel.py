@@ -151,7 +151,7 @@ def test_rate_rejects_bad_allocation():
     sc = Scenario(n_aavs=1, n_gds=4, initial_aav_positions=((0.0, 0.0),),
                   radio=RadioParams(bandwidth_aav=1.0, noise_psd=-3000.0))
     raw = np.array([0.0, 0.0] + [1.0] * 4 + [1.0, -1.0, -1.0, -1.0])
-    shares = actions.decode(raw, [[0, 1, 2, 3]], sc).bandwidth.values()
+    (shares,) = actions.decode(raw, [[0, 1, 2, 3]], sc).bandwidth
     n0 = channel.noise_psd_watts(sc.radio.noise_psd)
     assert min(shares) >= math.exp(-2.0) / sc.max_served
     assert n0 * min(shares) > 0.0

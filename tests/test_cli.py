@@ -19,7 +19,7 @@ import pytest
 from saginsim import baselines, cli, runio
 from saginsim.environment import SaginEnv, episode_totals, run_episodes
 from saginsim.nets.mlp import Mlp, load_checkpoint, save_checkpoint
-from saginsim.scenario import SeededRng, load_scenario
+from saginsim.scenario import load_scenario, seeded_streams
 from saginsim.trainer import Hyper, QagobTrainer
 
 TINY_CONFIG = """\
@@ -652,7 +652,7 @@ def test_weibull_rain_draws_once_per_episode(tmp_path, monkeypatch):
     def recording_reset(env):
         state = reset(env)
         envs.append(env)
-        extras.append(env._episode_rain_extra)
+        extras.append(env.world.rain_extra_db)
         return state
     monkeypatch.setattr(SaginEnv, "reset", recording_reset)
     argv = ["baseline", "--algo", "greedy", "--config",
@@ -663,11 +663,11 @@ def test_weibull_rain_draws_once_per_episode(tmp_path, monkeypatch):
         assert run_cli(argv + extra + ["--out", str(tmp_path / name)]) == 0
 
     rain_atten = load_scenario(CONFIGS / "toy.toml").radio.rain_atten
-    ref = SeededRng(3).stream("channel")
+    ref = seeded_streams(3)["channel"]
     want = [ref.weibull(2.0) * rain_atten - rain_atten for _ in range(3)]
     assert extras == want + want + [0.0] * 3
     # no other draw: the stream stands where the reference does
-    assert envs[0].rng.stream("channel").bit_generator.state \
+    assert envs[0].rng["channel"].bit_generator.state \
         == ref.bit_generator.state
     for name in ("metrics.csv", "events.jsonl", "energy.csv",
                  "trajectories.csv"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 import weakref
@@ -8,7 +9,7 @@ import pytest
 from saginsim import service, workload
 from saginsim.environment import (SaginEnv, episode_totals, run_episodes,
                                   state_dim)
-from saginsim.errors import EpisodeFinished
+from saginsim.errors import ConfigInvalid, EpisodeFinished
 from saginsim.scenario import RewardWeights, Scenario, load_scenario
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -32,6 +33,16 @@ def test_state_dim_formula():
     assert state_dim(toy_scenario()) == 2 * 2 + 4 * 5 + 1
     default = Scenario()
     assert state_dim(default) == 2 * 4 + 4 * 30 + 1 == 129
+
+
+def test_env_validates_its_scenario():
+    # a scenario built in Python, not loaded from a config, is held to the
+    # same rules before the env plays it
+    for field, value in (("aav_altitude", 0.0), ("sat_altitude", 50.0)):
+        sc = dataclasses.replace(Scenario(), **{field: value})
+        with pytest.raises(ConfigInvalid) as err:
+            SaginEnv(sc, SEED)
+        assert err.value.field == field
 
 
 def test_reset_state_layout():
@@ -391,16 +402,16 @@ def test_state_equals_loop_reference():
         assert state.tobytes() == loop_state(env).tobytes()
     # pending, overdue and empty queues side by side, off-grid positions
     t = env.world.slot
-    task = dict(task_id=0, size_bits=1e5, result_ratio=0.2, created_slot=0)
+    task = dict(task_id=0, size_bits=1e5, result_ratio=0.2)
     gds = env.world.gd_states
     gds[0].pending = []
-    gds[1].pending = [workload.MecTask(gd=1, max_delay=1.3,
+    gds[1].pending = [workload.MecTask(max_delay=1.3,
                                        deadline_slot=t - 4, **task)]
-    gds[2].pending = [workload.MecTask(gd=2, max_delay=0.9,
+    gds[2].pending = [workload.MecTask(max_delay=0.9,
                                        deadline_slot=t + 7, **task),
-                      workload.MecTask(gd=2, max_delay=1.7,
+                      workload.MecTask(max_delay=1.7,
                                        deadline_slot=t + 9, **task)]
-    gds[3].pending = [workload.MecTask(gd=3, max_delay=1.1,
+    gds[3].pending = [workload.MecTask(max_delay=1.1,
                                        deadline_slot=t, **task)]
     gds[4].stored_bits = 123456.7
     env.world.aav_pos = np.array([[-0.0, 333.3], [499.9, -500.0]])

@@ -6,8 +6,8 @@ import pytest
 from saginsim.cli import _build_hyper
 from saginsim.errors import ConfigInvalid, ConfigSyntax
 from saginsim.scenario import (
-    EnergyParams, RadioParams, Scenario, SeededRng, load_scenario,
-    sample_gd_positions, scenario_to_text, validate_scenario)
+    _STREAMS, EnergyParams, RadioParams, Scenario, load_scenario,
+    sample_gd_positions, scenario_to_text, seeded_streams, validate_scenario)
 from saginsim.trainer import Hyper
 
 # every group of run values and the prefix of its keys
@@ -217,26 +217,42 @@ def test_load_scenario_missing_file(tmp_path):
 
 
 def test_seeded_rng_streams_independent_and_reproducible():
-    a, b = SeededRng(5), SeededRng(5)
-    assert a.stream("workload").random(4).tolist() \
-        == b.stream("workload").random(4).tolist()
+    a, b = seeded_streams(5), seeded_streams(5)
+    assert a["workload"].random(4).tolist() \
+        == b["workload"].random(4).tolist()
     # consuming one stream must not disturb another
-    c = SeededRng(5)
-    c.stream("channel").random(100)
-    assert c.stream("workload").random(4).tolist() \
-        == SeededRng(5).stream("workload").random(4).tolist()
-    assert a.stream("workload").random(4).tolist() \
-        != a.stream("channel").random(4).tolist()
+    c = seeded_streams(5)
+    c["channel"].random(100)
+    assert c["workload"].random(4).tolist() \
+        == seeded_streams(5)["workload"].random(4).tolist()
+    assert a["workload"].random(4).tolist() \
+        != a["channel"].random(4).tolist()
 
 
 def test_seeded_rng_unknown_stream():
     with pytest.raises(KeyError):
-        SeededRng(0).stream("lottery")
+        seeded_streams(0)["lottery"]
+
+
+def test_seeded_streams_keep_their_derivation():
+    # stream i of _STREAMS is SeedSequence(seed, spawn_key=(i,)), as it has
+    # been in every version: a seed replays the same draws across versions
+    for seed in (0, 1, 7, 2**40 + 3):
+        streams = seeded_streams(seed)
+        assert list(streams) == list(_STREAMS)
+        for i, name in enumerate(_STREAMS):
+            ref = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(i,)))
+            assert streams[name].random(8).tolist() == ref.random(8).tolist()
+            assert streams[name].integers(0, 2**62, 4).tolist() \
+                == ref.integers(0, 2**62, 4).tolist()
+            assert streams[name].bit_generator.state \
+                == ref.bit_generator.state
 
 
 def test_sample_gd_positions_inside_area():
     sc = Scenario()
-    pos = sample_gd_positions(sc, SeededRng(1).stream("init"))
+    pos = sample_gd_positions(sc, seeded_streams(1)["init"])
     assert pos.shape == (sc.n_gds, 2)
     x_min, y_min, x_max, y_max = sc.area_bounds
     assert np.all(pos[:, 0] >= x_min) and np.all(pos[:, 0] <= x_max)

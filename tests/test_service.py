@@ -23,10 +23,11 @@ def make_scenario(n_aavs=1, n_gds=1, **radio_kw):
 
 
 def make_world(sc, aav_pos, gd_pos, tasks=(), stored=0.0):
+    """tasks[g] is queued at GD g."""
     world = WorldState.start(sc, gd_pos)
     world.aav_pos = np.asarray(aav_pos, float)
-    for task in tasks:
-        world.gd_states[task.gd].pending.append(task)
+    for gd, task in zip(world.gd_states, tasks):
+        gd.pending.append(task)
     for gd in world.gd_states:
         gd.stored_bits = stored
     return world
@@ -39,19 +40,19 @@ def world_gain(world, sc):
                                        sc.radio)[0, 0]
 
 
-def make_task(gd=0, size=6e5, ratio=0.2, max_delay=2.0):
-    return MecTask(gd=gd, task_id=0, size_bits=size, max_delay=max_delay,
-                   deadline_slot=100, result_ratio=ratio, created_slot=0)
+def make_task(size=6e5, ratio=0.2, max_delay=2.0):
+    return MecTask(task_id=0, size_bits=size, max_delay=max_delay,
+                   deadline_slot=100, result_ratio=ratio)
 
 
 def full_service_decision(sc, offload=False):
-    offl, bw = {}, {}
-    for v in range(sc.n_aavs):
-        for g in range(sc.n_gds):
-            offl[(v, g)] = offload
-            bw[(v, g)] = sc.radio.bandwidth_aav
-    return DecodedAction(displacements=np.zeros((sc.n_aavs, 2)),
-                         offload=offl, bandwidth=bw)
+    """The full budget and one offload flag for every GD an AAV may serve:
+    lists as long as n_gds, which run_slot zips with served[v]."""
+    return DecodedAction(
+        displacements=np.zeros((sc.n_aavs, 2)),
+        offload=[[offload] * sc.n_gds for _ in range(sc.n_aavs)],
+        bandwidth=[[sc.radio.bandwidth_aav] * sc.n_gds
+                   for _ in range(sc.n_aavs)])
 
 
 def everyone_assoc(sc):
@@ -213,6 +214,31 @@ def test_run_slot_offloaded_task_bookkeeping():
     assert rec["delay"] > sum((comps["t_up_g2a"], comps["t_down_a2g"]))
 
 
+def test_run_slot_pairs_each_gd_with_its_own_choice():
+    # one AAV serves two GDs with unequal shares and opposite paths; each
+    # task row must carry the share and the path decoded for its own GD
+    sc = make_scenario(n_gds=2)
+    budget = sc.radio.bandwidth_aav
+    served = [[0, 1]]
+    paths, shares = [True, False], [0.8 * budget, 0.2 * budget]
+    decision = DecodedAction(displacements=np.zeros((1, 2)),
+                             offload=[paths], bandwidth=[shares])
+    size = 2e5
+    world = make_world(sc, [[0.0, 0.0]], [[-30.0, 0.0], [0.0, 60.0]],
+                       tasks=[make_task(size=size, max_delay=50.0)] * 2)
+    out = run_slot(world, decision, served, sc)
+    assert sorted(rec["gd"] for rec in out["tasks"]) == [0, 1]
+    aav3 = np.array([[0.0, 0.0, sc.aav_altitude]])
+    field = channel.InterferenceField(aav3, world.gd3, served, sc.radio)
+    for rec in out["tasks"]:
+        g = rec["gd"]
+        assert rec["offloaded"] is paths[g]
+        rate = channel.g2a_rate(float(field.gains[0, g]), shares[g],
+                                field.power[0], world.noise_w, sc.radio)
+        assert math.isclose(rec["components"]["t_up_g2a"], size / rate,
+                            rel_tol=1e-12)
+
+
 def test_rate_floor_skips_task_but_not_collection():
     sc = make_scenario(rate_floor=1e12)
     task = make_task()
@@ -293,14 +319,14 @@ def test_cross_cell_interference_slows_service():
     sc2 = make_scenario(n_aavs=2, n_gds=2)
     pos_a = [[-100.0, 0.0], [100.0, 0.0]]
     pos_g = [[-100.0, 0.0], [100.0, 0.0]]
-    tasks = [make_task(gd=0, size=6e5, max_delay=50.0),
-             make_task(gd=1, size=6e5, max_delay=50.0)]
+    tasks = [make_task(size=6e5, max_delay=50.0),
+             make_task(size=6e5, max_delay=50.0)]
     world2 = make_world(sc2, pos_a, pos_g, tasks=tasks)
     out2 = run_slot(world2, full_service_decision(sc2), [[0], [1]], sc2)
 
     sc1 = make_scenario(n_aavs=1, n_gds=1)
     world1 = make_world(sc1, [pos_a[0]], [pos_g[0]],
-                        tasks=[make_task(gd=0, size=6e5, max_delay=50.0)])
+                        tasks=[make_task(size=6e5, max_delay=50.0)])
     out1 = run_slot(world1, full_service_decision(sc1), [[0]], sc1)
     assert out2["tasks"][0]["delay"] > out1["tasks"][0]["delay"]
 
@@ -312,8 +338,9 @@ def test_rain_extra_db_slows_satellite_path():
     out_dry = run_slot(world_dry, full_service_decision(sc, offload=True),
                        everyone_assoc(sc), sc)
     world_wet = make_world(sc, [[0.0, 0.0]], [[0.0, 0.0]], **kw)
+    world_wet.rain_extra_db = 10.0
     out_wet = run_slot(world_wet, full_service_decision(sc, offload=True),
-                       everyone_assoc(sc), sc, rain_extra_db=10.0)
+                       everyone_assoc(sc), sc)
     assert out_wet["tasks"][0]["delay"] > out_dry["tasks"][0]["delay"]
 
 

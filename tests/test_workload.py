@@ -33,7 +33,7 @@ def test_generation_probability_matches_hazard():
     hits = 0
     trials = 20000
     for _ in range(trials):
-        gd = GdState(0)
+        gd = GdState()
         gd.last_task_slot = 0
         if maybe_generate_task(gd, gap, PARAMS, 1.0, rng) is not None:
             hits += 1
@@ -44,7 +44,7 @@ def test_generation_probability_matches_hazard():
 
 def test_zero_gap_never_generates():
     rng = np.random.default_rng(1)
-    gd = GdState(0)
+    gd = GdState()
     gd.last_task_slot = 5
     for _ in range(200):
         assert maybe_generate_task(gd, 5, PARAMS, 1.0, rng) is None
@@ -55,7 +55,7 @@ def test_task_fields_in_range():
     seen = 0
     slot = 12
     while seen < 50:
-        gd = GdState(3)
+        gd = GdState()
         task = maybe_generate_task(gd, slot, PARAMS, 1.0, rng)
         if task is None:
             continue
@@ -66,15 +66,13 @@ def test_task_fields_in_range():
         assert slot + 10 <= task.deadline_slot <= slot + 30
         assert PARAMS.result_ratio_range[0] <= task.result_ratio \
             <= PARAMS.result_ratio_range[1]
-        assert task.created_slot == slot
-        assert task.gd == 3
         assert gd.pending[-1] is task
         assert gd.last_task_slot == slot
 
 
 def test_task_ids_increment():
     rng = np.random.default_rng(3)
-    gd = GdState(0)
+    gd = GdState()
     ids = []
     slot = 0
     while len(ids) < 5:
@@ -87,7 +85,7 @@ def test_task_ids_increment():
 
 def test_accrue_dc_data_units_and_counter():
     rng = np.random.default_rng(4)
-    gd = GdState(0)
+    gd = GdState()
     total = 0.0
     for _ in range(100):
         bits = accrue_dc_data(gd, PARAMS, rng)
@@ -100,7 +98,7 @@ def test_accrue_dc_data_units_and_counter():
 
 
 def test_expire_overdue_drops_only_past_deadlines():
-    gd = GdState(0)
+    gd = GdState()
     rng = np.random.default_rng(5)
     slot = 20
     while len(gd.pending) < 4:
@@ -114,11 +112,11 @@ def test_expire_overdue_drops_only_past_deadlines():
 
 
 def test_earliest_pending_is_fifo_head():
-    gd = GdState(0)
+    gd = GdState()
     rng = np.random.default_rng(6)
     slot = 10
     while len(gd.pending) < 3:
         maybe_generate_task(gd, slot, PARAMS, 1.0, rng)
         slot += 20
     assert gd.earliest_pending() is gd.pending[0]
-    assert gd.pending[0].created_slot < gd.pending[1].created_slot
+    assert gd.pending[0].task_id < gd.pending[1].task_id
