@@ -106,14 +106,6 @@ class Totals:
         }
 
 
-def episode_totals(records):
-    """Every episode figure of the report; see Totals.report."""
-    totals = Totals()
-    for rec in records:
-        totals.add(rec)
-    return totals.report()
-
-
 def run_episodes(env, act, episodes, on_slot=None, on_episode=None,
                  learn=None):
     """Play `episodes` episodes; returns their report rows, each

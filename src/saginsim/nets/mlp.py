@@ -72,12 +72,6 @@ class Mlp:
                 h = h * mask
         return h, tape
 
-    def num_params(self):
-        return sum(p.size for p in self.params)
-
-    def get_arrays(self):
-        return [p.copy() for p in self.params]
-
     def set_arrays(self, arrays):
         """Copy arrays into the parameters, in place, cast to their dtype."""
         if len(arrays) != len(self.params):

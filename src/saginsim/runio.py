@@ -26,24 +26,6 @@ def write_metrics_csv(path, rows):
         writer.writerows(rows)
 
 
-def read_metrics_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for raw in reader:
-            row = {}
-            for key, value in raw.items():
-                try:
-                    row[key] = int(value)
-                except ValueError:
-                    try:
-                        row[key] = float(value)
-                    except ValueError:
-                        row[key] = value
-            rows.append(row)
-    return rows
-
-
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -94,13 +76,6 @@ def iter_events_jsonl(path):
                                   % (_dumps(meta), EVENTS_SCHEMA))
         yield first
         yield from lines
-
-
-def read_events_jsonl(path):
-    """(meta header, list of every slot record) of an event log."""
-    events = iter_events_jsonl(path)
-    _, meta = next(events)
-    return meta, [rec for _, rec in events]
 
 
 def export_trajectories(track, out_path):

@@ -17,13 +17,14 @@ import numpy as np
 from saginsim import actions, channel, cli, diffusion, energy, runio, service
 from saginsim.association import gs_associate
 from saginsim.baselines import run_baseline
-from saginsim.environment import SaginEnv, episode_totals
+from saginsim.environment import SaginEnv
 from saginsim.nets import autodiff
 from saginsim.nets.mlp import Mlp
 from saginsim.scenario import (ComputeParams, RadioParams, RewardWeights,
                                Scenario, load_scenario)
 from saginsim.trainer import Hyper, TwinCritics, soft_update, td_targets, train
 
+from helpers import recount
 from test_channel import free_space_loss_db, los_probability, path_loss_db
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -241,8 +242,8 @@ def _grad_config(idx):
     policy = diffusion.DiffusionPolicy(state_dim, action_dim, (hidden,), 3,
                                        1.0e-4, 0.02, rng)
     critic = Mlp([state_dim + action_dim, hidden, 1], rng)
-    assert policy.denoiser.num_params() <= 1000
-    assert critic.num_params() <= 1000
+    assert sum(p.size for p in policy.denoiser.params) <= 1000
+    assert sum(p.size for p in critic.params) <= 1000
     data = {
         "states": rng.standard_normal((batch, state_dim)),
         "acts": rng.uniform(-1.0, 1.0, (batch, action_dim)),
@@ -417,12 +418,12 @@ def test_accept_selection_and_targets():
 
     online = Mlp([3, 4, 2], np.random.default_rng(20))
     target = Mlp([3, 4, 2], np.random.default_rng(21))
-    before = target.get_arrays()
+    before = [p.copy() for p in target.params]
     soft_update(online.params, target.params, 0.0)
-    for arr, prev in zip(target.get_arrays(), before):
+    for arr, prev in zip(target.params, before):
         assert np.array_equal(arr, prev)
     soft_update(online.params, target.params, 1.0)
-    for arr, cur in zip(target.get_arrays(), online.get_arrays()):
+    for arr, cur in zip(target.params, online.params):
         assert np.array_equal(arr, cur)
     print("[acceptance] selection/target mechanics PASS (z=%.1f)" % z)
 
@@ -490,7 +491,7 @@ def test_accept_conservation_and_replay(tmp_path):
         assert close(dc_gen, stored_now + buf_now + dlv, tol)
         assert close(collected, buf_now + dlv, tol)
 
-        totals = episode_totals(recs)
+        totals = recount(recs)
         f1, f2, f3 = totals["f1"], totals["f2"], totals["f3"]
         delay_sum = sum(t["delay"] for r in recs for t in r["tasks"])
         assert gen_total > 0
@@ -505,8 +506,8 @@ def test_accept_conservation_and_replay(tmp_path):
         if ep == 0:
             path = tmp_path / "events.jsonl"
             runio.write_events_jsonl(str(path), {"episodes": 1}, recs)
-            _, back = runio.read_events_jsonl(str(path))
-            again = episode_totals(back)
+            again = recount(
+                [rec for _, rec in runio.iter_events_jsonl(path)][1:])
             assert close(again["f1"], f1, tol)
             assert close(again["f2"], f2, tol)
             assert close(again["f3"], f3, tol)

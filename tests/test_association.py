@@ -2,7 +2,7 @@ import heapq
 
 import numpy as np
 
-from saginsim.association import _distances, blocking_pairs, gs_associate
+from saginsim.association import _distances, gs_associate
 
 ALT = 100.0
 
@@ -34,6 +34,32 @@ def deferred_acceptance(aav_positions, gd_positions, capacity, altitude):
             if cursor[far] < n_aavs:
                 heapq.heappush(free, far)
     return [sorted(gds) for gds in held]
+
+
+def blocking_pairs(served, aav_positions, gd_positions, capacity, altitude):
+    """List (gd, aav) pairs that would both rather match each other, for
+    served the per-AAV GD lists of gs_associate.
+
+    A pair blocks when the GD strictly prefers the AAV to its current match
+    (or is unmatched) and the AAV either has spare capacity or holds some GD
+    strictly farther away.  The stability oracle of these tests.
+    """
+    dist = _distances(aav_positions, gd_positions, altitude)
+    match_of = [-1] * dist.shape[1]
+    for v, gds in enumerate(served):
+        for g in gds:
+            match_of[g] = v
+    pairs = []
+    for g, cur in enumerate(match_of):
+        for v, held in enumerate(served):
+            if v == cur:
+                continue
+            if cur >= 0 and dist[v, g] >= dist[cur, g]:
+                continue
+            if len(held) < capacity \
+                    or any(dist[v, h] > dist[v, g] for h in held):
+                pairs.append((g, v))
+    return pairs
 
 
 def geometries(count, seed):

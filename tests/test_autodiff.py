@@ -99,7 +99,7 @@ def test_mlp_gradcheck_small_net():
 def test_mlp_zero_init_without_rng():
     net = Mlp([2, 3, 1])
     assert all(np.all(p == 0.0) for p in net.params)
-    assert net.num_params() == 2 * 3 + 3 + 3 * 1 + 1
+    assert sum(p.size for p in net.params) == 2 * 3 + 3 + 3 * 1 + 1
 
 
 def test_he_init_scale():

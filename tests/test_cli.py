@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 
 from saginsim import baselines, cli, runio
-from saginsim.environment import SaginEnv, episode_totals, run_episodes
+from saginsim.environment import SaginEnv, run_episodes
 from saginsim.nets.mlp import Mlp, load_checkpoint, save_checkpoint
 from saginsim.scenario import load_scenario, seeded_streams
 from saginsim.trainer import Hyper, QagobTrainer
+
+from helpers import recount
 
 TINY_CONFIG = """\
 # small scenario for command-line tests
@@ -71,14 +73,15 @@ def check_run_outputs(out_dir, seeds, episodes):
     assert os.path.exists(os.path.join(out_dir, "config.resolved.toml"))
     for seed in seeds:
         seed_dir = os.path.join(out_dir, "seed%d" % seed)
-        rows = runio.read_metrics_csv(os.path.join(seed_dir, "metrics.csv"))
+        rows = csv_rows(os.path.join(seed_dir, "metrics.csv"))
         assert len(rows) == episodes
-        assert [r["episode"] for r in rows] == list(range(episodes))
+        assert [int(r["episode"]) for r in rows] == list(range(episodes))
         for r in rows:
-            assert math.isfinite(r["reward"])
-            assert r["f2"] >= 0.0 and r["f3"] > 0.0
-        meta, records = runio.read_events_jsonl(
+            assert math.isfinite(float(r["reward"]))
+            assert float(r["f2"]) >= 0.0 and float(r["f3"]) > 0.0
+        (_, meta), *lines = runio.iter_events_jsonl(
             os.path.join(seed_dir, "events.jsonl"))
+        records = [rec for _, rec in lines]
         assert meta["schema"] == runio.EVENTS_SCHEMA
         assert len(records) == episodes * 6  # horizon is 6 in the tiny config
         # the plot files are folds of the finished episodes' lines alone
@@ -93,7 +96,7 @@ def check_run_outputs(out_dir, seeds, episodes):
 
 def assert_requested_episodes(out_dir, episodes):
     """The events.jsonl header records the requested episode count."""
-    meta, _ = runio.read_events_jsonl(
+    (_, meta), *_ = runio.iter_events_jsonl(
         os.path.join(out_dir, "seed0", "events.jsonl"))
     assert meta["episodes"] == episodes
 
@@ -168,8 +171,10 @@ def test_a_dead_link_leaves_tasks_waiting(tmp_path, override):
                     "--config", str(CONFIGS / "toy.toml"),
                     "--override", override,
                     "--episodes", "2", "--out", str(out), "--quiet"]) == 0
-    rows = runio.read_metrics_csv(out / "seed0" / "metrics.csv")
-    _, records = runio.read_events_jsonl(out / "seed0" / "events.jsonl")
+    rows = [{key: float(value) for key, value in row.items()}
+            for row in csv_rows(out / "seed0" / "metrics.csv")]
+    records = [rec for _, rec
+               in runio.iter_events_jsonl(out / "seed0" / "events.jsonl")][1:]
     assert [row["episode"] for row in rows] == [0, 1]
     for row in rows:
         episode = [rec for rec in records if rec["episode"] == row["episode"]]
@@ -250,9 +255,9 @@ def test_metrics_are_a_function_of_the_event_log(tmp_path):
     [energy] = csv_rows(os.path.join(seed_dir, "energy.csv"))
     for key in ("gd_tx", "aav_move", "aav_compute", "sat_tx", "sat_compute"):
         assert energy[key] == metrics[key], key
-    _, records = runio.read_events_jsonl(os.path.join(seed_dir,
-                                                      "events.jsonl"))
-    totals = episode_totals(records)
+    records = [rec for _, rec in runio.iter_events_jsonl(
+        os.path.join(seed_dir, "events.jsonl"))][1:]
+    totals = recount(records)
     assert set(totals) == set(metrics) - {"episode", "reward"}
     for key, value in totals.items():
         assert metrics[key] == repr(value), key
@@ -267,8 +272,7 @@ def test_train_eval_export_pipeline(tmp_path, config_path):
     check_run_outputs(train_out, [0], 1)
     ckpt = os.path.join(train_out, "seed0", "checkpoints", "final.npz")
     assert os.path.exists(ckpt)
-    rows = runio.read_metrics_csv(
-        os.path.join(train_out, "seed0", "metrics.csv"))
+    rows = csv_rows(os.path.join(train_out, "seed0", "metrics.csv"))
     assert "critic_loss" in rows[0] and "actor_loss" in rows[0]
 
     eval_out = str(tmp_path / "eval")
@@ -304,8 +308,8 @@ def test_train_accepts_scenario_override(tmp_path, config_path):
                     "--episodes", "1", "--out", out, "--quiet",
                     "--override", "horizon=4"] + TINY_HYPER)
     assert code == 0
-    _, records = runio.read_events_jsonl(
-        os.path.join(out, "seed0", "events.jsonl"))
+    records = [rec for _, rec in runio.iter_events_jsonl(
+        os.path.join(out, "seed0", "events.jsonl"))][1:]
     assert len(records) == 4
     resolved = pathlib.Path(out, "config.resolved.toml").read_text(
         encoding="utf-8")
@@ -324,7 +328,7 @@ def test_works_without_config_file(tmp_path):
                     "--override",
                     "initial_aav_positions=[[-250.0, -250.0], [250.0, 250.0]]"])
     assert code == 0
-    rows = runio.read_metrics_csv(os.path.join(out, "seed0", "metrics.csv"))
+    rows = csv_rows(os.path.join(out, "seed0", "metrics.csv"))
     assert len(rows) == 1
 
 
@@ -675,8 +679,8 @@ def test_weibull_rain_draws_once_per_episode(tmp_path, monkeypatch):
             == (tmp_path / "b" / "seed3" / name).read_bytes()
 
     def tasks(name):
-        _, records = runio.read_events_jsonl(
-            tmp_path / name / "seed3" / "events.jsonl")
+        records = [rec for _, rec in runio.iter_events_jsonl(
+            tmp_path / name / "seed3" / "events.jsonl")][1:]
         return [task for rec in records for task in rec["tasks"]]
     wet, dry = tasks("a"), tasks("fixed")
     assert [(t["task_id"], t["offloaded"]) for t in wet] \
@@ -697,10 +701,10 @@ def test_sweep_writes_summary(tmp_path, config_path):
                     "--seed", "0", "--episodes", "1", "--out", out, "--quiet"]
                    + tiny_hyper_without("hyper.n_denoise"))
     assert code == 0
-    summary = runio.read_metrics_csv(os.path.join(out, "summary.csv"))
+    summary = csv_rows(os.path.join(out, "summary.csv"))
     assert len(summary) == 1
     assert summary[0]["key"] == "hyper.n_denoise"
-    assert summary[0]["value"] == 2
+    assert int(summary[0]["value"]) == 2
     assert os.path.exists(os.path.join(out, "hyper.n_denoise=2", "seed0",
                                        "metrics.csv"))
 
@@ -933,14 +937,14 @@ def test_progress_line_per_episode_unless_quiet(tmp_path, config_path,
     points = ["max_served=1", "max_served=2"] if verb == "sweep" else [""]
     runs = [(point, seed) for point in points for seed in (0, 1)]
     rows = [(point, seed, row) for point, seed in runs
-            for row in runio.read_metrics_csv(
+            for row in csv_rows(
                 loud / point / ("seed%d" % seed) / "metrics.csv")]
     assert len(lines) == len(rows) == 2 * len(runs)
     for line, (point, seed, row) in zip(lines, rows):
         name = (point + " " if point else "") + "seed %d" % seed
         assert re.fullmatch(r"%s episode %d/2 reward %s \(\d+\.\ds\)" % (
-            re.escape(name), row["episode"] + 1,
-            re.escape("%.3f" % row["reward"])), line)
+            re.escape(name), int(row["episode"]) + 1,
+            re.escape("%.3f" % float(row["reward"]))), line)
     assert len({line.split(" reward ")[0] for line in lines}) == len(lines)
     assert run_cli(argv + ["--out", str(tmp_path / "quiet"), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
@@ -1001,15 +1005,27 @@ def test_export_streams_the_log_of_a_run(tmp_path, monkeypatch):
                     "--config", str(CONFIGS / "toy.toml"), "--seed", "2",
                     "--episodes", "3", "--out", out, "--quiet"]) == 0
     seed_dir = os.path.join(out, "seed2")
+    # export folds each line before it reads the next
+    order = []
+    read, fold = runio.iter_events_jsonl, runio.RunTail.add
 
-    def read_all(path):
-        raise AssertionError("export read the whole log")
+    def reading(path):
+        for line in read(path):
+            order.append("read")
+            yield line
 
-    monkeypatch.setattr(runio, "read_events_jsonl", read_all)
+    def folding(tail, rec):
+        order.append("fold")
+        fold(tail, rec)
+
+    monkeypatch.setattr(runio, "iter_events_jsonl", reading)
+    monkeypatch.setattr(runio.RunTail, "add", folding)
     export_out = str(tmp_path / "export")
     assert run_cli(["export", "--events",
                     os.path.join(seed_dir, "events.jsonl"),
                     "--out", export_out]) == 0
+    slots = 3 * load_scenario(CONFIGS / "toy.toml").horizon
+    assert order == ["read"] + ["read", "fold"] * slots
     for name in ("trajectories.csv", "energy.csv"):
         original = pathlib.Path(seed_dir, name).read_bytes()
         regenerated = pathlib.Path(export_out, name).read_bytes()
@@ -1064,17 +1080,17 @@ def test_run_outputs_are_folds_of_the_event_log(tmp_path):
                     "--config", str(CONFIGS / "toy.toml"), "--seed", "1",
                     "--episodes", "3", "--out", out, "--quiet"]) == 0
     seed_dir = os.path.join(out, "seed1")
-    _, records = runio.read_events_jsonl(os.path.join(seed_dir,
-                                                      "events.jsonl"))
+    records = [rec for _, rec in runio.iter_events_jsonl(
+        os.path.join(seed_dir, "events.jsonl"))][1:]
     [energy] = csv_rows(os.path.join(seed_dir, "energy.csv"))
-    totals = episode_totals(records)
+    totals = recount(records)
     for key, value in energy.items():
         assert value == repr(totals[key]), key
     metrics = csv_rows(os.path.join(seed_dir, "metrics.csv"))
     assert [row["episode"] for row in metrics] == ["0", "1", "2"]
     for row in metrics:
         episode = int(row["episode"])
-        ep_totals = episode_totals(
+        ep_totals = recount(
             [rec for rec in records if rec["episode"] == episode])
         for key, value in ep_totals.items():
             assert row[key] == repr(value), (episode, key)

@@ -111,7 +111,7 @@ def test_denoiser_input_layout():
 
 def test_sampler_diverged_guard():
     policy = make_policy(rng=None)
-    arrays = policy.denoiser.get_arrays()
+    arrays = [p.copy() for p in policy.denoiser.params]
     arrays[-1] = np.full(ACTION_DIM, np.inf)   # output bias: eps is inf
     policy.denoiser.set_arrays(arrays)
     with pytest.raises(SamplerDiverged):

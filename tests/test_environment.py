@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from saginsim import service, workload
-from saginsim.environment import (SaginEnv, episode_totals, run_episodes,
-                                  state_dim)
+from saginsim.environment import SaginEnv, run_episodes, state_dim
 from saginsim.errors import ConfigInvalid, EpisodeFinished
 from saginsim.scenario import RewardWeights, Scenario, load_scenario
+
+from helpers import recount
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SEED = 7
@@ -254,7 +255,7 @@ def test_objectives_recount_episode():
     rng = np.random.default_rng(2)
     records = [env.step(rng.uniform(-1, 1, env.action_dim))[3]
                for _ in range(sc.horizon)]
-    totals = episode_totals(records)
+    totals = recount(records)
     f1, f2, f3 = totals["f1"], totals["f2"], totals["f3"]
     assert f2 == pytest.approx(
         sum(sum(rec["dc"]["delivered"]) for rec in records))
@@ -268,7 +269,7 @@ def test_objectives_recount_episode():
 
 
 def test_objectives_empty_records():
-    totals = episode_totals([])
+    totals = recount([])
     f1, f2, f3 = totals["f1"], totals["f2"], totals["f3"]
     assert math.isnan(f1) and f2 == 0.0 and f3 == 0.0
 

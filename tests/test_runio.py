@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -6,9 +7,11 @@ import pytest
 
 from saginsim import runio
 from saginsim.baselines import run_baseline
-from saginsim.environment import SaginEnv, episode_totals, run_episodes
+from saginsim.environment import SaginEnv, run_episodes
 from saginsim.errors import EventLogInvalid
 from saginsim.scenario import Scenario
+
+from helpers import recount
 
 
 def toy_scenario():
@@ -61,9 +64,9 @@ def test_offload_ratio_counts_served_tasks():
         return dict(played[0], tasks=tasks)
 
     records = [served(True, False), served(True), served()]
-    assert episode_totals(records)["offload_ratio"] == \
+    assert recount(records)["offload_ratio"] == \
         pytest.approx(100.0 * 2 / 3)
-    assert math.isnan(episode_totals([served()])["offload_ratio"])
+    assert math.isnan(recount([served()])["offload_ratio"])
 
 
 def test_episode_metrics_fields_and_consistency():
@@ -78,7 +81,7 @@ def test_episode_metrics_fields_and_consistency():
     assert row["episode"] == 3
     assert row["reward"] == pytest.approx(total)
     last = records[-horizon:]
-    totals = episode_totals(last)
+    totals = recount(last)
     assert row["f2"] == pytest.approx(totals["f2"])
     assert row["f3"] == pytest.approx(totals["f3"])
     assert list(row)[:5] == ["episode", "reward", "f1", "f2", "f3"]
@@ -96,12 +99,13 @@ def test_metrics_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].split(",") == list(rows[1])
     assert lines[1].endswith(",1.25,")
-    back = runio.read_metrics_csv(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        back = list(csv.DictReader(fh))
     assert len(back) == 2
     for key, val in rows[0].items():
-        got = back[0][key]
+        got = float(back[0][key])
         if isinstance(val, float) and math.isnan(val):
-            assert isinstance(got, float) and math.isnan(got)
+            assert math.isnan(got)
         else:
             assert got == pytest.approx(val)
 
@@ -129,7 +133,8 @@ def test_events_jsonl_round_trip(tmp_path):
     played, _ = finished_episode()
     path = tmp_path / "events.jsonl"
     runio.write_events_jsonl(path, {"seed": 5}, played)
-    meta, records = runio.read_events_jsonl(path)
+    (_, meta), *lines = runio.iter_events_jsonl(path)
+    records = [rec for _, rec in lines]
     assert meta["schema"] == runio.EVENTS_SCHEMA
     assert meta["seed"] == 5
     assert len(records) == len(played)
@@ -142,11 +147,11 @@ def test_events_jsonl_rejects_bad_schema(tmp_path):
     path = tmp_path / "events.jsonl"
     path.write_text(json.dumps({"schema": 99}) + "\n")
     with pytest.raises(EventLogInvalid):
-        runio.read_events_jsonl(path)
+        list(runio.iter_events_jsonl(path))
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     with pytest.raises(EventLogInvalid):
-        runio.read_events_jsonl(empty)
+        list(runio.iter_events_jsonl(empty))
 
 
 def test_export_trajectories_final_episode_only(tmp_path):
@@ -175,7 +180,7 @@ def test_export_energy_breakdown_totals(tmp_path):
     played, _ = finished_episode()
     flat = [dict(rec, episode=0) for rec in played]
     path = tmp_path / "energy.csv"
-    runio.export_energy_breakdown(episode_totals(flat), path)
+    runio.export_energy_breakdown(recount(flat), path)
     lines = path.read_text().splitlines()
     fields = lines[0].split(",")
     values = dict(zip(fields, (float(x) for x in lines[1].split(","))))

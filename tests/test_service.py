@@ -6,9 +6,10 @@ import pytest
 from saginsim import channel
 from saginsim.actions import DecodedAction
 from saginsim.scenario import RadioParams, Scenario
-from saginsim.environment import episode_totals
 from saginsim.service import WorldState, run_slot, task_delay
 from saginsim.workload import MecTask
+
+from helpers import recount
 
 
 def make_scenario(n_aavs=1, n_gds=1, **radio_kw):
@@ -360,10 +361,10 @@ def test_completion_rates():
                            delivered=(10.0, 20.0)),
                slot_record(generated=1, tasks=(True, True), dc_generated=50.0,
                            delivered=(20.0, 0.0))]
-    totals = episode_totals(records)
+    totals = recount(records)
     assert math.isclose(totals["mec_rate"], 75.0)
     assert math.isclose(totals["dc_rate"], 25.0)
     # nothing generated: both rates are NaN, not a division error
-    empty = episode_totals([slot_record(delivered=(5.0,))])
+    empty = recount([slot_record(delivered=(5.0,))])
     assert math.isnan(empty["mec_rate"]) and math.isnan(empty["dc_rate"])
-    assert math.isnan(episode_totals([])["mec_rate"])
+    assert math.isnan(recount([])["mec_rate"])

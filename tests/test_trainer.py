@@ -181,7 +181,7 @@ def test_twin_critics_min_rule():
     critics = TwinCritics(S_DIM, A_DIM, (4,), np.random.default_rng(1))
     # force known constant outputs via the head biases of zeroed nets
     for net, bias in ((critics.q1, 2.0), (critics.q2, -1.0)):
-        net.set_arrays([np.zeros_like(a) for a in net.get_arrays()])
+        net.set_arrays([np.zeros_like(p) for p in net.params])
         net.params[-1][...] = bias
     s = np.zeros((4, S_DIM))
     a = np.zeros((4, A_DIM))
@@ -190,7 +190,7 @@ def test_twin_critics_min_rule():
     assert not np.allclose(critics.min_target_q(s, a), -1.0)
     # and min_target_q takes the minimum of the two targets
     for net, bias in ((critics.q1_target, 0.5), (critics.q2_target, 3.0)):
-        net.set_arrays([np.zeros_like(a) for a in net.get_arrays()])
+        net.set_arrays([np.zeros_like(p) for p in net.params])
         net.params[-1][...] = bias
     np.testing.assert_allclose(critics.min_target_q(s, a), 0.5)
 
@@ -199,23 +199,23 @@ def test_soft_update_endpoints_and_blend():
     rng = np.random.default_rng(2)
     online = Mlp([2, 3, 1], rng=rng)
     target = Mlp([2, 3, 1], rng=rng)
-    before_online = online.get_arrays()
-    before_target = target.get_arrays()
+    before_online = [p.copy() for p in online.params]
+    before_target = [p.copy() for p in target.params]
 
     soft_update(online.params, target.params, 0.005)
     for b_on, b_tg, after in zip(before_online, before_target,
-                                 target.get_arrays()):
+                                 target.params):
         np.testing.assert_allclose(after, 0.005 * b_on + 0.995 * b_tg,
                                    rtol=1e-12)
 
     soft_update(online.params, target.params, 0.0)  # no-op
     for b_on, b_tg, after in zip(before_online, before_target,
-                                 target.get_arrays()):
+                                 target.params):
         np.testing.assert_allclose(after, 0.005 * b_on + 0.995 * b_tg,
                                    rtol=1e-12)
 
     soft_update(online.params, target.params, 1.0)  # full copy
-    for b_on, after in zip(before_online, target.get_arrays()):
+    for b_on, after in zip(before_online, target.params):
         np.testing.assert_allclose(after, b_on, rtol=1e-12)
 
     with pytest.raises(ValueError):
@@ -233,20 +233,20 @@ def test_adam_steps_the_arrays_the_nets_read(rewrite):
     opt = Adam(policy.denoiser.params, 0.1)
     source = Mlp(net.widths, rng)
     if rewrite == "set_arrays":
-        net.set_arrays(source.get_arrays())
+        net.set_arrays(source.params)
     else:
         soft_update(source.params, net.params, 0.5)
     x = rng.standard_normal((4, net.widths[0]))
     states = rng.standard_normal((4, S_DIM))
     out_before = net.forward(x)
-    expect = net.get_arrays()
+    expect = [p.copy() for p in net.params]
 
     # a step on the first-layer weights only
     grads = [np.zeros_like(p) for p in net.params]
     grads[0] = np.ones_like(net.params[0])
     opt.step(grads)
     expect[0] = expect[0] - 0.1 / (1.0 + 1e-8)
-    for got, want in zip(net.get_arrays(), expect):
+    for got, want in zip(net.params, expect):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
     assert not np.allclose(net.forward(x), out_before)
 
@@ -512,8 +512,8 @@ def test_actor_update_equals_the_two_call_form(ent):
         states = rng.standard_normal((6, S_DIM)).astype(NET_DTYPE)
         acts = rng.uniform(-1, 1, (6, A_DIM)).astype(NET_DTYPE)
         loss = update(policy, critics, states, acts, hyper, rng, opt)
-        runs.append((loss, policy.denoiser.get_arrays(), opt.m + opt.v,
-                     rng.bit_generator.state))
+        runs.append((loss, [p.copy() for p in policy.denoiser.params],
+                     opt.m + opt.v, rng.bit_generator.state))
     (loss, params, moments, state), want = runs
     assert loss == want[0] and loss > 0.0
     for got, expect in zip(params + moments, want[1] + want[2]):
@@ -587,8 +587,8 @@ def test_trainer_does_not_touch_env_scenario():
 def test_target_nets_start_as_copies():
     env = SaginEnv(toy_scenario(), 4)
     trainer = QagobTrainer(env, tiny_hyper())
-    for a, b in zip(trainer.policy.denoiser.get_arrays(),
-                    trainer.policy_target.denoiser.get_arrays()):
+    for a, b in zip(trainer.policy.denoiser.params,
+                    trainer.policy_target.denoiser.params):
         np.testing.assert_array_equal(a, b)
     x = np.zeros((1, env.state_dim + env.action_dim))
     np.testing.assert_array_equal(trainer.critics.q1.forward(x),
@@ -615,7 +615,7 @@ def test_trainer_checkpoint_round_trip(tmp_path):
     assert nets["actor"].widths[1:-1] == list(trainer.hyper.actor_widths)
     assert nets["q1"].widths[1:-1] == list(trainer.hyper.critic_widths)
     for name, net in nets.items():
-        assert net.num_params() > 0
+        assert sum(p.size for p in net.params) > 0
     x = np.zeros((1, env.state_dim + env.action_dim))
     np.testing.assert_array_equal(nets["q1"].forward(x),
                                   trainer.critics.q1.forward(x))
@@ -678,8 +678,8 @@ def test_train_function_returns_rows_and_is_deterministic():
     rows2, tr2 = train(sc, hyper, 7, 2)
     assert len(rows1) == 2
     assert all(rows_equal(r1, r2) for r1, r2 in zip(rows1, rows2))
-    for a, b in zip(tr1.policy.denoiser.get_arrays(),
-                    tr2.policy.denoiser.get_arrays()):
+    for a, b in zip(tr1.policy.denoiser.params,
+                    tr2.policy.denoiser.params):
         np.testing.assert_array_equal(a, b)
     rows3, _ = train(sc, hyper, 8, 2)
     assert [r["reward"] for r in rows3] != [r["reward"] for r in rows1]
