@@ -7,10 +7,11 @@ Verbs:
     export    regenerate trajectory/energy CSVs from an events.jsonl
     sweep     train once per value of one key (--grid KEY=V1,V2,...)
 
-Every run writes manifest.json (seeds, episodes, overrides) and the
-resolved scenario, config.resolved.toml, next to its outputs; --config of
-that file with the manifest's seeds, episodes and hyper. overrides
-reproduces the run.  The seed and the episode count are flags only.
+Every run writes manifest.json (seeds, episodes, overrides, and an eval's
+checkpoint) and the resolved scenario, config.resolved.toml, next to its
+outputs; --config of that file with the manifest's seeds, episodes,
+hyper. overrides and checkpoint reproduces the run.  The seed and the
+episode count are flags only.
 Overrides use dotted config keys (e.g. --override workload.task_rate=0.2);
 keys under hyper. steer the trainer (e.g. --override hyper.batch_size=64).
 No override may set what eval's --checkpoint (its network and schedule
@@ -117,13 +118,14 @@ def _write_run_files(args, command, out, checked, **extra):
         fh.write(scenario_to_text(scenario))
 
 
-def _run_seeds(args, command, run, points=None):
+def _run_seeds(args, command, run, points=None, **extra):
     """Run one verb for every point and every seed in args.seed; returns
     (the failure count, {(point name, seed): report rows} of the runs that
     finished).
 
     points: [(name, out, checked)], checked the point's _check result; by
-    default the one unnamed point (None, args.out, _check(args)).
+    default the one unnamed point (None, args.out, _check(args)).  extra
+    adds entries to every point's manifest.
     run(scenario, hyper, seed, episodes, seed_dir, on_slot, on_episode)
     returns the rows of environment.run_episodes with on_slot and
     on_episode as its callbacks.  Every point's run files and seed
@@ -135,7 +137,7 @@ def _run_seeds(args, command, run, points=None):
     """
     runs = []
     for name, out, checked in points or [(None, args.out, _check(args))]:
-        _write_run_files(args, command, out, checked)
+        _write_run_files(args, command, out, checked, **extra)
         for seed in checked[0]:
             seed_dir = os.path.join(out, "seed%d" % seed)
             runio.ensure_dir(os.path.join(seed_dir, "checkpoints")
@@ -187,8 +189,9 @@ def cmd_eval(args):
         env = SaginEnv(scenario, seed)
         return run_episodes(env, trained.acting_in(env).select_action,
                             episodes, on_slot, on_episode)
-    return 1 if _run_seeds(args, "eval", run,
-                           [(None, args.out, checked)])[0] else 0
+    return 1 if _run_seeds(
+        args, "eval", run, [(None, args.out, checked)],
+        checkpoint=os.path.abspath(args.checkpoint))[0] else 0
 
 
 def cmd_baseline(args):

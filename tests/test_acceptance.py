@@ -9,7 +9,6 @@ one pass/fail line per check.
 
 import json
 import math
-import pathlib
 import time
 
 import numpy as np
@@ -24,10 +23,8 @@ from saginsim.scenario import (ComputeParams, RadioParams, RewardWeights,
                                Scenario, load_scenario)
 from saginsim.trainer import Hyper, TwinCritics, soft_update, td_targets, train
 
-from helpers import recount
+from helpers import CONFIGS, TINY_CONFIG, TINY_HYPER, recount
 from test_channel import free_space_loss_db, los_probability, path_loss_db
-
-CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def close(a, b, tol):
@@ -552,29 +549,6 @@ def test_accept_learning_smoke():
 # ---------------------------------------------------------------------------
 # determinism: the same command-line invocation twice produces byte-identical
 # metrics.csv and events.jsonl, for both a baseline run and a training run.
-
-TINY_CONFIG = """\
-n_aavs = 2
-n_gds = 3
-max_served = 2
-horizon = 6
-area_bounds = [-500.0, -500.0, 500.0, 500.0]
-initial_aav_positions = [[-250.0, -250.0], [250.0, 250.0]]
-"""
-
-TINY_HYPER = [
-    "--override", "hyper.batch_size=4",
-    "--override", "hyper.warmup_steps=0",
-    "--override", "hyper.n_policy_samples=4",
-    "--override", "hyper.n_uniform_samples=2",
-    "--override", "hyper.n_value_samples=2",
-    "--override", "hyper.behavior_samples=2",
-    "--override", "hyper.target_samples=2",
-    "--override", "hyper.critic_widths=8",
-    "--override", "hyper.actor_widths=8",
-    "--override", "hyper.n_denoise=2",
-]
-
 
 def test_accept_cli_byte_determinism(tmp_path):
     cfg = tmp_path / "tiny.toml"

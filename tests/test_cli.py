@@ -22,32 +22,7 @@ from saginsim.nets.mlp import Mlp, load_checkpoint, save_checkpoint
 from saginsim.scenario import load_scenario, seeded_streams
 from saginsim.trainer import Hyper, QagobTrainer
 
-from helpers import recount
-
-TINY_CONFIG = """\
-# small scenario for command-line tests
-n_aavs = 2
-n_gds = 3
-max_served = 2
-horizon = 6
-area_bounds = [-500.0, -500.0, 500.0, 500.0]
-initial_aav_positions = [[-250.0, -250.0], [250.0, 250.0]]
-"""
-
-CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
-
-TINY_HYPER = [
-    "--override", "hyper.batch_size=4",
-    "--override", "hyper.warmup_steps=0",
-    "--override", "hyper.n_policy_samples=4",
-    "--override", "hyper.n_uniform_samples=2",
-    "--override", "hyper.n_value_samples=2",
-    "--override", "hyper.behavior_samples=2",
-    "--override", "hyper.target_samples=2",
-    "--override", "hyper.critic_widths=8",
-    "--override", "hyper.actor_widths=8",
-    "--override", "hyper.n_denoise=2",
-]
+from helpers import CONFIGS, TINY_CONFIG, TINY_HYPER, Record, recount
 
 
 def tiny_hyper_without(key):
@@ -425,6 +400,8 @@ def rerun_from_outputs(out, again):
             "--quiet"]
     if manifest["command"] == "baseline":
         argv += ["--algo", manifest["algo"]]
+    if manifest["command"] == "eval":
+        argv += ["--checkpoint", manifest["checkpoint"]]
     if manifest["command"] == "sweep":
         grid = manifest["grid"]
         argv += ["--grid", "%s=%s" % (grid["key"], ",".join(grid["values"]))]
@@ -441,9 +418,13 @@ def rerun_from_outputs(out, again):
      "--seed", "2,3", "--episodes", "2"],
     ["train", "--override", "horizon=5", "--seed", "1", "--episodes", "2"]
     + TINY_HYPER,
-], ids=["baseline", "train"])
+    ["eval", "--override", "horizon=5", "--seed", "0,2", "--episodes", "2"],
+], ids=["baseline", "train", "eval"])
 def test_a_run_reproduces_from_its_outputs(tmp_path, argv):
     argv = argv + ["--config", str(CONFIGS / "toy.toml")]
+    if argv[0] == "eval":
+        argv += ["--checkpoint",
+                 train_tiny_checkpoint(tmp_path, str(CONFIGS / "toy.toml"))]
     out, again = str(tmp_path / "first"), str(tmp_path / "again")
     assert run_cli(argv + ["--out", out, "--quiet"]) == 0
     resolved = pathlib.Path(out, "config.resolved.toml").read_text(
@@ -1094,10 +1075,6 @@ def test_run_outputs_are_folds_of_the_event_log(tmp_path):
             [rec for rec in records if rec["episode"] == episode])
         for key, value in ep_totals.items():
             assert row[key] == repr(value), (episode, key)
-
-
-class Record(dict):
-    """A slot record that can be weakly referenced."""
 
 
 def test_finished_episodes_are_released(tmp_path, config_path):

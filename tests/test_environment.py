@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import pathlib
 import weakref
 
 import numpy as np
@@ -11,9 +10,8 @@ from saginsim.environment import SaginEnv, run_episodes, state_dim
 from saginsim.errors import ConfigInvalid, EpisodeFinished
 from saginsim.scenario import RewardWeights, Scenario, load_scenario
 
-from helpers import recount
+from helpers import CONFIGS, Record, recount
 
-CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SEED = 7
 
 
@@ -130,10 +128,6 @@ def test_rollout_sums_rewards_and_reports_every_step():
         expected += reward
     assert len(steps) == sc.horizon and steps[-1][4]
     assert row["reward"] == expected
-
-
-class Record(dict):
-    """A slot record that can be weakly referenced."""
 
 
 def test_rollout_hands_on_each_record_and_keeps_none(monkeypatch):

@@ -1,4 +1,5 @@
-"""The compare step of tools/parity.py, on synthetic output trees."""
+"""tools/parity.py: its command runner on a stub package, and its compare
+step on synthetic output trees."""
 
 import importlib.util
 import json
@@ -26,8 +27,9 @@ def output_tree(root, reward=2766.365862734993, manifest=None, out="a"):
              w=np.arange(12, dtype=np.float64).reshape(3, 4))
     (root / "manifest.json").write_text(json.dumps(dict(
         manifest or MANIFEST, out="/tmp/parity-x/%s/train" % out,
-        scenario_path="/tmp/parity-x/%s/configs/toy.toml" % out),
-        sort_keys=True, indent=2) + "\n")
+        scenario_path="/tmp/parity-x/%s/configs/toy.toml" % out,
+        checkpoint="/tmp/parity-x/%s/train/seed0/checkpoints/final.npz"
+        % out), sort_keys=True, indent=2) + "\n")
     return root
 
 
@@ -77,3 +79,20 @@ def test_a_file_on_one_side_only_differs(tmp_path):
     assert parity.compare(a, b)[1] == [
         ("seed0/energy.csv", "only in REF"),
         ("seed0/metrics.csv", "only in REF")]
+
+
+def test_a_warning_fails_every_command(tmp_path):
+    """Every command runs with warnings as errors, so a RuntimeWarning,
+    such as numpy's overflow, fails the command that raises it."""
+    package = tmp_path / "tree" / "src" / "saginsim"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text(
+        "import warnings\n"
+        "warnings.warn('overflow encountered in exp', RuntimeWarning)\n")
+    failures = parity.run_commands(tmp_path / "tree", tmp_path / "out")
+    assert [out for out, _, _ in failures] \
+        == [out for out, _ in parity.COMMANDS]
+    for out, status, stderr in failures:
+        assert status == 1, out
+        assert "RuntimeWarning: overflow encountered in exp" in stderr, out

@@ -4,12 +4,15 @@
 
 REF is any git revision (HEAD, a branch, a sha).  The script extracts
 `git archive REF` into a temporary directory, then runs one fixed set of
-`python -m saginsim` commands twice: with PYTHONPATH=<REF>/src and with
-PYTHONPATH=<work tree>/src, each tree reading its own configs/.  The two
-output roots are sibling directories whose paths have the same length.
+`python -W error -m saginsim` commands twice: with PYTHONPATH=<REF>/src
+and with PYTHONPATH=<work tree>/src, each tree reading its own configs/.
+Each command is a fresh process, and any warning it raises (a numpy
+overflow or invalid value, say) makes it fail.  The two output roots are
+sibling directories whose paths have the same length.
 
 Every output file is compared byte for byte.  A manifest.json is compared
-without its "out" and "scenario_path", the absolute paths of the run.
+without its "out", "scenario_path" and "checkpoint", the absolute paths
+of the run.
 Each differing file is printed with its first differing line (text) or
 byte offset (binary), then one summary line; the exit status is 1 on any
 difference or failed command, else 0.  Only the standard library is used.
@@ -56,9 +59,14 @@ COMMANDS = [
     ("random", ["baseline", "--algo", "random",
                 "--config", "{configs}/default.toml", "--seed", "0,1",
                 "--episodes", "2"]),
+    # the rain fades both satellite rates to 0, so offloaded tasks wait
     ("dead-link", ["baseline", "--algo", "greedy",
-                   "--config", "{configs}/toy.toml", "--episodes", "2",
+                   "--config", "{configs}/default.toml", "--episodes", "2",
                    "--override", "radio.rain_atten=400"]),
+    # an AAV so faint that its downlink and satellite uplink carry ~0 bits
+    ("faint", ["baseline", "--algo", "random",
+               "--config", "{configs}/toy.toml", "--seed", "0",
+               "--episodes", "2", "--override", "radio.power_aav=1e-30"]),
     ("weibull", ["baseline", "--algo", "random",
                  "--config", "{configs}/toy.toml", "--seed", "0,1",
                  "--episodes", "2",
@@ -66,10 +74,12 @@ COMMANDS = [
     ("sweep", ["sweep", "--grid", "max_served=1,2",
                "--config", "{configs}/toy.toml", "--episodes", "2", *SMALL]),
     ("export", ["export", "--events", "greedy/seed0/events.jsonl"]),
+    ("dead-link-export", ["export",
+                          "--events", "dead-link/seed0/events.jsonl"]),
 ]
 
 # the run's absolute paths, which differ between the two output roots
-MANIFEST_PATHS = ("out", "scenario_path")
+MANIFEST_PATHS = ("out", "scenario_path", "checkpoint")
 
 
 def extract(ref, dest):
@@ -101,7 +111,8 @@ def run_commands(tree, out_root):
     for out, argv in COMMANDS:
         argv = [arg.format(configs=tree / "configs") for arg in argv]
         done = subprocess.run(
-            [sys.executable, "-m", "saginsim", *argv, "--out", out]
+            [sys.executable, "-W", "error", "-m", "saginsim", *argv,
+             "--out", out]
             + (["--quiet"] if argv[0] != "export" else []),
             cwd=out_root, env=env, capture_output=True, text=True)
         if done.returncode:
